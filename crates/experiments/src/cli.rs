@@ -35,8 +35,9 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, Strin
                 opts.scale = v
                     .parse()
                     .map_err(|e| format!("bad --scale value {v:?}: {e}"))?;
-                if opts.scale <= 0.0 {
-                    return Err("--scale must be positive".into());
+                // `nan` and `inf` parse as f64; neither is a budget.
+                if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                    return Err("--scale must be positive and finite".into());
                 }
             }
             "--quick" => opts.scale = 0.1,
@@ -108,6 +109,9 @@ mod tests {
         assert!(parse(args(&["--scale"])).is_err());
         assert!(parse(args(&["--scale", "abc"])).is_err());
         assert!(parse(args(&["--scale", "-1"])).is_err());
+        for v in ["nan", "inf", "-inf"] {
+            assert!(parse(args(&["--scale", v])).is_err(), "--scale {v}");
+        }
         assert!(parse(args(&["--bogus"])).is_err());
         assert!(parse(args(&["--help"])).is_err());
     }

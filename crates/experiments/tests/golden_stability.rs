@@ -17,7 +17,9 @@
 
 use dike_experiments::runner::run_cells;
 use dike_experiments::sweep::sweep_workload_pool;
-use dike_experiments::{cachepart, failover, fig6, robustness, table3, RunOptions, SchedKind};
+use dike_experiments::{
+    cachepart, failover, fig6, fleet, robustness, table3, RunOptions, SchedKind,
+};
 use dike_machine::{presets, FaultConfig};
 use dike_util::{json, Pool};
 use dike_workloads::paper;
@@ -164,4 +166,19 @@ fn migration_only_policies_reproduce_the_fig6_golden_with_partitioning_compiled_
 fn failover_quick_pair_is_byte_identical_to_golden() {
     let points = failover::run_quick_pool(failover::FAILOVER_SEED, &Pool::new(1));
     check_golden("golden_failover.json", &json::to_string(&points));
+}
+
+/// The one-shot fleet, pinned: the smoke fleet and a 64-machine wide
+/// fleet, every routing decision (through the per-machine arrival
+/// counts), every window and every tenant roll-up byte for byte. Any
+/// change to the dispatch scorer, its tie-breaking or the per-tenant
+/// reduction shows up here as a byte diff.
+#[test]
+fn one_shot_fleet_is_byte_identical_to_golden() {
+    let pool = Pool::new(1);
+    let results = vec![
+        fleet::run_fleet_pool(&fleet::smoke_config(fleet::FLEET_SEED), &pool),
+        fleet::run_fleet_pool(&fleet::wide_quick_config(64, fleet::FLEET_SEED), &pool),
+    ];
+    check_golden("golden_fleet.json", &json::to_string(&results));
 }

@@ -42,11 +42,12 @@
 //! machine are lost, stranded queues are lost, nothing is re-dispatched
 //! — the baseline the failover experiment compares against.
 
-use crate::dispatch::{home_machine, tenant_traces};
+use crate::dispatch::{fleet_vcores, home_machine, tenant_traces, LoadRouter};
 use crate::run::{FleetRunner, WINDOW_S, WINDOW_STEP_S};
 use dike_machine::{AppId, BarrierId, MachineFaultConfig, SimTime, ThreadId};
 use dike_metrics::{
-    fairness_summary, mean_sojourn, merge_spans, windowed_fairness, ConservationLedger, ThreadSpan,
+    fairness_summary, mean_sojourn, merge_spans, sojourn_by_app, windowed_fairness,
+    ConservationLedger, ThreadSpan,
 };
 use dike_sched_core::{run_open_epoch_pooled, Scheduler, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
@@ -412,11 +413,7 @@ impl FleetRunner {
         // and refill it; barriers are the only other accessor.
         let slots: Vec<Mutex<Vec<TimedSpawn>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
 
-        let vcores: Vec<f64> = cfg
-            .machines
-            .iter()
-            .map(|mc| mc.topology.num_vcores() as f64)
-            .collect();
+        let vcores = fleet_vcores(cfg);
         let homes: Vec<u32> = (0..n_tenants as u32).map(|t| home_machine(t, n)).collect();
 
         let mut health: Vec<MachineHealth> = vec![MachineHealth::new(); n];
@@ -424,11 +421,9 @@ impl FleetRunner {
         // at the previous barrier; frozen while a machine is down.
         let mut running: Vec<u64> = vec![0; n];
         let mut book = OrphanBook::new(merged.len(), n_tenants);
-        // Blind decayed-load estimator for the no-failover baseline (the
-        // PR-8 pre-pass scorer, fed epoch by epoch).
-        let mut blind_load = vec![0.0f64; n];
-        let mut blind_last = vec![0u64; n];
-        let tau = cfg.dispatch.decay_tau_ms.max(1.0);
+        // The no-failover baseline routes with the one-shot dispatcher's
+        // scorer, fed epoch by epoch.
+        let mut blind = LoadRouter::new(vcores.clone(), &cfg.dispatch);
 
         let mut quarantines = 0u64;
         let mut readmissions = 0u64;
@@ -605,27 +600,9 @@ impl FleetRunner {
                 } else {
                     // Blind decayed-load scorer over ALL machines — the
                     // exact pre-pass rule, unaware of machine health.
-                    let at_ms = merged[next_event].at_ms;
-                    let home = homes[tenant as usize];
-                    let mut best = 0usize;
-                    let mut best_eff = f64::INFINITY;
-                    for i in 0..n {
-                        let decayed =
-                            blind_load[i] * (-((at_ms - blind_last[i]) as f64) / tau).exp();
-                        let mut eff = decayed / vcores[i];
-                        if i as u32 == home {
-                            eff -= cfg.dispatch.affinity_bonus;
-                        }
-                        if eff < best_eff {
-                            best_eff = eff;
-                            best = i;
-                        }
-                    }
                     let nthreads = threads_of[next_event];
-                    blind_load[best] = blind_load[best]
-                        * (-((at_ms - blind_last[best]) as f64) / tau).exp()
-                        + f64::from(nthreads);
-                    blind_last[best] = at_ms;
+                    let best =
+                        blind.route(merged[next_event].at_ms, homes[tenant as usize], nthreads);
                     if health[best].is_down() {
                         // Routed into a dead machine: the work is lost —
                         // the cost of dispatching blind.
@@ -777,26 +754,16 @@ impl FleetRunner {
         let windows = windowed_fairness(&merged_spans, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
         let (mean_fair, min_fair) = fairness_summary(&windows);
 
-        let offered_by_tenant: Vec<u64> = (0..n_tenants)
-            .map(|t| traces[t].num_threads() as u64)
-            .collect();
-        let tenants: Vec<FailoverTenantPoint> = (0..n_tenants as u32)
-            .map(|t| {
-                let spans: Vec<&ThreadSpan> = merged_spans.iter().filter(|s| s.app == t).collect();
-                let drained = spans.iter().filter(|s| s.finished_at.is_some()).count() as u64;
-                let sum: f64 = spans.iter().map(|s| s.sojourn(wall)).sum();
-                FailoverTenantPoint {
-                    tenant: t,
-                    name: cfg.tenants[t as usize].name.clone(),
-                    offered: offered_by_tenant[t as usize],
-                    drained,
-                    lost: book.lost_by_tenant[t as usize],
-                    mean_sojourn_s: if spans.is_empty() {
-                        0.0
-                    } else {
-                        sum / spans.len() as f64
-                    },
-                }
+        let tenants: Vec<FailoverTenantPoint> = sojourn_by_app(&merged_spans, n_tenants, wall)
+            .iter()
+            .enumerate()
+            .map(|(t, totals)| FailoverTenantPoint {
+                tenant: t as u32,
+                name: cfg.tenants[t].name.clone(),
+                offered: traces[t].num_threads() as u64,
+                drained: totals.departures,
+                lost: book.lost_by_tenant[t],
+                mean_sojourn_s: totals.mean_sojourn_s(),
             })
             .collect();
 

@@ -14,7 +14,8 @@ use crate::config::FleetConfig;
 use crate::dispatch::{dispatch, home_machine, tenant_traces, DispatchPlan};
 use dike_machine::{Machine, SimTime};
 use dike_metrics::{
-    fairness_summary, mean_sojourn, merge_spans, windowed_fairness, ThreadSpan, WindowPoint,
+    fairness_summary, mean_sojourn, merge_spans, sojourn_by_app, windowed_fairness, ThreadSpan,
+    WindowPoint,
 };
 use dike_sched_core::{run_open_pooled, Scheduler, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
@@ -222,24 +223,16 @@ impl FleetRunner {
         let windows = windowed_fairness(&merged, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
         let (mean_fair, min_fair) = fairness_summary(&windows);
 
-        let n_tenants = self.cfg.tenants.len();
-        let tenants: Vec<TenantPoint> = (0..n_tenants as u32)
-            .map(|t| {
-                let spans: Vec<&ThreadSpan> = merged.iter().filter(|s| s.app == t).collect();
-                let departures = spans.iter().filter(|s| s.finished_at.is_some()).count() as u64;
-                let sum: f64 = spans.iter().map(|s| s.sojourn(wall)).sum();
-                TenantPoint {
-                    tenant: t,
-                    name: self.cfg.tenants[t as usize].name.clone(),
-                    home: home_machine(t, n),
-                    arrivals: spans.len() as u64,
-                    departures,
-                    mean_sojourn_s: if spans.is_empty() {
-                        0.0
-                    } else {
-                        sum / spans.len() as f64
-                    },
-                }
+        let tenants: Vec<TenantPoint> = sojourn_by_app(&merged, self.cfg.tenants.len(), wall)
+            .iter()
+            .enumerate()
+            .map(|(t, totals)| TenantPoint {
+                tenant: t as u32,
+                name: self.cfg.tenants[t].name.clone(),
+                home: home_machine(t as u32, n),
+                arrivals: totals.threads,
+                departures: totals.departures,
+                mean_sojourn_s: totals.mean_sojourn_s(),
             })
             .collect();
 

@@ -22,5 +22,6 @@ pub use stats::{coefficient_of_variation, geometric_mean, mean, std_dev, Summary
 pub use table::{pct, ratio, TextTable};
 pub use timeseries::TimeSeries;
 pub use windowed::{
-    fairness_summary, mean_sojourn, merge_spans, windowed_fairness, ThreadSpan, WindowPoint,
+    fairness_summary, mean_sojourn, merge_spans, sojourn_by_app, windowed_fairness, SojournTotals,
+    ThreadSpan, WindowPoint,
 };

@@ -1,8 +1,8 @@
 //! Property tests on the metric definitions.
 
 use dike_metrics::{
-    coefficient_of_variation, geometric_mean, mean, relative_improvement, speedup, std_dev,
-    RuntimeMatrix, Summary, TimeSeries,
+    coefficient_of_variation, geometric_mean, mean, relative_improvement, sojourn_by_app, speedup,
+    std_dev, RuntimeMatrix, Summary, ThreadSpan, TimeSeries,
 };
 use dike_util::check::check;
 use dike_util::Pcg32;
@@ -96,6 +96,55 @@ fn improvement_and_speedup_are_consistent() {
         let sp = speedup(base, v);
         assert!((sp * v - base).abs() < 1e-6 * base);
     });
+}
+
+/// The one-pass per-app roll-up equals the filter-per-app reduction it
+/// replaced, bit for bit: apps with no spans, unfinished spans, app ids
+/// in any order and ids past `n_apps` included.
+#[test]
+fn sojourn_by_app_equals_the_filter_per_app_reference() {
+    check(
+        "sojourn_by_app_equals_the_filter_per_app_reference",
+        256,
+        |rng| {
+            let n_apps = rng.gen_range(0usize..12);
+            let wall = rng.gen_range(0.0f64..500.0);
+            let spans: Vec<ThreadSpan> = (0..rng.gen_range(0usize..300))
+                .map(|_| {
+                    let spawned_at = rng.gen_range(0.0f64..wall.max(1e-9));
+                    ThreadSpan {
+                        // A few ids past `n_apps`, which both sides ignore.
+                        app: rng.gen_range(0u32..n_apps as u32 + 3),
+                        spawned_at,
+                        finished_at: rng
+                            .gen_bool()
+                            .then(|| spawned_at + rng.gen_range(0.0f64..50.0)),
+                    }
+                })
+                .collect();
+
+            let totals = sojourn_by_app(&spans, n_apps, wall);
+            assert_eq!(totals.len(), n_apps);
+            for (app, t) in totals.iter().enumerate() {
+                let own: Vec<&ThreadSpan> = spans.iter().filter(|s| s.app == app as u32).collect();
+                let departures = own.iter().filter(|s| s.finished_at.is_some()).count() as u64;
+                let sum: f64 = own.iter().map(|s| s.sojourn(wall)).sum();
+                let mean = if own.is_empty() {
+                    0.0
+                } else {
+                    sum / own.len() as f64
+                };
+                assert_eq!(t.threads, own.len() as u64, "app {app} threads");
+                assert_eq!(t.departures, departures, "app {app} departures");
+                assert_eq!(t.sojourn_sum.to_bits(), sum.to_bits(), "app {app} sum");
+                assert_eq!(
+                    t.mean_sojourn_s().to_bits(),
+                    mean.to_bits(),
+                    "app {app} mean"
+                );
+            }
+        },
+    );
 }
 
 #[test]

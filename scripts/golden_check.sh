@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Golden-drift gate: replay the golden-fixture regression suite (the
-# closed-sweep, fig6, table3, robustness, cachepart and failover
-# artefacts serialized under
+# closed-sweep, fig6, table3, robustness, cachepart, failover and
+# one-shot fleet (golden_fleet.json) artefacts serialized under
 # crates/experiments/tests/fixtures/) and then prove that no recorded
 # artefact — results/ or the goldens themselves — differs from what is
 # committed. A behaviour change to any recorded figure must arrive as an

@@ -75,6 +75,13 @@ step "cachepart-smoke" bash -c \
 # results/ artefacts are byte-identical to the working tree.
 step "golden-check" scripts/golden_check.sh
 
+# The benchmark (declared by BENCHMARK.json) is a package of its own
+# outside the workspace, so the workspace test step above never runs its
+# tests: smoke laps of every workload, the output checks, the engine
+# replay and the --compare verdicts.
+step "benchmark-tests" \
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Bench smoke: the bench targets must run end to end (tiny samples, writes
 # to target/, never touches the recorded results/BENCH_*.json).
 step "bench-smoke" bash -c 'DIKE_BENCH_FAST=1 scripts/bench.sh'

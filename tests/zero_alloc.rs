@@ -24,9 +24,21 @@ use dike_repro::machine::{presets, Machine, SimTime};
 use dike_repro::sched_core::{run_with_scratch, DriverScratch, Scheduler};
 use dike_repro::workloads::{paper, Placement};
 use dike_util::CountingAllocator;
+use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
+
+/// The counter is process-global and `cargo test` runs tests on parallel
+/// threads, so each measurement holds this lock for its whole run: no
+/// other test's allocations land between its samples.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measure_alone() -> MutexGuard<'static, ()> {
+    // A poisoned lock only means the other measurement failed; this one
+    // still runs alone.
+    MEASURING.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Quanta allowed to allocate while the scratch buffers grow to their
 /// steady-state sizes (first view build, first observation, first
@@ -71,6 +83,7 @@ fn post_warmup_deltas(sched: &mut dyn Scheduler) -> Vec<u64> {
 
 #[test]
 fn cfs_steady_state_allocates_nothing() {
+    let _alone = measure_alone();
     let mut sched = StaticSpread::new();
     let deltas = post_warmup_deltas(&mut sched);
     let dirty: Vec<(usize, u64)> = deltas
@@ -87,6 +100,7 @@ fn cfs_steady_state_allocates_nothing() {
 
 #[test]
 fn dike_steady_state_allocates_nothing_beyond_diagnostic_growth() {
+    let _alone = measure_alone();
     let mut sched = Dike::new();
     let deltas = post_warmup_deltas(&mut sched);
     let total: u64 = deltas.iter().sum();
