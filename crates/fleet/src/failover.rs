@@ -43,7 +43,7 @@
 //! — the baseline the failover experiment compares against.
 
 use crate::dispatch::{fleet_vcores, home_machine, tenant_traces, LoadRouter};
-use crate::run::{FleetRunner, WINDOW_S, WINDOW_STEP_S};
+use crate::run::{departures, machine_spans, FleetRunner, WINDOW_S, WINDOW_STEP_S};
 use dike_machine::{AppId, BarrierId, MachineFaultConfig, SimTime, ThreadId};
 use dike_metrics::{
     fairness_summary, mean_sojourn, merge_spans, sojourn_by_app, windowed_fairness,
@@ -196,6 +196,14 @@ impl OrphanBook {
             lost_threads: 0,
             lost_by_tenant: vec![0; n_tenants],
         }
+    }
+
+    /// Threads of the orphans still awaiting re-dispatch.
+    fn pending_threads(&self, threads_of: &[u32]) -> u64 {
+        self.orphans
+            .iter()
+            .map(|o| u64::from(threads_of[o.event as usize]))
+            .sum()
     }
 
     fn lose(&mut self, nthreads: u32, tenant: u32) {
@@ -429,6 +437,29 @@ impl FleetRunner {
         let mut readmissions = 0u64;
         let mut next_event = 0usize;
         let mut epochs_run = 0u64;
+        // Threads of every event routed so far (the ledger's running
+        // `dispatched`), for the per-barrier conservation check.
+        let mut released = 0u64;
+        // Per event, the last crash whose machine had admitted threads of
+        // it: crash orphaning stamps a machine's events in one pass over
+        // its threads, and a fresh stamp per crash needs no clearing.
+        let mut admitted_stamp: Vec<u64> = vec![0; merged.len()];
+        let mut crash_stamp = 0u64;
+        // Conservation at a barrier: every thread released so far is
+        // admitted on a machine, queued in a slot, waiting as an orphan,
+        // or lost. O(machines + pending orphans), no per-thread scan.
+        let accounted = |book: &OrphanBook| -> u64 {
+            let admitted: u64 = self
+                .machines
+                .iter()
+                .map(|m| m.lock().expect("fleet machine lock").num_threads() as u64)
+                .sum();
+            let queued: u64 = slots
+                .iter()
+                .map(|s| s.lock().expect("failover slot lock").len() as u64)
+                .sum();
+            admitted + queued + book.pending_threads(&threads_of) + book.lost_threads
+        };
 
         for e in 0..total_epochs {
             let e_start = SimTime::from_ms(e * epoch_ms);
@@ -470,11 +501,12 @@ impl FleetRunner {
                         // already admitted here keeps its queued remainder
                         // (barrier siblings never split across machines);
                         // it resumes if the machine recovers.
+                        crash_stamp += 1;
                         let machine = self.machines[i].lock().expect("fleet machine lock");
-                        let admitted_of = |g: u32| {
-                            (0..machine.num_threads())
-                                .any(|t| machine.app_of(ThreadId(t as u32)).0 == g)
-                        };
+                        for t in machine.thread_ids() {
+                            admitted_stamp[machine.app_of(t).0 as usize] = crash_stamp;
+                        }
+                        drop(machine);
                         let mut keep = Vec::new();
                         let mut j = 0;
                         while j < stranded.len() {
@@ -483,7 +515,7 @@ impl FleetRunner {
                             while k < stranded.len() && stranded[k].spec.app.0 == g {
                                 k += 1;
                             }
-                            if admitted_of(g) {
+                            if admitted_stamp[g as usize] == crash_stamp {
                                 keep.extend_from_slice(&stranded[j..k]);
                             } else {
                                 book.orphan_or_lose(
@@ -584,6 +616,7 @@ impl FleetRunner {
                 let g = next_event as u32;
                 let at = SimTime::from_ms(merged[next_event].at_ms);
                 let tenant = tenant_of[next_event];
+                released += u64::from(threads_of[next_event]);
                 if fo.failover {
                     if routable.is_empty() {
                         book.orphan_or_lose(
@@ -619,6 +652,11 @@ impl FleetRunner {
                 }
                 next_event += 1;
             }
+            debug_assert_eq!(
+                accounted(&book),
+                released,
+                "ledger imbalance after routing at epoch {e}"
+            );
 
             // ---- epoch plan: who runs, with what entry stalls ----
             // (catchup, brownout) per machine; None = down, skipped.
@@ -671,12 +709,16 @@ impl FleetRunner {
                     }
                 }
                 let arrivals = std::mem::take(&mut *slots[i].lock().expect("failover slot lock"));
-                let (_, leftovers) =
-                    run_open_epoch_pooled(&mut machine, &mut **sched, e_end, arrivals);
+                let leftovers = run_open_epoch_pooled(&mut machine, &mut **sched, e_end, arrivals);
                 *slots[i].lock().expect("failover slot lock") = leftovers;
             });
 
             // ---- barrier: observe drain state ----
+            debug_assert_eq!(
+                accounted(&book),
+                released,
+                "ledger imbalance after simulating epoch {e}"
+            );
             epochs_run = e + 1;
             for i in 0..n {
                 if !health[i].is_down() {
@@ -706,22 +748,11 @@ impl FleetRunner {
         let mut span_lists: Vec<Vec<ThreadSpan>> = Vec::with_capacity(n);
         for i in 0..n {
             let machine = self.machines[i].lock().expect("fleet machine lock");
-            let mut spans = Vec::with_capacity(machine.num_threads());
-            let mut drained = 0u64;
-            for t in 0..machine.num_threads() {
-                let id = ThreadId(t as u32);
-                let fin = machine.finish_time(id);
-                drained += u64::from(fin.is_some());
-                spans.push(ThreadSpan {
-                    app: tenant_of[machine.app_of(id).0 as usize],
-                    spawned_at: machine.spawn_time(id).as_secs_f64(),
-                    finished_at: fin.map(|f| f.as_secs_f64()),
-                });
-            }
+            let spans = machine_spans(&machine, &tenant_of);
             machines_out.push(FailoverMachineSummary {
                 machine: i as u32,
-                admitted: machine.num_threads() as u64,
-                drained,
+                admitted: spans.len() as u64,
+                drained: departures(&spans),
                 queued: slots[i].lock().expect("failover slot lock").len() as u64,
                 crashes: health[i].crashes,
                 brownouts: health[i].brownouts,
@@ -734,15 +765,10 @@ impl FleetRunner {
         let drained: u64 = machines_out.iter().map(|m| m.drained).sum();
         let admitted: u64 = machines_out.iter().map(|m| m.admitted).sum();
         let queued: u64 = machines_out.iter().map(|m| m.queued).sum();
-        let orphan_threads: u64 = book
-            .orphans
-            .iter()
-            .map(|o| u64::from(threads_of[o.event as usize]))
-            .sum();
         let ledger = ConservationLedger {
             dispatched: total_offered,
             drained,
-            in_flight: (admitted - drained) + queued + orphan_threads,
+            in_flight: (admitted - drained) + queued + book.pending_threads(&threads_of),
             lost: book.lost_threads,
         };
 
@@ -949,6 +975,49 @@ mod tests {
         // Brownouts slow machines but kill nothing: with a generous
         // deadline everything still drains.
         assert_eq!(r.ledger.drained, r.ledger.dispatched, "{:?}", r.ledger);
+    }
+
+    /// Small machines under heavy load hold queues at every barrier, so
+    /// crashes strand queued work: the health-aware loop orphans whole
+    /// events and the blind one loses the queue, and in both the ledger
+    /// balances at every barrier (the loop's own debug checks) and at the
+    /// end.
+    #[test]
+    fn crashes_strand_queues_and_every_barrier_balances() {
+        let mut cfg = tiny_fleet(43);
+        for m in &mut cfg.machines {
+            *m = dike_machine::presets::small_machine(m.seed);
+        }
+        for t in &mut cfg.tenants {
+            t.arrivals.mean_interarrival_ms = 150.0;
+            t.arrivals.threads_max = 4;
+        }
+        cfg.scale = 0.05;
+        let runner = FleetRunner::new(cfg);
+        let faults = MachineFaultConfig {
+            crash_rate: 0.3,
+            recovery_epochs: 1,
+            seed: 47,
+            ..Default::default()
+        };
+        let run = |failover: bool| {
+            let r = runner.run_failover(
+                &Pool::new(1),
+                &FailoverConfig {
+                    failover,
+                    faults,
+                    ..Default::default()
+                },
+            );
+            r.ledger.assert_holds("stranded queues");
+            r
+        };
+        let with = run(true);
+        assert!(with.orphaned > 0, "crashes must strand queued events");
+        assert_eq!(with.redispatched, with.orphaned);
+        let without = run(false);
+        assert!(without.ledger.lost > 0, "blind crashes lose the queue");
+        assert_eq!(without.orphaned, 0);
     }
 
     #[test]

@@ -125,6 +125,27 @@ json_struct!(FleetResult {
     mean_sojourn_s,
 });
 
+/// One span per thread `machine` has admitted since its last reset, in id
+/// order, tagged with its owning tenant: the fleet tags every thread's
+/// `AppId` with its global event index, and `tenant_of_event` maps that
+/// back. Both fleet loops roll their machines up through this, reading
+/// the machine directly rather than a per-thread result list.
+pub(crate) fn machine_spans(machine: &Machine, tenant_of_event: &[u32]) -> Vec<ThreadSpan> {
+    machine
+        .thread_ids()
+        .map(|id| ThreadSpan {
+            app: tenant_of_event[machine.app_of(id).0 as usize],
+            spawned_at: machine.spawn_time(id).as_secs_f64(),
+            finished_at: machine.finish_time(id).map(|f| f.as_secs_f64()),
+        })
+        .collect()
+}
+
+/// Spans that finished.
+pub(crate) fn departures(spans: &[ThreadSpan]) -> u64 {
+    spans.iter().filter(|s| s.finished_at.is_some()).count() as u64
+}
+
 /// A reusable fleet: machines are built once and reset per run, so bench
 /// iterations pay construction cost only on the first lap.
 pub struct FleetRunner {
@@ -191,27 +212,16 @@ impl FleetRunner {
                 .expect("fleet plan lock")
                 .take()
                 .expect("each machine's plan is taken exactly once");
-            let result = run_open_pooled(&mut machine, sched.as_mut(), deadline, spawns);
-            let wall = result.wall.as_secs_f64();
-            let spans: Vec<ThreadSpan> = result
-                .threads
-                .iter()
-                .map(|t| ThreadSpan {
-                    // The dispatcher tagged AppId with the global event
-                    // index; translate to the owning tenant for roll-up.
-                    app: plan.tenant_of_event[t.app as usize],
-                    spawned_at: t.spawned_at.as_secs_f64(),
-                    finished_at: t.finished_at.map(|f| f.as_secs_f64()),
-                })
-                .collect();
+            let totals = run_open_pooled(&mut machine, sched.as_mut(), deadline, spawns);
+            let spans = machine_spans(&machine, &plan.tenant_of_event);
             let summary = MachineSummary {
                 machine: i as u32,
                 arrivals: spans.len() as u64,
-                departures: spans.iter().filter(|s| s.finished_at.is_some()).count() as u64,
-                completed: result.completed,
-                makespan_s: wall,
-                quanta: result.quanta,
-                migrations: result.migrations,
+                departures: departures(&spans),
+                completed: totals.completed,
+                makespan_s: totals.wall.as_secs_f64(),
+                quanta: totals.quanta,
+                migrations: totals.migrations,
             };
             (summary, spans)
         });

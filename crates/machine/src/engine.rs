@@ -81,6 +81,10 @@ pub struct Machine {
     /// Moves performed by the substrate balancer (not counted as policy
     /// migrations).
     balancer_moves: u64,
+    /// Policy migrations across all threads — the sum of every thread's
+    /// `migrations` counter, kept by [`Machine::migrate`] so reading it is
+    /// O(1) rather than a walk over every thread ever spawned.
+    policy_migrations: u64,
     /// Which vcores sit in the balancer's "fast half" (frequency at or
     /// above the median). The topology is immutable after construction, so
     /// this is computed once instead of re-sorting frequencies every
@@ -271,6 +275,7 @@ impl Machine {
             events: Vec::with_capacity(1024),
             barrier_groups: BTreeMap::new(),
             balancer_moves: 0,
+            policy_migrations: 0,
             balance_fast,
             balance_homogeneous,
             noise_window: Vec::new(),
@@ -482,6 +487,7 @@ impl Machine {
         self.threads.warmup_until[i] =
             self.now + SimTime::from_us(self.cfg.migration.dead_time_us + warmup);
         self.threads.counters[i].migrations += 1;
+        self.policy_migrations += 1;
         self.state_dirty = true;
         self.events.push(MachineEvent::Migrated {
             thread,
@@ -817,7 +823,7 @@ impl Machine {
     /// Total policy migrations across all threads (balancer moves are
     /// tracked separately in [`Machine::balancer_moves`]).
     pub fn total_migrations(&self) -> u64 {
-        self.threads.counters.iter().map(|c| c.migrations).sum()
+        self.policy_migrations
     }
 
     /// Moves performed by the substrate load balancer.

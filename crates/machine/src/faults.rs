@@ -334,10 +334,7 @@ fn mix2(base: u64, thread: u32, quantum: u64) -> u64 {
 /// for a run, so the hasher caches it per channel once and every draw
 /// costs two SplitMix64 rounds instead of three. The draws are
 /// bit-identical to the corresponding [`FaultConfig`] methods (asserted by
-/// a regression test); the driver additionally batches a whole quantum's
-/// telemetry draws into reusable buffers via
-/// [`FaultHasher::fill_telemetry_quantum`] instead of interleaving hash
-/// work with view construction.
+/// a regression test).
 #[derive(Debug, Clone, Copy)]
 pub struct FaultHasher {
     cfg: FaultConfig,
@@ -425,27 +422,6 @@ impl FaultHasher {
     /// Same draw as [`FaultConfig::partition_fault`].
     pub fn partition_fault(&self, quantum: u64) -> Option<FaultKind> {
         self.migration_fault(u32::MAX, quantum)
-    }
-
-    /// Batch every per-thread telemetry draw for one quantum (fault kind
-    /// and measurement-noise factor, threads `0..n`) into reusable
-    /// buffers, so the driver's view construction indexes precomputed
-    /// draws instead of interleaving hash work per thread.
-    pub fn fill_telemetry_quantum(
-        &self,
-        n: usize,
-        quantum: u64,
-        faults: &mut Vec<Option<FaultKind>>,
-        noise: &mut Vec<f64>,
-    ) {
-        faults.clear();
-        noise.clear();
-        faults.reserve(n);
-        noise.reserve(n);
-        for t in 0..n as u32 {
-            faults.push(self.telemetry_fault(t, quantum));
-            noise.push(self.noise_factor(t, quantum));
-        }
     }
 }
 
@@ -854,18 +830,13 @@ mod tests {
     #[test]
     fn hasher_reproduces_config_draws_bit_for_bit() {
         // The pre-mixed FaultHasher must agree with the three-round mix on
-        // every channel, including the batched per-quantum form.
+        // every channel.
         let cfg = FaultConfig::combined_worst(17);
         let h = FaultHasher::new(&cfg);
-        let mut faults = Vec::new();
-        let mut noise = Vec::new();
         for q in 0..64 {
-            h.fill_telemetry_quantum(12, q, &mut faults, &mut noise);
             for t in 0..12u32 {
                 assert_eq!(h.telemetry_fault(t, q), cfg.telemetry_fault(t, q));
-                assert_eq!(faults[t as usize], cfg.telemetry_fault(t, q));
                 assert_eq!(h.noise_factor(t, q), cfg.noise_factor(t, q));
-                assert_eq!(noise[t as usize], cfg.noise_factor(t, q));
                 assert_eq!(h.migration_fault(t, q), cfg.migration_fault(t, q));
                 assert_eq!(h.stall(t, q), cfg.stall(t, q));
             }

@@ -104,7 +104,55 @@ impl ThreadResult {
     }
 }
 
+/// A driven run's scalar totals: a [`RunResult`] without its per-thread
+/// list. The pooled entry points return only these; the per-thread state
+/// stays on the machine for callers that want it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunTotals {
+    /// Wall time when the run ended (all threads done, or the deadline).
+    pub wall: SimTime,
+    /// True if every thread finished before the deadline.
+    pub completed: bool,
+    /// Number of scheduling quanta executed.
+    pub quanta: u64,
+    /// Total migrations applied by the policy.
+    pub migrations: u64,
+    /// Completed swap operations (see [`RunResult::swaps`]).
+    pub swaps: u64,
+    /// Applied migrations that were not part of a swap pair.
+    pub unilateral_migrations: u64,
+    /// LLC partition plans actually applied to the machine.
+    pub partitions: u64,
+}
+
 impl RunResult {
+    /// Assemble a run's result from its totals and the machine's
+    /// per-thread state: one [`ThreadResult`] per thread spawned since the
+    /// machine's last reset, in id order.
+    fn new(scheduler: &str, totals: RunTotals, machine: &Machine) -> Self {
+        RunResult {
+            scheduler: scheduler.to_string(),
+            wall: totals.wall,
+            completed: totals.completed,
+            threads: machine
+                .thread_ids()
+                .map(|id| ThreadResult {
+                    id,
+                    app: machine.app_of(id).0,
+                    app_name: machine.app_name_of(id).to_string(),
+                    spawned_at: machine.spawn_time(id),
+                    finished_at: machine.finish_time(id),
+                    counters: machine.counters(id),
+                })
+                .collect(),
+            quanta: totals.quanta,
+            migrations: totals.migrations,
+            swaps: totals.swaps,
+            unilateral_migrations: totals.unilateral_migrations,
+            partitions: totals.partitions,
+        }
+    }
+
     /// Per-app thread sojourn times in seconds, for every app present.
     pub fn per_app_runtimes(&self) -> Vec<(u32, Vec<f64>)> {
         let mut apps: Vec<u32> = self.threads.iter().map(|t| t.app).collect();
@@ -141,30 +189,51 @@ struct PendingPair {
 /// Delayed-pair sentinel: the migration carries no pair (unilateral).
 const NO_PAIR_TOKEN: u64 = u64::MAX;
 
+/// A thread the observe step watches — live at the last view, or admitted
+/// since — and what the driver last saw of it.
+#[derive(Debug, Clone, Copy)]
+struct Watched {
+    id: ThreadId,
+    /// Cumulative counters at the last view (or at admission).
+    prev: ThreadCounters,
+    /// Previous quantum's *true* rates, for stale-sample replay.
+    last_rates: RateSample,
+    /// Whether a true sample exists yet (a stale draw before the first
+    /// sample has nothing to replay — see the dropout fallback).
+    rate_seen: bool,
+}
+
+impl Watched {
+    fn new(machine: &Machine, id: ThreadId) -> Self {
+        Watched {
+            id,
+            prev: machine.counters(id),
+            last_rates: RateSample::default(),
+            rate_seen: false,
+        }
+    }
+}
+
 /// Reusable buffers for the driver's per-quantum work.
 ///
 /// Everything the quantum loop needs — the [`SystemView`] (threads,
-/// cores, CSR occupancy), the [`Actions`] passed to the policy, counter
-/// snapshots, fault-draw buffers, admission scratch — lives here and is
-/// reused across quanta and across runs, so the steady-state loop
-/// performs no heap allocation. [`run_with`]/[`run_open_with`] create
+/// cores, CSR occupancy), the [`Actions`] passed to the policy, the watch
+/// list of live threads, admission scratch — lives here and is reused
+/// across quanta and across runs, so the steady-state loop performs no
+/// heap allocation. [`run_with`]/[`run_open_with`] create
 /// one internally; harnesses that drive many runs back to back can hold
 /// one [`DriverScratch`] and pass it to the `_scratch` variants.
 #[derive(Debug, Default)]
 pub struct DriverScratch {
     view: SystemView,
     actions: Actions,
-    prev_thread: Vec<ThreadCounters>,
-    prev_finished: Vec<bool>,
+    /// The threads live at the last view plus those admitted since,
+    /// ascending by id. The observe step walks only this list, so its
+    /// cost follows the live population, not every thread the machine
+    /// has run since its reset.
+    watch: Vec<Watched>,
     prev_core: Vec<CoreCounters>,
     arrived: Vec<ThreadId>,
-    /// Previous quantum's *true* per-thread rates, for stale-sample replay.
-    last_rates: Vec<RateSample>,
-    /// Whether a true sample exists for each thread (a stale draw before
-    /// the first sample has nothing to replay — see the dropout fallback).
-    rate_seen: Vec<bool>,
-    telemetry: Vec<Option<FaultKind>>,
-    noise: Vec<f64>,
     occupied: Vec<bool>,
     idle: Vec<VCoreId>,
     occ_cursor: Vec<u32>,
@@ -196,14 +265,9 @@ impl DriverScratch {
         self.view.occ_offsets.clear();
         self.view.occ_ids.clear();
         self.actions.clear();
-        self.prev_thread.clear();
-        self.prev_finished.clear();
+        self.watch.clear();
         self.prev_core.clear();
         self.arrived.clear();
-        self.last_rates.clear();
-        self.rate_seen.clear();
-        self.telemetry.clear();
-        self.noise.clear();
         self.occupied.clear();
         self.idle.clear();
         self.occ_cursor.clear();
@@ -295,25 +359,27 @@ std::thread_local! {
         std::cell::RefCell::new(DriverScratch::new());
 }
 
-/// [`run_open`] against a per-OS-thread reusable [`DriverScratch`].
-/// Results are identical to [`run_open`] (the scratch is reset per run —
-/// see `scratch_reuse_is_equivalent_to_fresh_scratch`); only the buffer
-/// reuse differs. This is the entry point the fleet layer drives its
-/// machines through.
+/// [`run_open`] against a per-OS-thread reusable [`DriverScratch`],
+/// returning only the run's [`RunTotals`]: the per-thread outcomes stay on
+/// the machine, and a caller that needs them reads them there. The totals
+/// are identical to [`run_open`]'s (the scratch is reset per run — see
+/// `pooled_runs_match_fresh_scratch_runs`); only the buffer reuse differs.
+/// This is the entry point the fleet layer drives its machines through.
 pub fn run_open_pooled(
     machine: &mut Machine,
     scheduler: &mut dyn Scheduler,
     deadline: SimTime,
     arrivals: Vec<TimedSpawn>,
-) -> RunResult {
+) -> RunTotals {
     POOLED_SCRATCH.with(|s| {
-        run_open_with_scratch(
+        run_open_core(
             machine,
             scheduler,
             deadline,
             arrivals,
             |_| {},
             &mut s.borrow_mut(),
+            None,
         )
     })
 }
@@ -329,9 +395,10 @@ pub fn run_open_with_scratch(
     observer: impl FnMut(&SystemView),
     scratch: &mut DriverScratch,
 ) -> RunResult {
-    run_open_core(
+    let totals = run_open_core(
         machine, scheduler, deadline, arrivals, observer, scratch, None,
-    )
+    );
+    RunResult::new(scheduler.name(), totals, machine)
 }
 
 /// One *epoch* of an open-system run: [`run_open_pooled`] with the
@@ -340,18 +407,18 @@ pub fn run_open_with_scratch(
 /// immediately at the cutoff, FIFO order preserved), followed by plan
 /// entries whose arrival instant lies beyond the cutoff, so a fleet can
 /// feed them into the machine's next epoch — or re-dispatch them to a
-/// peer when the machine failed. The returned [`RunResult`] is cumulative
-/// over the machine's whole life since its last reset (thread lists grow
-/// across epochs), exactly what the machine itself reports.
+/// peer when the machine failed. Nothing else is returned: the machine
+/// itself holds every thread's outcome, and an epoch caller reads it once
+/// at the end of the run rather than at every barrier.
 pub fn run_open_epoch_pooled(
     machine: &mut Machine,
     scheduler: &mut dyn Scheduler,
     until: SimTime,
     arrivals: Vec<TimedSpawn>,
-) -> (RunResult, Vec<TimedSpawn>) {
+) -> Vec<TimedSpawn> {
     POOLED_SCRATCH.with(|s| {
         let mut leftovers = Vec::new();
-        let result = run_open_core(
+        run_open_core(
             machine,
             scheduler,
             until,
@@ -360,7 +427,7 @@ pub fn run_open_epoch_pooled(
             &mut s.borrow_mut(),
             Some(&mut leftovers),
         );
-        (result, leftovers)
+        leftovers
     })
 }
 
@@ -368,6 +435,12 @@ pub fn run_open_epoch_pooled(
 /// undrained work at the deadline is drained into it instead of being
 /// dropped (the epoch path); with `None` the behaviour is byte-identical
 /// to the pre-epoch driver.
+///
+/// Per call and per quantum the loop costs O(live threads): it walks the
+/// watch list (threads alive at the call's start plus those it admits),
+/// never the machine's whole thread history, so an epoch caller that
+/// drives one machine through many short calls pays for what is running,
+/// not for everything that ever ran.
 fn run_open_core(
     machine: &mut Machine,
     scheduler: &mut dyn Scheduler,
@@ -376,7 +449,7 @@ fn run_open_core(
     mut observer: impl FnMut(&SystemView),
     scratch: &mut DriverScratch,
     leftovers: Option<&mut Vec<TimedSpawn>>,
-) -> RunResult {
+) -> RunTotals {
     scratch.reset();
     let tick = machine.config().tick_us;
     let clamp_quantum = |q: SimTime| -> SimTime {
@@ -398,25 +471,25 @@ fn run_open_core(
 
     let mut quantum = clamp_quantum(scheduler.initial_quantum());
     let n_vcores = machine.config().topology.num_vcores();
+    // Threads that finished before this call were reported (or, on a
+    // fresh machine, never existed): only the live ones are watched.
     scratch
-        .prev_thread
-        .extend((0..machine.num_threads()).map(|i| machine.counters(ThreadId(i as u32))));
-    scratch.prev_finished.extend(
-        (0..machine.num_threads()).map(|i| machine.finish_time(ThreadId(i as u32)).is_some()),
-    );
+        .watch
+        .extend(machine.alive_ids().map(|id| Watched::new(machine, id)));
     scratch
         .prev_core
         .extend((0..n_vcores).map(|v| machine.core_counters(VCoreId(v as u32))));
-    // Reserve for the run's full population up front so mid-run arrivals
-    // and departures never grow a buffer: departures start quanta after
-    // warmup, and a doubling there would break the steady-state
-    // zero-allocation guarantee (see `tests/zero_alloc.rs`).
-    let max_threads = machine.num_threads() + pending.len();
-    scratch.view.departed.reserve(max_threads);
-    scratch.arrived.reserve(max_threads);
-    scratch.view.arrived.reserve(max_threads);
-    scratch.prev_thread.reserve(pending.len());
-    scratch.prev_finished.reserve(pending.len());
+    // Reserve for the call's full live population up front so mid-run
+    // arrivals and departures never grow a buffer: departures start
+    // quanta after warmup, and a doubling there would break the
+    // steady-state zero-allocation guarantee (see `tests/zero_alloc.rs`).
+    scratch
+        .view
+        .departed
+        .reserve(scratch.watch.len() + pending.len());
+    scratch.arrived.reserve(pending.len());
+    scratch.view.arrived.reserve(pending.len());
+    scratch.watch.reserve(pending.len());
 
     // Core identity (id, kind, domain) is fixed at machine construction:
     // build the observation rows once and only refresh `bandwidth` per
@@ -469,8 +542,7 @@ fn run_open_core(
                 break;
             };
             let id = machine.spawn(spec, scratch.idle[i]);
-            scratch.prev_thread.push(machine.counters(id));
-            scratch.prev_finished.push(false);
+            scratch.watch.push(Watched::new(machine, id));
             scratch.arrived.push(id);
         }
     }
@@ -512,39 +584,22 @@ fn run_open_core(
         // Build the view from counter deltas, reusing the scratch-owned
         // buffers. A thread that arrived inside this quantum is observed
         // over the full quantum length (its rates slightly underestimate
-        // its true rates for one quantum).
-        let n_threads = machine.num_threads();
+        // its true rates for one quantum). Walking the ascending watch
+        // list keeps `threads` and `departed` in id order; a thread that
+        // finished is reported once and leaves the list.
         let dt_s = step.as_secs_f64();
+        let q = quanta - 1;
         scratch.view.threads.clear();
         scratch.view.departed.clear();
-        if faults_active {
-            if scratch.last_rates.len() < n_threads {
-                scratch.last_rates.resize(n_threads, RateSample::default());
-                scratch.rate_seen.resize(n_threads, false);
-            }
-            // One batched hash pass for the whole quantum's telemetry
-            // draws instead of interleaving hash work per thread.
-            hasher.fill_telemetry_quantum(
-                n_threads,
-                quanta - 1,
-                &mut scratch.telemetry,
-                &mut scratch.noise,
-            );
-        }
-        for i in 0..n_threads {
-            let id = ThreadId(i as u32);
+        let view = &mut scratch.view;
+        scratch.watch.retain_mut(|w| {
+            let id = w.id;
             if machine.finish_time(id).is_some() {
-                // Still update prev so a thread finishing mid-run does not
-                // distort later deltas (it cannot, but keep it coherent).
-                scratch.prev_thread[i] = machine.counters(id);
-                if !scratch.prev_finished[i] {
-                    scratch.prev_finished[i] = true;
-                    scratch.view.departed.push(id);
-                }
-                continue;
+                view.departed.push(id);
+                return false;
             }
             let cur = machine.counters(id);
-            let d = cur.delta(&scratch.prev_thread[i]);
+            let d = cur.delta(&w.prev);
             let mut rates = RateSample::from_deltas(
                 d.instructions,
                 d.llc_misses,
@@ -552,11 +607,11 @@ fn run_open_core(
                 d.cycles,
                 dt_s,
             );
-            scratch.prev_thread[i] = cur;
+            w.prev = cur;
             if faults_active {
                 let true_rates = rates;
-                let mut fault = scratch.telemetry[i];
-                if fault == Some(FaultKind::Stale) && !scratch.rate_seen[i] {
+                let mut fault = hasher.telemetry_fault(id.0, q);
+                if fault == Some(FaultKind::Stale) && !w.rate_seen {
                     // A stale sensor with no prior sample has nothing to
                     // replay; replaying `RateSample::default()` would hand
                     // the policy an all-zero thread that looks idle. The
@@ -566,9 +621,9 @@ fn run_open_core(
                 if fault == Some(FaultKind::Dropout) {
                     // The sample is simply missing: the scheduler's view
                     // has no entry for this thread this quantum.
-                    scratch.last_rates[i] = true_rates;
-                    scratch.rate_seen[i] = true;
-                    continue;
+                    w.last_rates = true_rates;
+                    w.rate_seen = true;
+                    return true;
                 }
                 match fault {
                     Some(FaultKind::CorruptNan) => {
@@ -583,18 +638,18 @@ fn run_open_core(
                         rates.llc_miss_rate = 1.0;
                         rates.ipc = 0.0;
                     }
-                    Some(FaultKind::Stale) => rates = scratch.last_rates[i],
+                    Some(FaultKind::Stale) => rates = w.last_rates,
                     _ => {}
                 }
-                let nf = scratch.noise[i];
+                let nf = hasher.noise_factor(id.0, q);
                 if nf != 1.0 {
                     rates.access_rate *= nf;
                     rates.instr_rate *= nf;
                 }
-                scratch.last_rates[i] = true_rates;
-                scratch.rate_seen[i] = true;
+                w.last_rates = true_rates;
+                w.rate_seen = true;
             }
-            scratch.view.threads.push(ThreadObservation {
+            view.threads.push(ThreadObservation {
                 id,
                 app: machine.app_of(id),
                 vcore: machine.vcore_of(id),
@@ -603,7 +658,8 @@ fn run_open_core(
                 migrated_last_quantum: d.migrations > 0,
                 llc_occupancy_mib: machine.llc_occupancy_mib(id),
             });
-        }
+            true
+        });
         for v in 0..n_vcores {
             let vid = VCoreId(v as u32);
             let cur = machine.core_counters(vid);
@@ -641,7 +697,7 @@ fn run_open_core(
 
         scratch.view.now = machine.now();
         scratch.view.quantum = step;
-        scratch.view.quantum_index = quanta - 1;
+        scratch.view.quantum_index = q;
         scratch.view.partition_epoch = machine.partition_epoch();
         std::mem::swap(&mut scratch.view.arrived, &mut scratch.arrived);
         scratch.arrived.clear();
@@ -687,7 +743,7 @@ fn run_open_core(
             for i in 0..scratch.actions.migrations.len() {
                 let (t, v) = scratch.actions.migrations[i];
                 let tag = scratch.actions.pair_tag(i);
-                match hasher.migration_fault(t.0, quanta - 1) {
+                match hasher.migration_fault(t.0, q) {
                     Some(FaultKind::MigrationFail) => {
                         // Silently lost; the pair member's outcome is known.
                         if let Some(g) = tag {
@@ -718,10 +774,11 @@ fn run_open_core(
                 }
             }
             if faults.stall_rate > 0.0 {
-                for i in 0..machine.num_threads() {
-                    let t = ThreadId(i as u32);
-                    if machine.is_alive(t) && hasher.stall(t.0, quanta - 1) {
-                        machine.stall(t, SimTime::from_us(faults.stall_us));
+                // Nothing has finished since the view, so the watch list
+                // is exactly the live set, ascending.
+                for w in &scratch.watch {
+                    if hasher.stall(w.id.0, q) {
+                        machine.stall(w.id, SimTime::from_us(faults.stall_us));
                     }
                 }
             }
@@ -755,7 +812,7 @@ fn run_open_core(
         }
         if let Some(plan) = scratch.actions.partition.take() {
             let fault = if faults_active {
-                hasher.partition_fault(quanta - 1)
+                hasher.partition_fault(q)
             } else {
                 None
             };
@@ -795,26 +852,11 @@ fn run_open_core(
         out.extend(pending.drain(..));
     }
 
-    let migrations = machine.total_migrations() - migrations_before;
-    RunResult {
-        scheduler: scheduler.name().to_string(),
+    RunTotals {
         wall: machine.now(),
         completed: machine.all_done(),
-        threads: (0..machine.num_threads())
-            .map(|i| {
-                let id = ThreadId(i as u32);
-                ThreadResult {
-                    id,
-                    app: machine.app_of(id).0,
-                    app_name: machine.app_name_of(id).to_string(),
-                    spawned_at: machine.spawn_time(id),
-                    finished_at: machine.finish_time(id),
-                    counters: machine.counters(id),
-                }
-            })
-            .collect(),
         quanta,
-        migrations,
+        migrations: machine.total_migrations() - migrations_before,
         swaps,
         unilateral_migrations: unilateral,
         partitions,
@@ -1101,8 +1143,9 @@ mod tests {
         }
     }
 
-    /// The pooled entry point reuses one scratch per OS thread; results
-    /// must still match fresh-scratch runs exactly, run after run.
+    /// The pooled entry point reuses one scratch per OS thread; its totals
+    /// and the machine's per-thread outcomes must still match fresh-scratch
+    /// runs exactly, run after run.
     #[test]
     fn pooled_runs_match_fresh_scratch_runs() {
         let arrivals = || {
@@ -1121,8 +1164,8 @@ mod tests {
             let mut m = Machine::new(presets::small_machine(1));
             spawn_pair(&mut m);
             let mut s = SwapOnce { done: false };
-            let r = run_open_pooled(&mut m, &mut s, SimTime::from_secs_f64(60.0), arrivals());
-            assert_eq!(r, fresh);
+            let totals = run_open_pooled(&mut m, &mut s, SimTime::from_secs_f64(60.0), arrivals());
+            assert_eq!(RunResult::new(s.name(), totals, &m), fresh);
         }
     }
 

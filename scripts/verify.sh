@@ -100,17 +100,12 @@ step "cachepart-smoke-coverage" grep -q '"cachepart/wl1_dike_lfoc"' target/BENCH
 # bench harness with both dispatchers.
 step "failover-smoke-coverage" grep -q '"failover/quick_fail"' target/BENCH_failover_smoke.json
 
-# Long-churn soak (NON-BLOCKING): the fleet under worst-case per-machine
-# faults plus heavy machine-scope crash/brownout churn, both dispatchers,
-# a 30 s arrival window. Conservation is asserted inside the run; a trip
-# here is a signal to investigate, not a merge gate (the blocking
-# equivalents run at smaller scale in the test suite above).
-soak_t0=$SECONDS
-echo "==> failover-soak (non-blocking)"
-if cargo run -q --release --offline -p dike-experiments --bin failover -- --soak > /dev/null; then
-    echo "<== failover-soak: OK ($((SECONDS - soak_t0))s)"
-else
-    echo "<== failover-soak: FAILED (non-blocking, $((SECONDS - soak_t0))s) — investigate" >&2
-fi
+# Long-churn soak: the fleet under worst-case per-machine faults plus
+# heavy machine-scope crash/brownout churn, both dispatchers, a 30 s
+# arrival window. The run is a pure function of its seeds and bounded by
+# the fleet deadline (about a second in release), and conservation is
+# asserted inside it, so a trip here fails the gate.
+step "failover-soak" bash -c \
+    'cargo run -q --release --offline -p dike-experiments --bin failover -- --soak > /dev/null'
 
 echo "verify: OK ($((SECONDS - total_t0))s total)"
