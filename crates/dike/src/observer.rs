@@ -7,7 +7,7 @@
 //!   **compute-intensive (C)** by its LLC miss rate against the 10 %
 //!   boundary ("if a thread's LLC miss rate is more than 10 %, it is
 //!   considered memory intensive"), reclassifying every quantum because
-//!   "memory intensity of a thread dynamically changes as [the] thread goes
+//!   "memory intensity of a thread dynamically changes as \[the\] thread goes
 //!   through execution phases";
 //! * partitions cores into **higher and lower memory bandwidth** halves;
 //! * maintains `CoreBW`, the moving mean of each core's served bandwidth,
@@ -54,7 +54,7 @@ pub struct ObservedThread {
     pub class: ThreadClass,
     /// True if the thread migrated during the last quantum.
     pub migrated_last_quantum: bool,
-    /// Sample confidence in [0,1]: 1 for a fresh plausible sample,
+    /// Sample confidence in `[0, 1]`: 1 for a fresh plausible sample,
     /// decaying per quantum of last-good holdover, 0 for an unknown
     /// thread. Always exactly 1 without hardening.
     pub confidence: f64,

@@ -14,7 +14,7 @@
 //! | Performance | UC    | increase, cap 1000 ms       | +2, cap 16   |
 //! | Performance | UM    | increase, cap 1000 ms       | —            |
 //!
-//! "In every step, the optimizer is allowed to change [each] scheduling
+//! "In every step, the optimizer is allowed to change \[each\] scheduling
 //! parameter for one unit" — updating the quantum from 100 ms to 1000 ms
 //! takes three calls.
 

@@ -11,6 +11,8 @@
 //! the [`dike_util::pool`] workers with byte-identical output at any
 //! `DIKE_THREADS`.
 //!
+//! [`dike_fleet::dispatch`]: mod@dike_fleet::dispatch
+//!
 //! Tenant threads are deliberately short (`FLEET_SCALE`): fleet-level
 //! questions are about routing and roll-up, not about a single
 //! machine's long-job dynamics, and short jobs are what keeps a

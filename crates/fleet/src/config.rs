@@ -10,7 +10,7 @@ use dike_machine::{presets, MachineConfig};
 use dike_util::rng::splitmix64;
 use dike_workloads::{paper, AppKind, ArrivalConfig};
 
-/// Dispatcher knobs (see [`crate::dispatch`]).
+/// Dispatcher knobs (see [`crate::dispatch`](mod@crate::dispatch)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DispatchConfig {
     /// Load discount a tenant's *home* machine receives when competing

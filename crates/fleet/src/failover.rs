@@ -11,6 +11,8 @@
 //! budget with linear backoff, and re-admit recovered machines with
 //! decayed trust that warms back up over epochs.
 //!
+//! [`crate::dispatch`]: mod@crate::dispatch
+//!
 //! Machine faults come from [`MachineFaultConfig`] — the same seeded
 //! stateless hashing as the per-thread channels, drawn once per
 //! `(machine, epoch)` at the barrier, so the whole run stays a pure

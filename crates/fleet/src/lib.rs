@@ -19,6 +19,8 @@
 //! Pipeline: [`config`] describes machines + tenants → [`dispatch`]
 //! routes arrivals (least-loaded, vcore-normalised, home-affinity bonus)
 //! → [`run`] fans the machines out and rolls the results up.
+//!
+//! [`dispatch`]: mod@dispatch
 
 pub mod config;
 pub mod dispatch;

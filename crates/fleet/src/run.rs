@@ -9,6 +9,8 @@
 //! dispatcher records the event→tenant map) and scores fleet-wide
 //! windowed fairness over the merged span set, exactly the way a single
 //! machine's open run scores its own.
+//!
+//! [`crate::dispatch`]: mod@crate::dispatch
 
 use crate::config::FleetConfig;
 use crate::dispatch::{dispatch, home_machine, tenant_traces, DispatchPlan};

@@ -6,7 +6,7 @@ use dike_util::json_struct;
 
 /// Parameters of the memory system. Every NUMA domain in the topology gets
 /// its own controller with these parameters; the paper's testbed is the
-/// single-controller (one-domain) case.
+/// one-domain case, solved by the same per-controller fixed point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryConfig {
     /// Peak sustainable *per-controller* throughput in LLC-miss transfers

@@ -15,15 +15,20 @@
 //!   one controller. Utilisation below saturation inflates the effective
 //!   per-miss latency with an M/M/1-style factor; demand beyond the peak
 //!   bandwidth is served proportionally to demand (bandwidth sharing).
-
 //! * **Multiple controllers** ([`solve_memory_numa`]): on a NUMA machine
 //!   each domain's controller runs the same fixed point over the demands
 //!   *homed* to it, with remote threads (running outside their home domain)
-//!   paying a latency factor on every miss. The one-domain case reduces
-//!   bit-for-bit to [`solve_memory`].
+//!   paying a latency factor on every miss.
+//!
+//! Every entry point runs one fixed-point loop, which takes a latency
+//! factor per demand; a single controller is the all-local case (unit
+//! factors), so the one-domain solve is bit-for-bit [`solve_memory`]. The
+//! engine solves through [`NumaWarmSolver`] on every topology, the
+//! one-controller paper machine included.
 
 use crate::config::{LlcConfig, MemoryConfig};
 use crate::ids::DomainId;
+use std::iter;
 
 /// Miss-ratio inflation factor for a given total running working set.
 ///
@@ -60,9 +65,9 @@ pub struct MemDemand {
 
 /// The solved state of the memory system for one tick.
 ///
-/// Reusable as a scratch buffer: the hot path calls
-/// [`solve_memory_into`] with a long-lived `MemSolution`, so steady-state
-/// ticks perform no allocation (the `rates` vector keeps its capacity).
+/// Reusable as a scratch buffer: a caller that passes one long-lived
+/// `MemSolution` to [`solve_memory_into`] performs no allocation in steady
+/// state (the `rates` vector keeps its capacity).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MemSolution {
     /// Achieved instruction rate (instructions/second) per input demand.
@@ -110,9 +115,9 @@ const REL_TOL: f64 = 1e-12;
 /// The fixed point is found by damped iteration (the map is monotone
 /// decreasing in `rho`, so damping guarantees convergence), accelerated by
 /// geometric extrapolation of the damped step sequence and an early exit
-/// once `rho` moves by less than [`REL_TOL`] relative — instead of always
-/// burning the full [`MAX_ITERS`] rounds. Any residual demand above peak
-/// bandwidth is then cut by proportional sharing.
+/// once `rho` has converged to 1e-12 relative — instead of always burning
+/// the full 16-round budget. Any residual demand above peak bandwidth is
+/// then cut by proportional sharing.
 pub fn solve_memory(demands: &[MemDemand], cfg: &MemoryConfig) -> MemSolution {
     let mut out = MemSolution::empty();
     solve_memory_into(demands, cfg, &mut out);
@@ -120,49 +125,64 @@ pub fn solve_memory(demands: &[MemDemand], cfg: &MemoryConfig) -> MemSolution {
 }
 
 /// [`solve_memory`] writing into a caller-provided solution, reusing its
-/// `rates` allocation. This is the per-tick hot path of the engine.
+/// `rates` allocation.
 pub fn solve_memory_into(demands: &[MemDemand], cfg: &MemoryConfig, out: &mut MemSolution) {
-    solve_memory_impl(demands, cfg, out, true);
+    (out.utilisation, out.latency_s) =
+        solve_controller(demands, iter::repeat(1.0), cfg, &mut out.rates, true);
 }
 
 /// Reference solver: identical scheme to [`solve_memory`] but always runs
-/// the full [`MAX_ITERS`] iteration budget with no early exit. Exists so
+/// the full 16-round iteration budget with no early exit. Exists so
 /// property tests can assert the early exit never truncates prematurely;
 /// not used on any hot path.
 pub fn solve_memory_reference(demands: &[MemDemand], cfg: &MemoryConfig) -> MemSolution {
     let mut out = MemSolution::empty();
-    solve_memory_impl(demands, cfg, &mut out, false);
+    (out.utilisation, out.latency_s) =
+        solve_controller(demands, iter::repeat(1.0), cfg, &mut out.rates, false);
     out
 }
 
 /// One evaluation of the fixed-point map at utilisation `rho`: computes
-/// the queue-inflated latency, every thread's rate at that latency, and
-/// returns `(latency, g(rho))` where `g` is the next utilisation estimate.
+/// the queue-inflated latency, every thread's rate at that latency (its
+/// per-miss stall scaled by the demand's latency factor), and returns
+/// `(latency, g(rho))` where `g` is the next utilisation estimate. A unit
+/// factor leaves the stall bit-identical (`x · 1.0 = x`), so one map
+/// serves local and remote demands alike.
 #[inline]
-fn eval_map(rho: f64, demands: &[MemDemand], cfg: &MemoryConfig, rates: &mut [f64]) -> (f64, f64) {
+fn eval_map(
+    rho: f64,
+    demands: &[MemDemand],
+    factors: impl Iterator<Item = f64>,
+    cfg: &MemoryConfig,
+    rates: &mut [f64],
+) -> (f64, f64) {
     let r = rho.clamp(0.0, cfg.max_utilisation);
     let latency = cfg.base_latency_s * (1.0 + cfg.queue_gain * r / (1.0 - r));
     let mut miss_throughput = 0.0;
-    for (rate, d) in rates.iter_mut().zip(demands) {
-        *rate = 1.0 / (d.base_time_per_instr + d.miss_ratio * latency);
+    for ((rate, d), f) in rates.iter_mut().zip(demands).zip(factors) {
+        *rate = 1.0 / (d.base_time_per_instr + d.miss_ratio * latency * f);
         miss_throughput += *rate * d.miss_ratio;
     }
     (latency, miss_throughput / cfg.bandwidth_accesses_per_sec)
 }
 
-fn solve_memory_impl(
+/// The fixed point of one memory controller: fills `rates` (cleared and
+/// resized, parallel to `demands`) and returns `(utilisation, latency_s)`.
+/// `factors` yields each demand's remote-latency factor, in order. With
+/// `early_exit` off the loop spends the whole [`MAX_ITERS`] budget (the
+/// reference scheme).
+fn solve_controller(
     demands: &[MemDemand],
+    factors: impl Iterator<Item = f64> + Clone,
     cfg: &MemoryConfig,
-    out: &mut MemSolution,
+    rates: &mut Vec<f64>,
     early_exit: bool,
-) {
-    out.rates.clear();
+) -> (f64, f64) {
+    rates.clear();
     if demands.is_empty() {
-        out.utilisation = 0.0;
-        out.latency_s = cfg.base_latency_s;
-        return;
+        return (0.0, cfg.base_latency_s);
     }
-    out.rates.resize(demands.len(), 0.0);
+    rates.resize(demands.len(), 0.0);
 
     let bw = cfg.bandwidth_accesses_per_sec;
     let mut rho = 0.0_f64;
@@ -171,7 +191,7 @@ fn solve_memory_impl(
     let mut prev_delta = 0.0_f64;
 
     for _ in 0..MAX_ITERS {
-        let (_, g_rho) = eval_map(rho, demands, cfg, &mut out.rates);
+        let (_, g_rho) = eval_map(rho, demands, factors.clone(), cfg, rates);
         // Damping: the undamped map can oscillate when demand >> bandwidth.
         let damped = 0.5 * rho + 0.5 * g_rho;
         let delta = damped - rho;
@@ -201,8 +221,7 @@ fn solve_memory_impl(
 
     // One closing evaluation at the settled utilisation, so the reported
     // rates, latency and throughput are mutually consistent.
-    let (latency, final_rho) = eval_map(rho, demands, cfg, &mut out.rates);
-    out.latency_s = latency;
+    let (latency, final_rho) = eval_map(rho, demands, factors, cfg, rates);
     let miss_throughput = final_rho * bw;
 
     // Hard bandwidth cap: when total demand exceeds peak bandwidth, the
@@ -211,24 +230,25 @@ fn solve_memory_impl(
     // faster and wins a proportionally larger share — this is what makes
     // memory-bound threads frequency-sensitive under saturation, the
     // effect behind the paper's "STREAM slows 4.6× on the heterogeneous
-    // machine vs 3.4× on the homogeneous one". The per-demand weight
-    // `miss_ratio / base_time` is summed in a first pass and applied in a
-    // second, so the branch allocates nothing.
-    out.utilisation = if miss_throughput > bw {
+    // machine vs 3.4× on the homogeneous one". The remote factor does not
+    // change how much controller bandwidth a miss consumes, only how long
+    // the requester stalls on it, so it stays out of the weight. The
+    // per-demand weight `miss_ratio / base_time` is summed in a first pass
+    // and applied in a second, so the branch allocates nothing.
+    let utilisation = if miss_throughput > bw {
         let total_weight: f64 = demands
             .iter()
             .map(|d| d.miss_ratio / d.base_time_per_instr)
             .sum();
         if total_weight > 0.0 {
-            for (rate, d) in out.rates.iter_mut().zip(demands) {
+            for (rate, d) in rates.iter_mut().zip(demands) {
                 if d.miss_ratio > 0.0 {
                     let share = bw * (d.miss_ratio / d.base_time_per_instr) / total_weight;
                     *rate = rate.min(share / d.miss_ratio);
                 }
             }
         }
-        let served: f64 = out
-            .rates
+        let served: f64 = rates
             .iter()
             .zip(demands)
             .map(|(rate, d)| rate * d.miss_ratio)
@@ -237,6 +257,7 @@ fn solve_memory_impl(
     } else {
         miss_throughput / bw
     };
+    (utilisation, latency)
 }
 
 /// One thread's demand on a multi-controller memory system: the plain
@@ -265,9 +286,9 @@ pub struct DomainSolution {
 
 /// The solved state of a multi-controller memory system for one tick.
 ///
-/// Like [`MemSolution`] it is reusable as a scratch buffer: the engine keeps
-/// one alive and calls [`solve_memory_numa_into`] every tick, so steady-state
-/// ticks perform no allocation.
+/// Like [`MemSolution`] it is reusable as a scratch buffer: a caller that
+/// keeps one alive across calls to [`solve_memory_numa_into`] performs no
+/// allocation in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct NumaSolution {
     /// Achieved instruction rate (instructions/second) per input demand,
@@ -317,7 +338,8 @@ pub fn solve_memory_numa(
 }
 
 /// [`solve_memory_numa`] writing into a caller-provided solution, reusing
-/// its allocations. This is the per-tick hot path on multi-domain machines.
+/// its allocations. A cold, whole-machine reference for tests and benches;
+/// the engine solves each controller through [`NumaWarmSolver`].
 pub fn solve_memory_numa_into(
     demands: &[NumaDemand],
     num_domains: usize,
@@ -344,11 +366,12 @@ pub fn solve_memory_numa_into(
                 });
             }
         }
-        let (utilisation, latency_s) = solve_memory_scaled(
+        let (utilisation, latency_s) = solve_controller(
             &out.scratch_demands,
-            &out.scratch_factors,
+            out.scratch_factors.iter().copied(),
             cfg,
             &mut out.scratch_rates,
+            true,
         );
         out.domains.push(DomainSolution {
             utilisation,
@@ -360,119 +383,7 @@ pub fn solve_memory_numa_into(
     }
 }
 
-/// One evaluation of the per-controller fixed-point map with per-demand
-/// latency factors. With all factors equal to 1.0 this computes exactly the
-/// same floating-point values as [`eval_map`] (multiplying by 1.0 is the
-/// identity), which is what makes the one-domain NUMA solve bit-compatible
-/// with the single-controller solver.
-#[inline]
-fn eval_map_scaled(
-    rho: f64,
-    demands: &[MemDemand],
-    factors: &[f64],
-    cfg: &MemoryConfig,
-    rates: &mut [f64],
-) -> (f64, f64) {
-    let r = rho.clamp(0.0, cfg.max_utilisation);
-    let latency = cfg.base_latency_s * (1.0 + cfg.queue_gain * r / (1.0 - r));
-    let mut miss_throughput = 0.0;
-    for ((rate, d), f) in rates.iter_mut().zip(demands).zip(factors) {
-        *rate = 1.0 / (d.base_time_per_instr + d.miss_ratio * latency * f);
-        miss_throughput += *rate * d.miss_ratio;
-    }
-    (latency, miss_throughput / cfg.bandwidth_accesses_per_sec)
-}
-
-/// The [`solve_memory_impl`] iteration scheme for one controller with
-/// per-demand latency factors. Returns `(utilisation, latency_s)` and fills
-/// `rates` (cleared and resized) with the achieved instruction rates.
-fn solve_memory_scaled(
-    demands: &[MemDemand],
-    factors: &[f64],
-    cfg: &MemoryConfig,
-    rates: &mut Vec<f64>,
-) -> (f64, f64) {
-    solve_memory_scaled_seeded(demands, factors, cfg, rates, None)
-}
-
-/// [`solve_memory_scaled`] with an optional warm-start seed for the
-/// utilisation iterate. `None` starts the fixed point from `rho = 0`,
-/// reproducing the cold solver bit-for-bit; `Some(rho)` starts from a
-/// previous tick's solved utilisation, which typically converges in 1–2
-/// damped steps instead of 3–6. Either way the early-exit criterion bounds
-/// the result to within [`REL_TOL`] of the true fixed point, so a warm seed
-/// changes the answer by at most ~2·[`REL_TOL`] relative — the basis of the
-/// [`NumaWarmSolver`] tolerance-mode accuracy argument.
-fn solve_memory_scaled_seeded(
-    demands: &[MemDemand],
-    factors: &[f64],
-    cfg: &MemoryConfig,
-    rates: &mut Vec<f64>,
-    seed: Option<f64>,
-) -> (f64, f64) {
-    rates.clear();
-    if demands.is_empty() {
-        return (0.0, cfg.base_latency_s);
-    }
-    rates.resize(demands.len(), 0.0);
-
-    let bw = cfg.bandwidth_accesses_per_sec;
-    let mut rho = seed.map_or(0.0_f64, |s| s.clamp(0.0, 1.0));
-    let mut prev_delta = 0.0_f64;
-
-    for _ in 0..MAX_ITERS {
-        let (_, g_rho) = eval_map_scaled(rho, demands, factors, cfg, rates);
-        let damped = 0.5 * rho + 0.5 * g_rho;
-        let delta = damped - rho;
-        if delta.abs() <= REL_TOL * damped.abs().max(REL_TOL) {
-            rho = damped;
-            break;
-        }
-        if prev_delta != 0.0 {
-            let q = delta / prev_delta;
-            if q > -0.99 && q < 0.95 && q != 0.0 {
-                rho = (damped + delta * q / (1.0 - q)).max(0.0);
-                prev_delta = 0.0;
-                continue;
-            }
-        }
-        rho = damped;
-        prev_delta = delta;
-    }
-
-    let (latency, final_rho) = eval_map_scaled(rho, demands, factors, cfg, rates);
-    let miss_throughput = final_rho * bw;
-
-    // Proportional bandwidth sharing above peak, as in the single-controller
-    // solver. The weight is the unconstrained pipeline-side demand — the
-    // remote factor does not change how much controller bandwidth a miss
-    // consumes, only how long the requester stalls on it.
-    let utilisation = if miss_throughput > bw {
-        let total_weight: f64 = demands
-            .iter()
-            .map(|d| d.miss_ratio / d.base_time_per_instr)
-            .sum();
-        if total_weight > 0.0 {
-            for (rate, d) in rates.iter_mut().zip(demands) {
-                if d.miss_ratio > 0.0 {
-                    let share = bw * (d.miss_ratio / d.base_time_per_instr) / total_weight;
-                    *rate = rate.min(share / d.miss_ratio);
-                }
-            }
-        }
-        let served: f64 = rates
-            .iter()
-            .zip(demands)
-            .map(|(rate, d)| rate * d.miss_ratio)
-            .sum();
-        (served / bw).min(1.0)
-    } else {
-        miss_throughput / bw
-    };
-    (utilisation, latency)
-}
-
-/// Warm-start memo for one memory controller inside a [`NumaWarmSolver`].
+/// Memo of one memory controller inside a [`NumaWarmSolver`].
 #[derive(Debug, Clone, Default)]
 struct WarmController {
     /// Demand sub-vector of the last real solve, in presentation order.
@@ -486,55 +397,25 @@ struct WarmController {
     valid: bool,
 }
 
-/// Per-controller warm-started contention solving.
+/// Per-controller memoised contention solving — the engine's solver.
 ///
-/// The engine re-solves a controller only when that controller's demand
-/// sub-vector actually moved (per-domain dirty tracking); this type holds
-/// the per-controller state that makes each re-solve cheap and each
-/// unchanged controller free:
-///
-/// * **Exact reuse** — a bitwise-identical `(demands, factors)` sub-vector
-///   returns the memoised rates outright. The solver is a pure function of
-///   its inputs, so this is bit-for-bit the answer a cold solve would give.
-/// * **Tolerance reuse** (opt-in, `tolerance > 0`) — a sub-vector whose
-///   every element moved by less than `tolerance` *relative* keeps the
-///   previous solution. The fixed-point map is Lipschitz in the demands at
-///   the solved point, so the reused rates differ from a fresh solve by
-///   O(`tolerance`) relative.
-/// * **Warm seeding** (tolerance mode only) — a sub-vector that did move
-///   beyond tolerance is re-solved with the fixed point seeded from the
-///   previous utilisation instead of zero. The early-exit criterion bounds
-///   the result to within ~2·1e-12 of the true fixed point regardless of
-///   the seed, so seeding buys iterations, not error.
-///
-/// The default `tolerance` of 0.0 disables both approximations: every
-/// answer is then bit-identical to the cold [`solve_memory_numa_into`]
-/// reference path, which is kept for property-test cross-checking.
+/// The engine re-presents a controller only when that controller's demand
+/// sub-vector may have moved (per-domain dirty tracking); this type holds
+/// the per-controller memo that makes each unchanged controller free: an
+/// identical `(demands, factors)` sub-vector returns the memoised rates
+/// outright. The solver is a pure function of its inputs, so every answer
+/// is bit-for-bit the one the cold [`solve_memory_numa_into`] reference
+/// gives, and any other input runs the same fixed point cold.
 #[derive(Debug, Clone, Default)]
 pub struct NumaWarmSolver {
     ctrls: Vec<WarmController>,
-    tolerance: f64,
 }
 
 impl NumaWarmSolver {
-    /// An exact (`tolerance = 0`) warm solver for `num_domains` controllers.
+    /// A memoising solver for `num_domains` controllers.
     pub fn new(num_domains: usize) -> Self {
-        Self::with_tolerance(num_domains, 0.0)
-    }
-
-    /// A warm solver that reuses a controller's previous solution while its
-    /// demand vector stays within `tolerance` relative per element.
-    ///
-    /// # Panics
-    /// Panics if `tolerance` is negative or not finite.
-    pub fn with_tolerance(num_domains: usize, tolerance: f64) -> Self {
-        assert!(
-            tolerance >= 0.0 && tolerance.is_finite(),
-            "tolerance must be finite and non-negative, got {tolerance}"
-        );
         NumaWarmSolver {
             ctrls: vec![WarmController::default(); num_domains.max(1)],
-            tolerance,
         }
     }
 
@@ -559,9 +440,7 @@ impl NumaWarmSolver {
     /// Solve controller `dom` for a demand sub-vector in presentation
     /// order, returning the achieved rates (parallel to `demands`) and the
     /// controller solution. Reuses the memoised answer when the inputs are
-    /// bitwise unchanged (always) or within the relative tolerance (when
-    /// one was configured); otherwise runs the fixed point — seeded from
-    /// the previous utilisation in tolerance mode, cold otherwise.
+    /// unchanged; otherwise runs the fixed point.
     pub fn solve(
         &mut self,
         dom: usize,
@@ -574,24 +453,12 @@ impl NumaWarmSolver {
             factors.len(),
             "demands and factors must be parallel"
         );
-        let tolerance = self.tolerance;
         let c = &mut self.ctrls[dom];
         if c.valid && c.demands == demands && c.factors == factors {
             return (&c.rates, c.solution);
         }
-        if c.valid
-            && tolerance > 0.0
-            && within_relative_tolerance(&c.demands, &c.factors, demands, factors, tolerance)
-        {
-            return (&c.rates, c.solution);
-        }
-        let seed = if tolerance > 0.0 && c.valid && c.demands.len() == demands.len() {
-            Some(c.solution.utilisation)
-        } else {
-            None
-        };
         let (utilisation, latency_s) =
-            solve_memory_scaled_seeded(demands, factors, cfg, &mut c.rates, seed);
+            solve_controller(demands, factors.iter().copied(), cfg, &mut c.rates, true);
         c.demands.clear();
         c.demands.extend_from_slice(demands);
         c.factors.clear();
@@ -603,28 +470,6 @@ impl NumaWarmSolver {
         c.valid = true;
         (&c.rates, c.solution)
     }
-}
-
-/// True when `b` is elementwise within `tol` relative of `a` (and the
-/// factor vectors are identical): the reuse test of the warm solver's
-/// tolerance mode. Length changes never pass.
-fn within_relative_tolerance(
-    a_demands: &[MemDemand],
-    a_factors: &[f64],
-    b_demands: &[MemDemand],
-    b_factors: &[f64],
-    tol: f64,
-) -> bool {
-    if a_demands.len() != b_demands.len() || a_factors != b_factors {
-        return false;
-    }
-    a_demands.iter().zip(b_demands).all(|(a, b)| {
-        let bt = (a.base_time_per_instr - b.base_time_per_instr).abs()
-            <= tol * a.base_time_per_instr.abs().max(b.base_time_per_instr.abs());
-        let mr = (a.miss_ratio - b.miss_ratio).abs()
-            <= tol * a.miss_ratio.abs().max(b.miss_ratio.abs()).max(tol);
-        bt && mr
-    })
 }
 
 #[cfg(test)]
@@ -914,6 +759,13 @@ mod tests {
         }
     }
 
+    /// The cold fixed point: `(rates, utilisation, latency_s)`.
+    fn cold(demands: &[MemDemand], factors: &[f64], cfg: &MemoryConfig) -> (Vec<f64>, f64, f64) {
+        let mut rates = Vec::new();
+        let (util, lat) = solve_controller(demands, factors.iter().copied(), cfg, &mut rates, true);
+        (rates, util, lat)
+    }
+
     #[test]
     fn warm_solver_exact_mode_matches_cold_solver_bitwise() {
         let cfg = mem_cfg();
@@ -924,8 +776,7 @@ mod tests {
         ];
         let factors = vec![1.0, 1.5, 1.0];
         let mut warm = NumaWarmSolver::new(2);
-        let mut cold_rates = Vec::new();
-        let (cold_util, cold_lat) = solve_memory_scaled(&demands, &factors, &cfg, &mut cold_rates);
+        let (cold_rates, cold_util, cold_lat) = cold(&demands, &factors, &cfg);
         for _ in 0..3 {
             let (rates, sol) = warm.solve(1, &demands, &factors, &cfg);
             assert_eq!(rates, cold_rates.as_slice(), "rates bit-identical");
@@ -944,38 +795,9 @@ mod tests {
         // A tiny (one-ulp-scale) change must still trigger a real re-solve.
         demands[3].miss_ratio = 0.03 + 1e-14;
         let (_, second) = warm.solve(0, &demands, &factors, &cfg);
-        let mut cold_rates = Vec::new();
-        let (cold_util, _) = solve_memory_scaled(&demands, &factors, &cfg, &mut cold_rates);
+        let (_, cold_util, _) = cold(&demands, &factors, &cfg);
         assert_eq!(second.utilisation, cold_util, "exact mode never reuses");
         assert!(first.utilisation > 0.0);
-    }
-
-    #[test]
-    fn warm_solver_tolerance_mode_reuses_within_band_and_resolves_beyond() {
-        let cfg = mem_cfg();
-        let base = vec![demand(1.0 / 2.33e9, 0.03); 8];
-        let factors = vec![1.0; 8];
-        let mut warm = NumaWarmSolver::with_tolerance(1, 1e-3);
-        let (_, first) = warm.solve(0, &base, &factors, &cfg);
-
-        // Inside the band: previous solution is held.
-        let mut nudged = base.clone();
-        nudged[0].miss_ratio *= 1.0 + 1e-6;
-        let (_, held) = warm.solve(0, &nudged, &factors, &cfg);
-        assert_eq!(held.utilisation, first.utilisation);
-
-        // Beyond the band: a fresh (seeded) solve runs and lands within
-        // ~2*REL_TOL of the cold answer.
-        let mut moved = base.clone();
-        for d in &mut moved {
-            d.miss_ratio *= 1.25;
-        }
-        let (_, resolved) = warm.solve(0, &moved, &factors, &cfg);
-        let mut cold_rates = Vec::new();
-        let (cold_util, _) = solve_memory_scaled(&moved, &factors, &cfg, &mut cold_rates);
-        assert!(resolved.utilisation > first.utilisation);
-        let rel = (resolved.utilisation - cold_util).abs() / cold_util.max(1e-12);
-        assert!(rel <= 1e-9, "seeded solve within 1e-9 of cold: rel={rel}");
     }
 
     #[test]
@@ -983,15 +805,14 @@ mod tests {
         let cfg = mem_cfg();
         let factors4 = vec![1.0; 4];
         let factors5 = vec![1.0; 5];
-        let mut warm = NumaWarmSolver::with_tolerance(1, 0.5);
+        let mut warm = NumaWarmSolver::new(1);
         let four = vec![demand(1.0 / 2.33e9, 0.03); 4];
         let five = vec![demand(1.0 / 2.33e9, 0.03); 5];
         let (r4, _) = warm.solve(0, &four, &factors4, &cfg);
         assert_eq!(r4.len(), 4);
         let (r5, sol5) = warm.solve(0, &five, &factors5, &cfg);
         assert_eq!(r5.len(), 5);
-        let mut cold_rates = Vec::new();
-        let (cold_util, _) = solve_memory_scaled(&five, &factors5, &cfg, &mut cold_rates);
+        let (_, cold_util, _) = cold(&five, &factors5, &cfg);
         assert_eq!(sol5.utilisation, cold_util, "membership change re-solves");
     }
 
@@ -1000,14 +821,13 @@ mod tests {
         let cfg = mem_cfg();
         let demands = vec![demand(1.0 / 2.33e9, 0.03); 4];
         let factors = vec![1.0; 4];
-        let mut warm = NumaWarmSolver::with_tolerance(2, 1e-3);
+        let mut warm = NumaWarmSolver::new(2);
         let (_, a) = warm.solve(0, &demands, &factors, &cfg);
         warm.invalidate();
         let (_, b) = warm.solve(0, &demands, &factors, &cfg);
-        // After invalidation the solve is cold (seed None), so the answer is
-        // the plain cold answer bit-for-bit.
-        let mut cold_rates = Vec::new();
-        let (cold_util, _) = solve_memory_scaled(&demands, &factors, &cfg, &mut cold_rates);
+        // After invalidation the solve runs cold, so the answer is the
+        // plain cold answer bit-for-bit.
+        let (_, cold_util, _) = cold(&demands, &factors, &cfg);
         assert_eq!(b.utilisation, cold_util);
         assert_eq!(a.utilisation, b.utilisation);
         assert_eq!(warm.num_domains(), 2);

@@ -10,8 +10,9 @@
 //! 3. computes each thread's *effective* miss ratio: the phase's intrinsic
 //!    ratio, inflated by shared-LLC pressure, post-migration cache warm-up,
 //!    and deterministic burstiness noise;
-//! 4. solves the shared memory system for achieved instruction rates
-//!    ([`crate::contention::solve_memory`]);
+//! 4. solves each memory controller's contention fixed point for achieved
+//!    instruction rates ([`crate::contention::NumaWarmSolver`]; the paper
+//!    machine is the one-controller case);
 //! 5. advances threads, clamping at phase boundaries, barrier points and
 //!    program completion, and accumulates per-thread and per-core counters.
 //!
@@ -22,9 +23,7 @@
 //! compare schedulers fairly.
 
 use crate::config::MachineConfig;
-use crate::contention::{
-    llc_inflation, llc_inflation_scaled, solve_memory_into, MemDemand, MemSolution, NumaWarmSolver,
-};
+use crate::contention::{llc_inflation, llc_inflation_scaled, MemDemand, NumaWarmSolver};
 use crate::ids::{AppId, BarrierId, DomainId, SimTime, ThreadId, VCoreId};
 use crate::partition::PartitionPlan;
 use crate::phase::Phase;
@@ -118,18 +117,6 @@ pub struct Machine {
     thread_eff_mr: Vec<f64>,
     thread_demand: Vec<MemDemand>,
     thread_rate: Vec<f64>,
-    // Per-tick scratch buffers, reused so steady-state ticks allocate
-    // nothing at all.
-    scratch_runnable: Vec<usize>,
-    scratch_demands: Vec<MemDemand>,
-    scratch_solution: MemSolution,
-    /// Demand vector of the last tick that actually ran the memory solver
-    /// (single-controller machines). The solver is a pure function of the
-    /// demands, so when a tick builds a bitwise-identical vector (the
-    /// common steady state: same phases, same placement, same noise
-    /// window) the previous solution is reused verbatim instead of
-    /// re-running the fixed point.
-    memo_demands: Vec<MemDemand>,
     /// Set by every state mutation (spawn, migration, stall, balancer
     /// move, completion, barrier traffic, phase-boundary crossing). While
     /// clear, the per-tick scratch state built by the last full tick still
@@ -147,18 +134,16 @@ pub struct Machine {
     /// *crossings* (an expiry still in the future leaves every cached
     /// branch outcome unchanged, so it forces nothing until it happens).
     cache_now: SimTime,
+    // Per-tick scratch buffers, reused so steady-state ticks allocate
+    // nothing at all.
     scratch_vcore_load: Vec<u32>,
     scratch_pcore_load: Vec<u32>,
     scratch_vcore_busy: Vec<bool>,
     scratch_finished: Vec<ThreadId>,
     scratch_occupancy: Vec<u32>,
     scratch_moves: Vec<(ThreadId, VCoreId)>,
-    // Multi-domain incremental-rebuild state (empty on single-controller
-    // machines, whose tick path keeps the original single-solver
-    // arithmetic verbatim).
-    /// True when the machine has more than one NUMA domain and takes the
-    /// per-domain incremental rebuild path.
-    multi: bool,
+    // Incremental-rebuild state, per NUMA domain (a single domain on the
+    // paper machine).
     /// NUMA domain of each vcore, flattened from the immutable topology.
     vcore_domain: Vec<u32>,
     /// Run domains whose cached loads/LLC/demands no longer match the
@@ -177,17 +162,23 @@ pub struct Machine {
     /// Alive thread ids *homed* to each controller, ascending — the
     /// presentation order of each controller's demand sub-vector.
     home_members: Vec<Vec<u32>>,
-    /// Static per-domain vcore lists (for zeroing a dirty domain's loads).
-    domain_vcores: Vec<Vec<u32>>,
-    /// Static per-domain pcore lists (pcores never span domains).
-    domain_pcores: Vec<Vec<u32>>,
+    /// Alive threads running outside their home domain. While zero (always
+    /// on the one-domain paper machine), each domain's runnable members
+    /// are exactly its controller's runnable home members, in the same
+    /// order, so the rebuild presents every controller straight from its
+    /// domain's walk.
+    n_remote: usize,
     /// Per-domain shared-LLC inflation factor, persistent across ticks so
     /// clean domains keep theirs.
     domain_llc: Vec<f64>,
-    /// Per-controller warm-started fixed-point solver (exact mode: reuses
-    /// a solution only on bitwise-identical inputs, so results stay
-    /// bit-identical to the cold reference).
+    /// Per-controller memoised fixed-point solver (reuses a solution only
+    /// on identical inputs, so results stay bit-identical to the cold
+    /// reference).
     ctrl_solver: NumaWarmSolver,
+    // The controller sub-vector being presented to the solver: demands,
+    // latency factors and the member each entry belongs to. Stage 1 of a
+    // domain's rebuild also leaves the domain's runnable members in
+    // `ctrl_scratch_members`.
     ctrl_scratch_demands: Vec<MemDemand>,
     ctrl_scratch_factors: Vec<f64>,
     ctrl_scratch_members: Vec<u32>,
@@ -211,7 +202,7 @@ pub struct Machine {
     /// Capacity (MiB) of each cluster's slice; last slot = shared pool.
     cluster_capacity_mib: Vec<f64>,
     /// Per-rebuild per-slot runnable working-set sums and inflation
-    /// factors (scratch; reused per domain on NUMA machines).
+    /// factors (scratch, reused per domain).
     scratch_cluster_ws: Vec<f64>,
     scratch_cluster_llc: Vec<f64>,
 }
@@ -247,21 +238,10 @@ impl Machine {
             .map(|v| cfg.topology.freq_of(VCoreId(v as u32)))
             .collect();
         let num_domains = cfg.topology.num_domains();
-        let multi = num_domains > 1;
+        let n_pcores = cfg.topology.num_pcores();
         let vcore_domain: Vec<u32> = (0..n_vcores)
             .map(|v| cfg.topology.domain_of(VCoreId(v as u32)).0)
             .collect();
-        let mut domain_vcores = vec![Vec::new(); if multi { num_domains } else { 0 }];
-        let mut domain_pcores = vec![Vec::new(); if multi { num_domains } else { 0 }];
-        if multi {
-            for (v, &d) in vcore_domain.iter().enumerate() {
-                domain_vcores[d as usize].push(v as u32);
-            }
-            for p in 0..cfg.topology.num_pcores() {
-                let d = cfg.topology.domain_of_pcore(crate::ids::PCoreId(p as u32));
-                domain_pcores[d.index()].push(p as u32);
-            }
-        }
         Machine {
             cfg,
             now: SimTime::ZERO,
@@ -288,36 +268,24 @@ impl Machine {
             thread_eff_mr: Vec::new(),
             thread_demand: Vec::new(),
             thread_rate: Vec::new(),
-            scratch_runnable: Vec::new(),
-            scratch_demands: Vec::new(),
-            scratch_solution: MemSolution::empty(),
-            memo_demands: Vec::new(),
             // Dirty until the first full tick builds the scratch state.
             state_dirty: true,
             memo_window: u64::MAX,
             cache_now: SimTime::ZERO,
-            // Multi-domain loads persist across partial rebuilds, so they
-            // are sized once here (single-domain machines resize their own
-            // copies per rebuild, as before).
-            scratch_vcore_load: if multi { vec![0; n_vcores] } else { Vec::new() },
-            scratch_pcore_load: if multi {
-                vec![0; domain_pcores.iter().map(Vec::len).sum()]
-            } else {
-                Vec::new()
-            },
+            // Sized once: a rebuild resets only the entries it counts.
+            scratch_vcore_load: vec![0; n_vcores],
+            scratch_pcore_load: vec![0; n_pcores],
             scratch_vcore_busy: Vec::new(),
             scratch_finished: Vec::new(),
             scratch_occupancy: Vec::new(),
             scratch_moves: Vec::new(),
-            multi,
             vcore_domain,
-            dirty_domains: vec![false; if multi { num_domains } else { 0 }],
-            stale_ctrls: vec![false; if multi { num_domains } else { 0 }],
-            run_members: vec![Vec::new(); if multi { num_domains } else { 0 }],
-            home_members: vec![Vec::new(); if multi { num_domains } else { 0 }],
-            domain_vcores,
-            domain_pcores,
-            domain_llc: vec![1.0; if multi { num_domains } else { 0 }],
+            dirty_domains: vec![false; num_domains],
+            stale_ctrls: vec![false; num_domains],
+            run_members: vec![Vec::new(); num_domains],
+            home_members: vec![Vec::new(); num_domains],
+            n_remote: 0,
+            domain_llc: vec![1.0; num_domains],
             ctrl_solver: NumaWarmSolver::new(num_domains),
             ctrl_scratch_demands: Vec::new(),
             ctrl_scratch_factors: Vec::new(),
@@ -385,53 +353,50 @@ impl Machine {
         // Ids are monotone, so appending keeps the alive list ascending.
         self.alive.push(id.0);
         self.state_dirty = true;
-        if self.multi {
-            let d = self.vcore_domain[vcore.index()] as usize;
-            self.run_members[d].push(id.0);
-            self.home_members[home.index()].push(id.0);
-            self.dirty_domains[d] = true;
-            self.stale_ctrls[home.index()] = true;
-            // Migrations shuffle membership lists mid-run: keep every list
-            // (and the controller sub-vector scratch) sized for the whole
-            // population so a binary-search insert never reallocates.
-            let n = self.threads.len();
-            for v in &mut self.run_members {
-                v.reserve(n - v.len());
-            }
-            for v in &mut self.home_members {
-                v.reserve(n - v.len());
-            }
-            self.ctrl_scratch_demands.reserve(n);
-            self.ctrl_scratch_factors.reserve(n);
-            self.ctrl_scratch_members.reserve(n);
+        let d = self.vcore_domain[vcore.index()] as usize;
+        self.run_members[d].push(id.0);
+        self.home_members[home.index()].push(id.0);
+        self.dirty_domains[d] = true;
+        self.stale_ctrls[home.index()] = true;
+        // Migrations shuffle membership lists mid-run: keep every list
+        // (and the controller sub-vector scratch) sized for the whole live
+        // population so a binary-search insert never reallocates. Every
+        // list holds live threads only, so sizing by the threads ever
+        // spawned would grow each one with the run's history instead.
+        let n = self.alive.len();
+        for v in &mut self.run_members {
+            v.reserve(n - v.len());
         }
+        for v in &mut self.home_members {
+            v.reserve(n - v.len());
+        }
+        self.ctrl_scratch_demands.reserve(n);
+        self.ctrl_scratch_factors.reserve(n);
+        self.ctrl_scratch_members.reserve(n);
         // Every live thread can finish in the same tick, and the balancer
         // can move every live thread at once: keep those scratches sized
         // for the worst case now, so the first completion (which is also
         // what first wakes the balancer) never allocates mid-run.
-        self.scratch_finished.reserve(self.threads.len());
-        self.scratch_moves.reserve(self.threads.len());
+        self.scratch_finished.reserve(n);
+        self.scratch_moves.reserve(n);
         self.events
             .push(MachineEvent::Spawned { thread: id, vcore });
         id
     }
 
     /// Mark thread `i`'s current run domain dirty and its home controller
-    /// stale (multi-domain machines; no-op otherwise). Every event that can
-    /// change the thread's runnability, placement or demand must call this
-    /// — for moves, once per endpoint.
+    /// stale. Every event that can change the thread's runnability,
+    /// placement or demand must call this — for moves, once per endpoint.
     fn mark_thread_dirty(&mut self, i: usize) {
-        if self.multi {
-            let d = self.vcore_domain[self.threads.vcore[i].index()] as usize;
-            self.dirty_domains[d] = true;
-            self.stale_ctrls[self.threads.home_domain[i].index()] = true;
-        }
+        let d = self.vcore_domain[self.threads.vcore[i].index()] as usize;
+        self.dirty_domains[d] = true;
+        self.stale_ctrls[self.threads.home_domain[i].index()] = true;
     }
 
     /// Move thread `i` between per-domain run-membership lists, keeping
-    /// both ascending (multi-domain machines only).
+    /// both ascending, and count it as remote while it runs away from home.
     fn move_run_member(&mut self, i: u32, from_d: usize, to_d: usize) {
-        if !self.multi || from_d == to_d {
+        if from_d == to_d {
             return;
         }
         let list = &mut self.run_members[from_d];
@@ -442,6 +407,8 @@ impl Machine {
         if let Err(pos) = list.binary_search(&i) {
             list.insert(pos, i);
         }
+        let home = self.threads.home_domain[i as usize].index();
+        self.n_remote = self.n_remote + usize::from(to_d != home) - usize::from(from_d != home);
     }
 
     /// Move a thread to another virtual core. A move to the thread's current
@@ -616,11 +583,9 @@ impl Machine {
         // Every domain's contention changes shape: force a full rebuild
         // and make the warm solver forget its memoised fixed points.
         self.state_dirty = true;
-        if self.multi {
-            self.dirty_domains.iter_mut().for_each(|f| *f = true);
-            self.stale_ctrls.iter_mut().for_each(|f| *f = true);
-            self.ctrl_solver.invalidate();
-        }
+        self.dirty_domains.iter_mut().for_each(|f| *f = true);
+        self.stale_ctrls.iter_mut().for_each(|f| *f = true);
+        self.ctrl_solver.invalidate();
         Ok(())
     }
 
@@ -680,22 +645,6 @@ impl Machine {
         }
     }
 
-    /// Per-slot inflation factors for the single-controller rebuild:
-    /// accumulate runnable working sets per slot (ascending thread order,
-    /// like the unpartitioned global sum) and inflate each against its
-    /// slice capacity.
-    fn cluster_llc_factors_runnable(&mut self) {
-        self.scratch_cluster_ws.clear();
-        self.scratch_cluster_ws
-            .resize(self.partition.num_clusters() + 1, 0.0);
-        for idx in 0..self.scratch_runnable.len() {
-            let i = self.scratch_runnable[idx];
-            let slot = self.cluster_slot(i);
-            self.scratch_cluster_ws[slot] += self.thread_phase[i].working_set_mib;
-        }
-        self.fill_cluster_llc_factors();
-    }
-
     /// Inflate each slot's accumulated working set against its slice
     /// capacity (an empty slot of zero capacity inflates by exactly 1 —
     /// `llc_inflation_scaled` maps 0/0 to no pressure).
@@ -715,19 +664,14 @@ impl Machine {
         (0..self.threads.len() as u32).map(ThreadId)
     }
 
-    /// Thread ids that have not yet finished.
-    pub fn alive_threads(&self) -> Vec<ThreadId> {
-        self.alive.iter().map(|&i| ThreadId(i)).collect()
-    }
-
     /// Thread ids that have not yet finished, ascending, without
-    /// allocating (the iterator form of [`Machine::alive_threads`]).
+    /// allocating.
     pub fn alive_ids(&self) -> impl Iterator<Item = ThreadId> + '_ {
         self.alive.iter().map(|&i| ThreadId(i))
     }
 
-    /// True if the thread has not yet finished (allocation-free — the
-    /// per-thread form of [`Machine::alive_threads`]).
+    /// True if the thread has not yet finished (the per-thread form of
+    /// [`Machine::alive_ids`]).
     pub fn is_alive(&self, thread: ThreadId) -> bool {
         !self.threads.finished(thread.index())
     }
@@ -964,72 +908,109 @@ impl Machine {
         });
     }
 
-    /// Rebuild the full per-tick scratch state of a single-controller
-    /// machine — stages 1–3 of the tick: the runnable walk, shared-LLC
-    /// pressure, contention demands and the memory solution. Afterwards
-    /// the cached per-thread state mirrors the machine exactly, so the
-    /// dirty flag clears and quiescent ticks may reuse it; events from the
-    /// advance stage or from between-tick actuation re-dirty it. The
-    /// arithmetic (and its evaluation order) is unchanged from the
-    /// original single-solver code, so paper-machine results stay
-    /// bit-identical.
-    fn rebuild_tick_state(&mut self, n_vcores: usize, window: u64) {
-        // 1. Runnable threads, per-vcore and per-pcore occupancy, and each
-        //    runnable thread's active phase: one combined walk per thread
-        //    per tick, reused by every later stage (LLC pressure, demand
-        //    build, the first boundary step, and the apki read). Only the
-        //    alive list is swept, so a machine draining towards empty (or
-        //    idling between open-system arrivals) pays per live thread,
-        //    not per thread ever spawned.
-        self.scratch_runnable.clear();
-        self.scratch_vcore_load.clear();
-        self.scratch_vcore_load.resize(n_vcores, 0);
-        self.scratch_pcore_load.clear();
-        self.scratch_pcore_load
-            .resize(self.cfg.topology.num_pcores(), 0);
-        for idx in 0..self.alive.len() {
-            let i = self.alive[idx] as usize;
-            if self.threads.runnable(i, self.now) {
+    /// Rebuild the per-tick scratch state — stages 1–4 of the tick: the
+    /// runnable walk, shared-LLC pressure, contention demands and the
+    /// memory solution — refreshing only the run domains marked dirty and
+    /// re-presenting only the stale controllers to the warm solver.
+    /// Afterwards the cached per-thread state mirrors the machine exactly,
+    /// so the dirty flags clear and quiescent ticks may reuse it; events
+    /// from the advance stage or from between-tick actuation re-dirty it.
+    ///
+    /// Cross-domain coupling is one-directional by construction — a
+    /// thread's demand depends only on state *inside its run domain*
+    /// (per-domain LLC slice, per-vcore/pcore loads, its own warm-up and
+    /// noise), and a controller's solution depends only on the demands of
+    /// the threads *homed* to it — so refreshing the marked subset
+    /// reproduces what a full rebuild would compute, bit for bit:
+    ///
+    /// * every per-thread quantity is an independent pure function, so
+    ///   clean-domain threads' cached values are already what a full
+    ///   rebuild would recompute;
+    /// * the only cross-thread float accumulation (a domain's working-set
+    ///   sum) walks that domain's members in ascending thread order —
+    ///   exactly the order of a global walk over the alive list;
+    /// * each controller's demand sub-vector is presented in ascending
+    ///   thread order, exactly the partition order of the cold
+    ///   `solve_memory_numa_into` reference, and the warm solver runs the
+    ///   very same fixed point on it (skipping unchanged inputs, which is
+    ///   a pure speedup).
+    ///
+    /// On the one-domain paper machine every event marks the only domain,
+    /// so each non-quiescent tick refreshes the whole machine.
+    fn rebuild_tick_state(&mut self, window: u64) {
+        let num_domains = self.cfg.topology.num_domains();
+        // A window change redraws burstiness noise for every bursty
+        // thread (and the first rebuild has nothing cached): refresh
+        // everything.
+        if window != self.memo_window {
+            self.dirty_domains.iter_mut().for_each(|f| *f = true);
+            self.stale_ctrls.iter_mut().for_each(|f| *f = true);
+        }
+
+        for d in 0..num_domains {
+            if !self.dirty_domains[d] {
+                continue;
+            }
+            // Stage 1 (per dirty domain): loads, phases and the domain's
+            // shared-LLC slice, walking only this domain's members — one
+            // combined walk per thread, whose phase lookup every later
+            // stage reuses (LLC pressure, demand build, the first boundary
+            // step, and the apki read). Stage 2 reads loads only where a
+            // member of d sits (pcores never span domains), so zeroing
+            // those entries first resets them.
+            for &i in &self.run_members[d] {
+                let v = self.threads.vcore[i as usize].index();
+                self.scratch_vcore_load[v] = 0;
+                self.scratch_pcore_load[self.vcore_pcore[v] as usize] = 0;
+            }
+            if self.partition_active {
+                self.scratch_cluster_ws.clear();
+                self.scratch_cluster_ws
+                    .resize(self.partition.num_clusters() + 1, 0.0);
+            }
+            // The domain's runnable members, ascending, are stage 2's walk
+            // list — and, with no thread remote, controller d's members.
+            self.ctrl_scratch_members.clear();
+            let mut ws_sum = 0.0;
+            for idx in 0..self.run_members[d].len() {
+                let i = self.run_members[d][idx] as usize;
+                if !self.threads.runnable(i, self.now) {
+                    continue;
+                }
+                self.ctrl_scratch_members.push(i as u32);
                 let (phase, boundary) = self.threads.specs[i]
                     .program
                     .phase_and_boundary(self.threads.retired[i])
                     .expect("runnable thread must have an active phase");
-                self.scratch_runnable.push(i);
                 self.thread_phase[i] = phase;
                 self.thread_boundary[i] = boundary;
                 let v = self.threads.vcore[i].index();
                 self.scratch_vcore_load[v] += 1;
                 self.scratch_pcore_load[self.vcore_pcore[v] as usize] += 1;
+                ws_sum += phase.working_set_mib;
+                if self.partition_active {
+                    let slot = self.cluster_slot(i);
+                    self.scratch_cluster_ws[slot] += phase.working_set_mib;
+                }
             }
-        }
-
-        if !self.scratch_runnable.is_empty() {
-            // 2. + 3. SMT interference and shared-LLC pressure. The SMT
-            // factor needs no pass of its own: a sibling context is busy
-            // exactly when the physical core carries more load than the
-            // vcore itself, so it is read off the load counts inside the
-            // demand loop below. One LLC spans the whole chip (the paper's
-            // testbed).
-            let llc_factor = if self.partition_active {
-                // Partitioned: per-slot sums and factors; the demand loop
-                // reads them per thread and this global factor is unused.
-                self.cluster_llc_factors_runnable();
-                f64::NAN
+            if self.partition_active {
+                self.fill_cluster_llc_factors();
             } else {
-                let total_ws: f64 = self
-                    .scratch_runnable
-                    .iter()
-                    .map(|&i| self.thread_phase[i].working_set_mib)
-                    .sum();
-                llc_inflation(total_ws, &self.cfg.llc)
-            };
+                self.domain_llc[d] = llc_inflation(ws_sum, &self.cfg.llc);
+            }
 
-            // Effective per-thread miss ratios and pipeline times.
-            self.scratch_demands.clear();
-            for idx in 0..self.scratch_runnable.len() {
-                let i = self.scratch_runnable[idx];
+            // Stage 2 (same domain, loads now final): SMT interference,
+            // effective miss ratios and demands. Any thread whose demand
+            // is recomputed may feed a different sub-vector to its home
+            // controller. With no thread remote, that controller is d and
+            // its sub-vector is this walk's output, solved right here.
+            let local = self.n_remote == 0;
+            self.ctrl_scratch_demands.clear();
+            self.ctrl_scratch_factors.clear();
+            let llc_factor = self.domain_llc[d];
+            for idx in 0..self.ctrl_scratch_members.len() {
+                let i = self.ctrl_scratch_members[idx] as usize;
                 let phase = self.thread_phase[i];
-                let vcore = self.threads.vcore[i];
                 let lf = if self.partition_active {
                     self.scratch_cluster_llc[self.cluster_slot(i)]
                 } else {
@@ -1053,9 +1034,11 @@ impl Machine {
                     mr *= 1.0 + phase.burstiness * (2.0 * self.noise_unit[i] - 1.0);
                 }
                 mr = mr.clamp(0.0, 1.0);
-                let v = vcore.index();
+                let v = self.threads.vcore[i].index();
                 let share = 1.0 / self.scratch_vcore_load[v] as f64;
                 let freq = self.vcore_freq[v];
+                // A sibling context is busy exactly when the physical core
+                // carries more load than the vcore itself.
                 let smt_factor = if self.scratch_pcore_load[self.vcore_pcore[v] as usize]
                     > self.scratch_vcore_load[v]
                 {
@@ -1065,164 +1048,29 @@ impl Machine {
                 };
                 let base_time = cpi / (freq * share * smt_factor);
                 self.thread_eff_mr[i] = mr;
-                self.scratch_demands.push(MemDemand {
-                    base_time_per_instr: base_time,
-                    miss_ratio: mr,
-                });
-            }
-
-            // 4. Memory system (into the reusable solution buffer).
-            // A bitwise-unchanged demand vector reuses the previous
-            // solution outright (`memo_demands` tracks the inputs of the
-            // last real solve, whose outputs still sit in the solution
-            // buffer) — identical inputs give identical outputs, so this
-            // is a pure speedup.
-            if self.scratch_demands != self.memo_demands {
-                solve_memory_into(
-                    &self.scratch_demands,
-                    &self.cfg.memory,
-                    &mut self.scratch_solution,
-                );
-                self.memo_demands.clone_from(&self.scratch_demands);
-            }
-            for (k, &i) in self.scratch_runnable.iter().enumerate() {
-                self.thread_rate[i] = self.scratch_solution.rates[k];
-            }
-        }
-
-        self.state_dirty = false;
-        self.memo_window = window;
-        self.cache_now = self.now;
-    }
-
-    /// Incremental multi-domain rebuild: refresh only the run domains
-    /// marked dirty and re-present only the stale controllers to the warm
-    /// solver. Cross-domain coupling is one-directional by construction —
-    /// a thread's demand depends only on state *inside its run domain*
-    /// (per-domain LLC slice, per-vcore/pcore loads, its own warm-up and
-    /// noise), and a controller's solution depends only on the demands of
-    /// the threads *homed* to it — so refreshing the marked subset
-    /// reproduces what a full rebuild would compute, bit for bit:
-    ///
-    /// * every per-thread quantity is an independent pure function, so
-    ///   clean-domain threads' cached values are already what a full
-    ///   rebuild would recompute;
-    /// * the only cross-thread float accumulation (a domain's working-set
-    ///   sum) walks that domain's members in ascending thread order —
-    ///   exactly the order in which the old global walk met them;
-    /// * each controller's demand sub-vector is presented in ascending
-    ///   thread order, exactly the partition order of the old
-    ///   `solve_memory_numa_into`, and the warm solver in exact mode runs
-    ///   the very same fixed point on it (skipping bitwise-unchanged
-    ///   inputs, which is a pure speedup).
-    fn rebuild_tick_state_multi(&mut self, window: u64) {
-        let num_domains = self.cfg.topology.num_domains();
-        // A window change redraws burstiness noise for every bursty
-        // thread (and the first rebuild has nothing cached): refresh
-        // everything.
-        if window != self.memo_window {
-            self.dirty_domains.iter_mut().for_each(|f| *f = true);
-            self.stale_ctrls.iter_mut().for_each(|f| *f = true);
-        }
-
-        for d in 0..num_domains {
-            if !self.dirty_domains[d] {
-                continue;
-            }
-            // Stage 1 (per dirty domain): loads, phases and the domain's
-            // shared-LLC slice, walking only this domain's members.
-            for &v in &self.domain_vcores[d] {
-                self.scratch_vcore_load[v as usize] = 0;
-            }
-            for &p in &self.domain_pcores[d] {
-                self.scratch_pcore_load[p as usize] = 0;
-            }
-            if self.partition_active {
-                self.scratch_cluster_ws.clear();
-                self.scratch_cluster_ws
-                    .resize(self.partition.num_clusters() + 1, 0.0);
-            }
-            let mut ws_sum = 0.0;
-            for idx in 0..self.run_members[d].len() {
-                let i = self.run_members[d][idx] as usize;
-                if !self.threads.runnable(i, self.now) {
-                    continue;
-                }
-                let (phase, boundary) = self.threads.specs[i]
-                    .program
-                    .phase_and_boundary(self.threads.retired[i])
-                    .expect("runnable thread must have an active phase");
-                self.thread_phase[i] = phase;
-                self.thread_boundary[i] = boundary;
-                let v = self.threads.vcore[i].index();
-                self.scratch_vcore_load[v] += 1;
-                self.scratch_pcore_load[self.vcore_pcore[v] as usize] += 1;
-                ws_sum += phase.working_set_mib;
-                if self.partition_active {
-                    let slot = self.cluster_slot(i);
-                    self.scratch_cluster_ws[slot] += phase.working_set_mib;
-                }
-            }
-            if self.partition_active {
-                self.fill_cluster_llc_factors();
-            } else {
-                self.domain_llc[d] = llc_inflation(ws_sum, &self.cfg.llc);
-            }
-
-            // Stage 2 (same domain, loads now final): effective miss
-            // ratios and demands. Any thread whose demand is recomputed
-            // may feed a different sub-vector to its home controller.
-            let llc_factor = self.domain_llc[d];
-            for idx in 0..self.run_members[d].len() {
-                let i = self.run_members[d][idx] as usize;
-                if !self.threads.runnable(i, self.now) {
-                    continue;
-                }
-                let phase = self.thread_phase[i];
-                let lf = if self.partition_active {
-                    self.scratch_cluster_llc[self.cluster_slot(i)]
-                } else {
-                    llc_factor
-                };
-                let mut mr = phase.miss_ratio() * lf;
-                let mut cpi = phase.cpi_exec;
-                if self.now < self.threads.warmup_until[i] {
-                    mr *= self.cfg.migration.warmup_miss_multiplier;
-                    cpi *= self.cfg.migration.warmup_cpi_multiplier;
-                }
-                if phase.burstiness != 0.0 {
-                    if self.noise_window[i] != window {
-                        self.noise_window[i] = window;
-                        self.noise_unit[i] = noise_unit(self.cfg.seed, i, window);
-                    }
-                    mr *= 1.0 + phase.burstiness * (2.0 * self.noise_unit[i] - 1.0);
-                }
-                mr = mr.clamp(0.0, 1.0);
-                let v = self.threads.vcore[i].index();
-                let share = 1.0 / self.scratch_vcore_load[v] as f64;
-                let freq = self.vcore_freq[v];
-                let smt_factor = if self.scratch_pcore_load[self.vcore_pcore[v] as usize]
-                    > self.scratch_vcore_load[v]
-                {
-                    self.cfg.smt.busy_share
-                } else {
-                    1.0
-                };
-                let base_time = cpi / (freq * share * smt_factor);
-                self.thread_eff_mr[i] = mr;
-                self.thread_demand[i] = MemDemand {
+                let demand = MemDemand {
                     base_time_per_instr: base_time,
                     miss_ratio: mr,
                 };
-                self.stale_ctrls[self.threads.home_domain[i].index()] = true;
+                self.thread_demand[i] = demand;
+                if local {
+                    self.ctrl_scratch_demands.push(demand);
+                    self.ctrl_scratch_factors.push(1.0);
+                } else {
+                    self.stale_ctrls[self.threads.home_domain[i].index()] = true;
+                }
+            }
+            if local {
+                self.solve_ctrl(d);
+                self.stale_ctrls[d] = false;
             }
         }
 
-        // Stage 3: re-present each stale controller's demand sub-vector
-        // (runnable home members, ascending) to the warm solver and
-        // scatter the achieved rates back. The solver memoises bitwise, so
-        // a controller whose sub-vector did not actually move costs one
-        // comparison instead of a fixed point.
+        // Stage 3: re-present each remaining stale controller's demand
+        // sub-vector (runnable home members, ascending) to the warm solver
+        // and scatter the achieved rates back. The solver memoises
+        // bitwise, so a controller whose sub-vector did not actually move
+        // costs one comparison instead of a fixed point.
         for c in 0..num_domains {
             if !self.stale_ctrls[c] {
                 continue;
@@ -1244,15 +1092,7 @@ impl Machine {
                 });
                 self.ctrl_scratch_members.push(i as u32);
             }
-            let (rates, _) = self.ctrl_solver.solve(
-                c,
-                &self.ctrl_scratch_demands,
-                &self.ctrl_scratch_factors,
-                &self.cfg.memory,
-            );
-            for (j, &i) in self.ctrl_scratch_members.iter().enumerate() {
-                self.thread_rate[i as usize] = rates[j];
-            }
+            self.solve_ctrl(c);
         }
 
         self.dirty_domains.iter_mut().for_each(|f| *f = false);
@@ -1262,11 +1102,35 @@ impl Machine {
         self.cache_now = self.now;
     }
 
+    /// Solve controller `c` for the sub-vector in the controller scratch
+    /// and scatter the achieved rates back to its members.
+    fn solve_ctrl(&mut self, c: usize) {
+        let (rates, _) = self.ctrl_solver.solve(
+            c,
+            &self.ctrl_scratch_demands,
+            &self.ctrl_scratch_factors,
+            &self.cfg.memory,
+        );
+        for (j, &i) in self.ctrl_scratch_members.iter().enumerate() {
+            self.thread_rate[i as usize] = rates[j];
+        }
+    }
+
+    /// True when a dead time or warm-up of thread `i` expired between the
+    /// last rebuild and now (see the expiry scan in [`Machine::tick`]).
+    #[inline]
+    fn expiry_crossed(&self, i: usize) -> bool {
+        let dead = self.threads.dead_until[i];
+        let warm = self.threads.warmup_until[i];
+        (dead > self.cache_now && dead <= self.now) || (warm > self.cache_now && warm <= self.now)
+    }
+
     /// Advance the machine by one tick.
     ///
     /// A tick runs in one of two modes, both producing **bit-identical**
     /// trajectories. A *full* tick rebuilds the runnable set, phase
-    /// lookups, contention demands and the memory solution from scratch.
+    /// lookups, contention demands and the memory solution of every run
+    /// domain and controller an event touched (see `rebuild_tick_state`).
     /// A *quiescent* tick reuses all of that from the last full tick:
     /// between events a thread's phase, placement, warm-up status and
     /// burstiness draw are constant, so the only per-tick input that ages
@@ -1304,45 +1168,28 @@ impl Machine {
         // tick. Skipping the rebuild is bit-identical because rebuilding
         // is idempotent: with no input changed it would recompute exactly
         // the cached values.
-        let mut crossed = false;
-        if self.multi {
-            // On a NUMA machine the crossing is also an *event*: mark the
-            // thread's run domain and home controller so the partial
-            // rebuild refreshes them.
+        // The crossing is also an *event*: mark the thread's run domain and
+        // home controller so the partial rebuild refreshes them. Crossings
+        // are rare, so a read-only scan looks for one first.
+        let crossed = self.alive.iter().any(|&i| self.expiry_crossed(i as usize));
+        if crossed {
             for idx in 0..self.alive.len() {
                 let i = self.alive[idx] as usize;
-                let dead = self.threads.dead_until[i];
-                let warm = self.threads.warmup_until[i];
-                if (dead > self.cache_now && dead <= self.now)
-                    || (warm > self.cache_now && warm <= self.now)
-                {
-                    crossed = true;
-                    let d = self.vcore_domain[self.threads.vcore[i].index()] as usize;
-                    self.dirty_domains[d] = true;
-                    self.stale_ctrls[self.threads.home_domain[i].index()] = true;
+                if self.expiry_crossed(i) {
+                    self.mark_thread_dirty(i);
                 }
             }
-        } else {
-            crossed = self.alive.iter().any(|&i| {
-                let i = i as usize;
-                let dead = self.threads.dead_until[i];
-                let warm = self.threads.warmup_until[i];
-                (dead > self.cache_now && dead <= self.now)
-                    || (warm > self.cache_now && warm <= self.now)
-            });
         }
         let quiescent = !self.state_dirty && window == self.memo_window && !crossed;
 
         if !quiescent {
-            if self.multi {
-                self.rebuild_tick_state_multi(window);
-            } else {
-                self.rebuild_tick_state(n_vcores, window);
-            }
+            self.rebuild_tick_state(window);
         }
 
         {
-            let multi = self.multi;
+            // No thread can become remote during the advance (only finish
+            // there), so one read serves the whole loop.
+            let any_remote = self.n_remote > 0;
             // 5. Advance threads (the alive list is ascending and the
             // runnable set cannot have changed since the last rebuild, so
             // this meets exactly the rebuilt threads, in rebuild order).
@@ -1434,7 +1281,7 @@ impl Machine {
                 c.llc_accesses += advance * (apki / 1000.0).max(mr);
                 c.cycles += freq * dt_s;
                 c.busy_us += self.cfg.tick_us;
-                if multi && self.cfg.topology.domain_of(vcore) != self.threads.home_domain[i] {
+                if any_remote && self.vcore_domain[vcore.index()] != self.threads.home_domain[i].0 {
                     self.threads.counters[i].remote_us += self.cfg.tick_us;
                 }
                 self.scratch_vcore_busy[vcore.index()] = true;
@@ -1456,20 +1303,19 @@ impl Machine {
                         Some(self.now + SimTime::from_us(self.cfg.tick_us));
                     self.threads.at_barrier[i] = false;
                     self.state_dirty = true;
-                    if multi {
-                        // The departure changes its domain's loads and its
-                        // controller's membership; drop it from both walk
-                        // lists now that it can never run again.
-                        self.mark_thread_dirty(i);
-                        let d = self.vcore_domain[vcore.index()] as usize;
-                        if let Ok(pos) = self.run_members[d].binary_search(&(i as u32)) {
-                            self.run_members[d].remove(pos);
-                        }
-                        let h = self.threads.home_domain[i].index();
-                        if let Ok(pos) = self.home_members[h].binary_search(&(i as u32)) {
-                            self.home_members[h].remove(pos);
-                        }
+                    // The departure changes its domain's loads and its
+                    // controller's membership; drop it from both walk lists
+                    // now that it can never run again.
+                    self.mark_thread_dirty(i);
+                    let d = self.vcore_domain[vcore.index()] as usize;
+                    if let Ok(pos) = self.run_members[d].binary_search(&(i as u32)) {
+                        self.run_members[d].remove(pos);
                     }
+                    let h = self.threads.home_domain[i].index();
+                    if let Ok(pos) = self.home_members[h].binary_search(&(i as u32)) {
+                        self.home_members[h].remove(pos);
+                    }
+                    self.n_remote -= usize::from(d != h);
                 } else if hit_barrier {
                     self.threads.at_barrier[i] = true;
                     self.state_dirty = true;
@@ -1489,7 +1335,6 @@ impl Machine {
         // the previous scan already released every complete group and
         // nothing has arrived since, so the scan is skipped.
         if !quiescent || self.state_dirty {
-            let multi = self.multi;
             for members in self.barrier_groups.values() {
                 let all_arrived = members.iter().all(|t| {
                     let i = t.index();
@@ -1506,13 +1351,11 @@ impl Machine {
                                 .interval_instructions;
                             self.threads.next_barrier_at[i] += interval;
                             self.state_dirty = true;
-                            if multi {
-                                // A released member rejoins its domain's
-                                // runnable set next tick.
-                                let d = self.vcore_domain[self.threads.vcore[i].index()] as usize;
-                                self.dirty_domains[d] = true;
-                                self.stale_ctrls[self.threads.home_domain[i].index()] = true;
-                            }
+                            // A released member rejoins its domain's
+                            // runnable set next tick.
+                            let d = self.vcore_domain[self.threads.vcore[i].index()] as usize;
+                            self.dirty_domains[d] = true;
+                            self.stale_ctrls[self.threads.home_domain[i].index()] = true;
                         }
                     }
                 }
@@ -1609,8 +1452,10 @@ mod tests {
     use super::*;
     use crate::config::presets;
     use crate::ids::BarrierId;
-    use crate::phase::{Phase, PhaseProgram};
+    use crate::phase::{Phase, PhaseProgram, PhaseRepeat};
     use crate::thread::BarrierSpec;
+    use dike_util::check::check;
+    use dike_util::Pcg32;
 
     fn compute_spec(app: u32, instr: f64) -> ThreadSpec {
         ThreadSpec {
@@ -2021,7 +1866,7 @@ mod tests {
 
     #[test]
     fn full_width_single_cluster_is_bitwise_unpartitioned_on_numa() {
-        // Same identity through the incremental multi-domain rebuild.
+        // Same identity on a two-domain machine.
         let run = |partition: bool| {
             let mut m = Machine::new(numa_small(7));
             let mut ids = Vec::new();
@@ -2136,5 +1981,179 @@ mod tests {
             assert_eq!(m.counters(t).remote_us, 0);
             assert!(m.counters(t).instructions >= 5e7 - 1.0);
         }
+    }
+
+    impl Machine {
+        /// One tick with every fast path forced off: the quiescent skip,
+        /// the per-domain incremental rebuild, the solver memo and the
+        /// no-remote shortcut (an offset on the remote count sends every
+        /// controller through the gather from its home list). The
+        /// reference a normal tick must match bit for bit.
+        fn tick_cold(&mut self) {
+            const PRETEND_REMOTE: usize = usize::MAX / 2;
+            self.state_dirty = true;
+            self.dirty_domains.iter_mut().for_each(|f| *f = true);
+            self.stale_ctrls.iter_mut().for_each(|f| *f = true);
+            self.ctrl_solver.invalidate();
+            self.n_remote += PRETEND_REMOTE;
+            self.tick();
+            self.n_remote -= PRETEND_REMOTE;
+        }
+
+        /// Alive threads running outside their home domain, counted from
+        /// scratch.
+        fn count_remote(&self) -> usize {
+            self.alive_ids()
+                .filter(|&t| {
+                    self.vcore_domain[self.vcore_of(t).index()] != self.home_domain_of(t).0
+                })
+                .count()
+        }
+    }
+
+    /// A random multi-phase, partly bursty program, short enough that a
+    /// few dozen ticks cross phase boundaries and completions.
+    fn random_spec(rng: &mut Pcg32, app: u32, barrier: Option<BarrierSpec>) -> ThreadSpec {
+        let n_phases = rng.gen_range(1usize..4);
+        let phases = (0..n_phases)
+            .map(|_| {
+                let cpi = rng.gen_range(0.3f64..2.0);
+                let mpki = rng.gen_range(0.1f64..40.0);
+                let ws = rng.gen_range(0.1f64..16.0);
+                let instructions = rng.gen_range(2e5f64..5e6);
+                let bursty = rng.gen_range(0u32..3) != 0;
+                let burstiness = rng.gen_range(0.0f64..0.5);
+                Phase::steady(cpi, mpki, ws, instructions).with_burstiness(if bursty {
+                    burstiness
+                } else {
+                    0.0
+                })
+            })
+            .collect();
+        ThreadSpec {
+            app: AppId(app),
+            app_name: format!("t{app}"),
+            program: PhaseProgram {
+                phases,
+                repeat: PhaseRepeat::LoopFrom(rng.gen_range(0..n_phases)),
+                total_instructions: rng.gen_range(1e6f64..3e7),
+            },
+            barrier,
+        }
+    }
+
+    /// Everything a tick can change, one line per item, with floats in
+    /// shortest round-trip form (so equal lines mean equal bits).
+    fn state_lines(m: &Machine) -> Vec<String> {
+        let mut lines = vec![format!("now {:?} alive {:?}", m.now(), m.alive)];
+        for t in m.thread_ids() {
+            lines.push(format!(
+                "{t:?} on {:?} finished {:?} {:?}",
+                m.vcore_of(t),
+                m.finish_time(t),
+                m.counters(t)
+            ));
+        }
+        for v in 0..m.config().topology.num_vcores() {
+            lines.push(format!("{:?}", m.core_counters(VCoreId(v as u32))));
+        }
+        lines.extend(m.events().iter().map(|e| format!("{e:?}")));
+        lines
+    }
+
+    #[test]
+    fn fast_ticks_match_cold_ticks_on_random_machines() {
+        // The quiescent skip, the per-domain incremental rebuild, the
+        // solver memo and the no-remote shortcut must each be a pure
+        // speedup: a machine ticking normally and its twin rebuilding,
+        // gathering and solving everything cold every tick must stay
+        // bit-identical through random placements, barriers, migrations,
+        // stalls, partition plans and mid-run spawns, on one- and
+        // two-domain machines alike.
+        check(
+            "fast_ticks_match_cold_ticks_on_random_machines",
+            48,
+            |rng| {
+                let seed = rng.gen_range(0u64..1000);
+                let cfg = match rng.gen_range(0u32..4) {
+                    0 => presets::paper_machine(seed),
+                    1 => presets::small_machine(seed),
+                    2 => numa_small(seed),
+                    _ => presets::numa_machine(2, seed),
+                };
+                let n_vcores = cfg.topology.num_vcores();
+                let ways = cfg.llc.ways;
+                let mut fast = Machine::new(cfg.clone());
+                let mut cold = Machine::new(cfg);
+                let barrier = BarrierSpec {
+                    group: BarrierId(0),
+                    interval_instructions: rng.gen_range(5e5f64..4e6),
+                };
+                let n_threads = rng.gen_range(1..n_vcores.min(32) + 8);
+                for app in 0..n_threads as u32 {
+                    let joins = rng.gen_range(0u32..3) == 0;
+                    let spec = random_spec(rng, app, joins.then_some(barrier));
+                    let vcore = VCoreId(rng.gen_range(0..n_vcores) as u32);
+                    fast.spawn(spec.clone(), vcore);
+                    cold.spawn(spec, vcore);
+                }
+                for batch in 0..8 {
+                    for _ in 0..rng.gen_range(1u32..20) {
+                        fast.tick();
+                        cold.tick_cold();
+                    }
+                    let (f, c) = (state_lines(&fast), state_lines(&cold));
+                    assert_eq!(f.len(), c.len(), "batch {batch}: state shapes differ");
+                    for (a, b) in f.iter().zip(&c) {
+                        assert_eq!(a, b, "batch {batch}: fast tick diverged from cold tick");
+                    }
+                    assert_eq!(fast.n_remote, fast.count_remote(), "batch {batch}");
+                    let n = fast.num_threads() as u32;
+                    let thread = ThreadId(rng.gen_range(0..n));
+                    let vcore = VCoreId(rng.gen_range(0..n_vcores) as u32);
+                    match rng.gen_range(0u32..5) {
+                        0 => {
+                            fast.migrate(thread, vcore);
+                            cold.migrate(thread, vcore);
+                        }
+                        1 => {
+                            let dur = SimTime::from_us(rng.gen_range(0u64..6_000));
+                            fast.stall(thread, dur);
+                            cold.stall(thread, dur);
+                        }
+                        2 => {
+                            let n_clusters = rng.gen_range(1u32..4);
+                            let cluster_ways = (0..n_clusters)
+                                .map(|_| rng.gen_range(1..=ways / 4))
+                                .collect();
+                            // Drawing one past the last cluster leaves the
+                            // thread in the shared pool.
+                            let assignments = (0..n)
+                                .filter_map(|t| {
+                                    let c = rng.gen_range(0..=n_clusters);
+                                    (c < n_clusters).then_some((ThreadId(t), c))
+                                })
+                                .collect();
+                            let plan = PartitionPlan {
+                                cluster_ways,
+                                assignments,
+                            };
+                            fast.apply_partition(&plan).unwrap();
+                            cold.apply_partition(&plan).unwrap();
+                        }
+                        3 => {
+                            fast.clear_partition();
+                            cold.clear_partition();
+                        }
+                        _ => {
+                            let joins = rng.gen_range(0u32..3) == 0;
+                            let spec = random_spec(rng, n, joins.then_some(barrier));
+                            fast.spawn(spec.clone(), vcore);
+                            cold.spawn(spec, vcore);
+                        }
+                    }
+                }
+            },
+        );
     }
 }

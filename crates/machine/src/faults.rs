@@ -330,7 +330,7 @@ fn mix2(base: u64, thread: u32, quantum: u64) -> u64 {
 
 /// Pre-mixed fault-draw state for one run.
 ///
-/// The first round of [`mix`] depends only on `(seed, salt)`, both fixed
+/// The first round of `mix` depends only on `(seed, salt)`, both fixed
 /// for a run, so the hasher caches it per channel once and every draw
 /// costs two SplitMix64 rounds instead of three. The draws are
 /// bit-identical to the corresponding [`FaultConfig`] methods (asserted by

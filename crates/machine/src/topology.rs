@@ -90,7 +90,8 @@ json_struct!(NumaDomain {
 ///
 /// Every physical core belongs to exactly one NUMA domain (the memory
 /// controller its misses are homed to). Single-controller machines — the
-/// paper's testbed — put every core in domain 0.
+/// paper's testbed — put every core in domain 0, and the engine runs them
+/// through the same per-domain tick path with N = 1.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     pcores: Vec<PhysicalCore>,

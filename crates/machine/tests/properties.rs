@@ -347,11 +347,11 @@ fn numa_total_bandwidth_never_exceeds_sum_of_controller_peaks() {
 #[test]
 fn warm_started_solver_tracks_reference_across_perturbation_sequences() {
     // The engine's warm solver re-solves a controller only when its demand
-    // vector moves, seeding the fixed point from the previous quantum's
-    // utilisation. Across randomized perturbation sequences — small nudges,
-    // large jumps, membership growth/shrink — every answer it hands out
-    // (including reused ones, in exact mode) must agree with the cold
-    // full-budget `solve_memory_reference` to 1e-9 relative.
+    // vector moves, and reuses its memoised answer otherwise. Across
+    // randomized perturbation sequences — small nudges, large jumps,
+    // membership growth/shrink — every answer it hands out (reused ones
+    // included) must agree with the cold full-budget
+    // `solve_memory_reference` to 1e-9 relative.
     check(
         "warm_started_solver_tracks_reference_across_perturbation_sequences",
         48,

@@ -24,6 +24,8 @@
 //!   result ordering and a `DIKE_THREADS` environment override (replaces
 //!   `rayon` for the experiment drivers' embarrassingly parallel maps).
 //!
+//! [`bench`]: mod@bench
+//!
 //! The RNG stream and the JSON output shape are frozen by golden tests in
 //! `tests/`: any change to either is a breaking change for recorded
 //! experiment fixtures and seeded test expectations.

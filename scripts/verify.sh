@@ -35,6 +35,10 @@ step "build" cargo build --release --offline --workspace --all-targets
 step "test" cargo test -q --offline --workspace
 step "clippy" cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Rustdoc: every intra-doc link must resolve. Deleting or renaming an item
+# leaves the links to it dangling, and nothing but rustdoc notices.
+step "doc" env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # Parallel-driver smoke: the pooled sweeps — closed, open-system and the
 # fleet roll-up — must stay byte-identical to the serial path when
 # actually running on multiple workers.
