@@ -16,6 +16,11 @@
 //! 5. advances threads, clamping at phase boundaries, barrier points and
 //!    program completion, and accumulates per-thread and per-core counters.
 //!
+//! Stages 1–4 run only when an event changed their inputs, and between
+//! events [`Machine::run_for`] advances whole quiescent stretches in one
+//! pass (see `Machine::step`); every path is bit-identical to ticking
+//! one tick at a time.
+//!
 //! Everything is deterministic given [`crate::config::MachineConfig::seed`]:
 //! the only stochastic element, phase burstiness, is derived from a hash of
 //! `(seed, thread, coarse tick)`, so a thread's intrinsic behaviour over time
@@ -108,15 +113,35 @@ pub struct Machine {
     vcore_pcore: Vec<u32>,
     /// Frequency of each vcore, likewise flattened.
     vcore_freq: Vec<f64>,
+    /// Cycles each vcore clocks per tick (`freq · dt`), the per-tick
+    /// `cycles` step of every thread running on it.
+    vcore_cycles: Vec<f64>,
     // Per-thread cached tick state, indexed by dense thread id. Written
     // by the rebuild stages, read by the advance stage; between rebuilds
     // of a thread's domain the entries stay exact (the boundary entry is
     // a decayed lower bound, re-walked exactly in the advance slow path).
     thread_phase: Vec<Phase>,
     thread_boundary: Vec<f64>,
-    thread_eff_mr: Vec<f64>,
     thread_demand: Vec<MemDemand>,
     thread_rate: Vec<f64>,
+    /// The step cache: a fast-path tick's LLC-miss and LLC-access
+    /// increments, `a·mr` and `a·max(apki/1000, mr)` with `a = rate·dt`,
+    /// stored whenever the thread's controller is solved (its rate, miss
+    /// ratio and phase are then all current).
+    thread_step_miss: Vec<f64>,
+    thread_step_access: Vec<f64>,
+    /// Phase freshness: true while `thread_phase` is the phase at the
+    /// thread's `retired` count and `thread_boundary` a lower bound on the
+    /// distance to its next boundary. Only fast-path advances happened
+    /// since the lookup, and each stays a full instruction short of that
+    /// bound, so a rebuild may skip the walk. Cleared at spawn and by every
+    /// slow-path advance.
+    phase_fresh: Vec<bool>,
+    /// No dead time or warm-up of a live thread can be crossed before this
+    /// instant: every such instant later than the last rebuild is at or
+    /// after it. The expiry scan runs only once `now` reaches it and then
+    /// re-arms it; every writer of `dead_until`/`warmup_until` lowers it.
+    next_expiry: SimTime,
     /// Set by every state mutation (spawn, migration, stall, balancer
     /// move, completion, barrier traffic, phase-boundary crossing). While
     /// clear, the per-tick scratch state built by the last full tick still
@@ -142,6 +167,8 @@ pub struct Machine {
     scratch_finished: Vec<ThreadId>,
     scratch_occupancy: Vec<u32>,
     scratch_moves: Vec<(ThreadId, VCoreId)>,
+    /// The runnable threads of a span, in alive order.
+    scratch_span: Vec<u32>,
     // Incremental-rebuild state, per NUMA domain (a single domain on the
     // paper machine).
     /// NUMA domain of each vcore, flattened from the immutable topology.
@@ -237,6 +264,8 @@ impl Machine {
         let vcore_freq: Vec<f64> = (0..n_vcores)
             .map(|v| cfg.topology.freq_of(VCoreId(v as u32)))
             .collect();
+        let dt_s = cfg.tick_us as f64 / 1e6;
+        let vcore_cycles: Vec<f64> = vcore_freq.iter().map(|&f| f * dt_s).collect();
         let num_domains = cfg.topology.num_domains();
         let n_pcores = cfg.topology.num_pcores();
         let vcore_domain: Vec<u32> = (0..n_vcores)
@@ -263,11 +292,15 @@ impl Machine {
             alive: Vec::new(),
             vcore_pcore,
             vcore_freq,
+            vcore_cycles,
             thread_phase: Vec::new(),
             thread_boundary: Vec::new(),
-            thread_eff_mr: Vec::new(),
             thread_demand: Vec::new(),
             thread_rate: Vec::new(),
+            thread_step_miss: Vec::new(),
+            thread_step_access: Vec::new(),
+            phase_fresh: Vec::new(),
+            next_expiry: SimTime::ZERO,
             // Dirty until the first full tick builds the scratch state.
             state_dirty: true,
             memo_window: u64::MAX,
@@ -279,6 +312,7 @@ impl Machine {
             scratch_finished: Vec::new(),
             scratch_occupancy: Vec::new(),
             scratch_moves: Vec::new(),
+            scratch_span: Vec::new(),
             vcore_domain,
             dirty_domains: vec![false; num_domains],
             stale_ctrls: vec![false; num_domains],
@@ -343,12 +377,14 @@ impl Machine {
         self.noise_unit.push(0.0);
         self.thread_phase.push(phase0);
         self.thread_boundary.push(0.0);
-        self.thread_eff_mr.push(0.0);
         self.thread_demand.push(MemDemand {
             base_time_per_instr: 0.0,
             miss_ratio: 0.0,
         });
         self.thread_rate.push(0.0);
+        self.thread_step_miss.push(0.0);
+        self.thread_step_access.push(0.0);
+        self.phase_fresh.push(false);
         self.thread_cluster.push(u32::MAX);
         // Ids are monotone, so appending keeps the alive list ascending.
         self.alive.push(id.0);
@@ -379,6 +415,7 @@ impl Machine {
         // what first wakes the balancer) never allocates mid-run.
         self.scratch_finished.reserve(n);
         self.scratch_moves.reserve(n);
+        self.scratch_span.reserve(n);
         self.events
             .push(MachineEvent::Spawned { thread: id, vcore });
         id
@@ -409,6 +446,12 @@ impl Machine {
         }
         let home = self.threads.home_domain[i as usize].index();
         self.n_remote = self.n_remote + usize::from(to_d != home) - usize::from(from_d != home);
+    }
+
+    /// Record a newly written dead-time or warm-up instant: the cached next
+    /// expiry may only move earlier.
+    fn note_expiry(&mut self, at: SimTime) {
+        self.next_expiry = self.next_expiry.min(at);
     }
 
     /// Move a thread to another virtual core. A move to the thread's current
@@ -453,6 +496,8 @@ impl Machine {
         }
         self.threads.warmup_until[i] =
             self.now + SimTime::from_us(self.cfg.migration.dead_time_us + warmup);
+        self.note_expiry(self.threads.dead_until[i]);
+        self.note_expiry(self.threads.warmup_until[i]);
         self.threads.counters[i].migrations += 1;
         self.policy_migrations += 1;
         self.state_dirty = true;
@@ -478,6 +523,7 @@ impl Machine {
             return;
         }
         self.threads.dead_until[i] = until;
+        self.note_expiry(until);
         self.mark_thread_dirty(i);
         self.state_dirty = true;
         self.events.push(MachineEvent::Stalled {
@@ -566,6 +612,7 @@ impl Machine {
                 // Extend, never shorten, a warm-up already pending.
                 if until > self.threads.warmup_until[i] {
                     self.threads.warmup_until[i] = until;
+                    self.note_expiry(until);
                 }
                 self.mark_thread_dirty(i);
             }
@@ -898,6 +945,7 @@ impl Machine {
             warmup = (warmup as f64 * self.cfg.migration.cross_domain_warmup_factor) as u64;
         }
         self.threads.warmup_until[i] = self.now + SimTime::from_us(warmup);
+        self.note_expiry(self.threads.warmup_until[i]);
         self.state_dirty = true;
         self.balancer_moves += 1;
         self.events.push(MachineEvent::Balanced {
@@ -952,10 +1000,12 @@ impl Machine {
                 continue;
             }
             // Stage 1 (per dirty domain): loads, phases and the domain's
-            // shared-LLC slice, walking only this domain's members — one
-            // combined walk per thread, whose phase lookup every later
-            // stage reuses (LLC pressure, demand build, the first boundary
-            // step, and the apki read). Stage 2 reads loads only where a
+            // shared-LLC slice, walking only this domain's members. A
+            // thread whose phase went stale (new, or advanced by the slow
+            // path since) gets one combined phase-table walk, whose result
+            // every later stage reuses (LLC pressure, demand build, the
+            // step cache, the advance's boundary test); a fresh thread's
+            // cached phase is still exact. Stage 2 reads loads only where a
             // member of d sits (pcores never span domains), so zeroing
             // those entries first resets them.
             for &i in &self.run_members[d] {
@@ -978,19 +1028,23 @@ impl Machine {
                     continue;
                 }
                 self.ctrl_scratch_members.push(i as u32);
-                let (phase, boundary) = self.threads.specs[i]
-                    .program
-                    .phase_and_boundary(self.threads.retired[i])
-                    .expect("runnable thread must have an active phase");
-                self.thread_phase[i] = phase;
-                self.thread_boundary[i] = boundary;
+                if !self.phase_fresh[i] {
+                    let (phase, boundary) = self.threads.specs[i]
+                        .program
+                        .phase_and_boundary(self.threads.retired[i])
+                        .expect("runnable thread must have an active phase");
+                    self.thread_phase[i] = phase;
+                    self.thread_boundary[i] = boundary;
+                    self.phase_fresh[i] = true;
+                }
+                let ws = self.thread_phase[i].working_set_mib;
                 let v = self.threads.vcore[i].index();
                 self.scratch_vcore_load[v] += 1;
                 self.scratch_pcore_load[self.vcore_pcore[v] as usize] += 1;
-                ws_sum += phase.working_set_mib;
+                ws_sum += ws;
                 if self.partition_active {
                     let slot = self.cluster_slot(i);
-                    self.scratch_cluster_ws[slot] += phase.working_set_mib;
+                    self.scratch_cluster_ws[slot] += ws;
                 }
             }
             if self.partition_active {
@@ -1047,7 +1101,6 @@ impl Machine {
                     1.0
                 };
                 let base_time = cpi / (freq * share * smt_factor);
-                self.thread_eff_mr[i] = mr;
                 let demand = MemDemand {
                     base_time_per_instr: base_time,
                     miss_ratio: mr,
@@ -1103,8 +1156,11 @@ impl Machine {
     }
 
     /// Solve controller `c` for the sub-vector in the controller scratch
-    /// and scatter the achieved rates back to its members.
+    /// and scatter the achieved rates back to its members, with each
+    /// member's step cache. Every demand a rebuild recomputes is re-solved
+    /// here before the advance reads it, so the steps are always current.
     fn solve_ctrl(&mut self, c: usize) {
+        let dt_s = self.cfg.tick_us as f64 / 1e6;
         let (rates, _) = self.ctrl_solver.solve(
             c,
             &self.ctrl_scratch_demands,
@@ -1112,17 +1168,69 @@ impl Machine {
             &self.cfg.memory,
         );
         for (j, &i) in self.ctrl_scratch_members.iter().enumerate() {
-            self.thread_rate[i as usize] = rates[j];
+            let i = i as usize;
+            let rate = rates[j];
+            let advance = rate * dt_s;
+            let mr = self.thread_demand[i].miss_ratio;
+            self.thread_rate[i] = rate;
+            self.thread_step_miss[i] = advance * mr;
+            self.thread_step_access[i] = advance * (self.thread_phase[i].apki / 1000.0).max(mr);
         }
     }
 
     /// True when a dead time or warm-up of thread `i` expired between the
-    /// last rebuild and now (see the expiry scan in [`Machine::tick`]).
+    /// last rebuild and now (see [`Machine::scan_expiries`]).
     #[inline]
     fn expiry_crossed(&self, i: usize) -> bool {
         let dead = self.threads.dead_until[i];
         let warm = self.threads.warmup_until[i];
         (dead > self.cache_now && dead <= self.now) || (warm > self.cache_now && warm <= self.now)
+    }
+
+    /// The expiry scan. A dead time or warm-up that ended between
+    /// `cache_now` (when the cached state was built) and now changes the
+    /// runnable set or an effective miss ratio without any event firing,
+    /// so each such *crossing* marks its thread's run domain and home
+    /// controller for the partial rebuild; an expiry still in the future
+    /// flips no cached branch outcome (`now >= dead_until`,
+    /// `now < warmup_until`) yet. Returns whether anything was crossed,
+    /// and re-arms `next_expiry` at the earliest instant still ahead: after
+    /// this tick's head either a rebuild moves `cache_now` to now, or
+    /// nothing lay in `(cache_now, now]`, so every pending instant is
+    /// later than now.
+    fn scan_expiries(&mut self) -> bool {
+        let mut crossed = false;
+        let mut next = SimTime(u64::MAX);
+        for idx in 0..self.alive.len() {
+            let i = self.alive[idx] as usize;
+            if self.expiry_crossed(i) {
+                crossed = true;
+                self.mark_thread_dirty(i);
+            }
+            for at in [self.threads.dead_until[i], self.threads.warmup_until[i]] {
+                if at > self.now {
+                    next = next.min(at);
+                }
+            }
+        }
+        self.next_expiry = next;
+        crossed
+    }
+
+    /// True when some barrier group has every live member waiting, so the
+    /// release scan would free it. Never the case at a tick's start: only
+    /// an advance parks or finishes a thread, that dirties the state, and
+    /// a tick whose advance dirtied the state runs the release scan.
+    fn barrier_releasable(&self) -> bool {
+        self.barrier_groups.values().any(|members| {
+            let waiting = |t: &ThreadId| {
+                !self.threads.finished(t.index()) && self.threads.at_barrier[t.index()]
+            };
+            members.iter().any(waiting)
+                && members
+                    .iter()
+                    .all(|t| self.threads.finished(t.index()) || waiting(t))
+        })
     }
 
     /// Advance the machine by one tick.
@@ -1139,9 +1247,39 @@ impl Machine {
     /// actually reach it (see the advance stage). Eligibility
     /// is conservative — every mutation (spawn, migration, stall,
     /// balancer move, completion, barrier traffic, phase-boundary
-    /// crossing) marks the cached state dirty, and a pending dead-time or
+    /// crossing) marks the cached state dirty, and a crossed dead-time or
     /// warm-up expiry, or a noise-window change, forces the full path.
     pub fn tick(&mut self) {
+        self.step(1);
+    }
+
+    /// Run one tick's head, then advance between 1 and `max` ticks from
+    /// it, returning how many. When every later tick of a stretch would be
+    /// quiescent with each runnable thread on its fast path, the stretch
+    /// runs as one span (see [`Machine::span_horizon`]); otherwise the tick
+    /// runs alone.
+    fn step(&mut self, max: u64) -> u64 {
+        debug_assert!(
+            !self.barrier_releasable(),
+            "a barrier group is releasable at a tick start"
+        );
+        self.tick_head();
+        let span = if max >= 2 { self.span_horizon(max) } else { 1 };
+        if span >= 2 {
+            self.advance_span(span);
+            span
+        } else {
+            self.tick_body();
+            1
+        }
+    }
+
+    /// A tick's head: the OS balancer on its period, the expiry test and,
+    /// unless the cached state still describes the machine exactly, the
+    /// rebuild. Skipping the rebuild is bit-identical because rebuilding
+    /// is idempotent: with no input changed it would recompute exactly the
+    /// cached values.
+    fn tick_head(&mut self) {
         // The OS balancer runs on its own coarse period. Its moves dirty
         // the cached state, so quiescence is judged after it runs.
         if self.cfg.balance.enabled
@@ -1153,188 +1291,209 @@ impl Machine {
         {
             self.balance();
         }
-        let dt_s = self.cfg.tick_us as f64 / 1e6;
-        let n_vcores = self.cfg.topology.num_vcores();
         let window = self.tick_index / NOISE_WINDOW_TICKS;
-
-        // Quiescent-tick eligibility. The expiry scan detects *crossings*:
-        // a dead time or warm-up that ended between `cache_now` (when the
-        // cached state was built) and this tick changes the runnable set
-        // or an effective miss ratio without any event firing. An expiry
-        // still in the future flips nothing yet — every cached branch
-        // outcome (`now >= dead_until`, `now < warmup_until`) is constant
-        // until the instant is actually crossed — so, unlike the previous
-        // scheme, a pending expiry alone no longer forces a rebuild every
-        // tick. Skipping the rebuild is bit-identical because rebuilding
-        // is idempotent: with no input changed it would recompute exactly
-        // the cached values.
-        // The crossing is also an *event*: mark the thread's run domain and
-        // home controller so the partial rebuild refreshes them. Crossings
-        // are rare, so a read-only scan looks for one first.
-        let crossed = self.alive.iter().any(|&i| self.expiry_crossed(i as usize));
-        if crossed {
-            for idx in 0..self.alive.len() {
-                let i = self.alive[idx] as usize;
-                if self.expiry_crossed(i) {
-                    self.mark_thread_dirty(i);
-                }
-            }
-        }
-        let quiescent = !self.state_dirty && window == self.memo_window && !crossed;
-
-        if !quiescent {
+        // Before the cached next expiry no crossing can have happened, so
+        // the O(alive) scan runs only once `now` reaches it.
+        let crossed = self.now >= self.next_expiry && self.scan_expiries();
+        if self.state_dirty || window != self.memo_window || crossed {
             self.rebuild_tick_state(window);
         }
+    }
 
+    /// How many consecutive ticks, at most `cap`, thread `i` takes the
+    /// advance fast path from its current state. Each iteration runs the
+    /// per-tick test on the very `retired` and `thread_boundary` float
+    /// chains the advance will produce.
+    ///
+    /// `thread_boundary[i]` is a lower bound on the distance to the
+    /// thread's next phase boundary (or completion): exact right after a
+    /// phase lookup, then decayed by each tick's progress, whose f64
+    /// rounding the one-instruction cushion absorbs. When a tick's whole
+    /// progress fits strictly inside that bound and short of the barrier,
+    /// the exact walk of [`Machine::slow_advance`] would take its
+    /// single-slice branch with the very same advance, so the walk is
+    /// skipped — and the phase cannot have changed, which is what keeps
+    /// `phase_fresh` honest.
+    #[inline]
+    fn fast_ticks_ahead(&self, i: usize, dt_s: f64, cap: u64) -> u64 {
+        let rate = self.thread_rate[i];
+        let advance = rate * dt_s;
+        let next_barrier_at = self.threads.next_barrier_at[i];
+        let mut retired = self.threads.retired[i];
+        let mut bound = self.thread_boundary[i];
+        let mut k = 0;
+        while k < cap
+            && rate > 0.0
+            && advance < bound - 1.0
+            && advance < (next_barrier_at - retired).max(0.0)
         {
-            // No thread can become remote during the advance (only finish
-            // there), so one read serves the whole loop.
-            let any_remote = self.n_remote > 0;
-            // 5. Advance threads (the alive list is ascending and the
-            // runnable set cannot have changed since the last rebuild, so
-            // this meets exactly the rebuilt threads, in rebuild order).
-            self.scratch_vcore_busy.clear();
-            self.scratch_vcore_busy.resize(n_vcores, false);
-            for idx in 0..self.alive.len() {
-                let i = self.alive[idx] as usize;
-                if !self.threads.runnable(i, self.now) {
-                    continue;
-                }
-                let rate = self.thread_rate[i];
-                let mr = self.thread_eff_mr[i];
-                let vcore = self.threads.vcore[i];
-                let freq = self.vcore_freq[vcore.index()];
-                let retired = self.threads.retired[i];
-                let next_barrier_at = self.threads.next_barrier_at[i];
+            retired += advance;
+            bound -= advance;
+            k += 1;
+        }
+        k
+    }
 
-                // `thread_boundary[i]` is a lower bound on the distance
-                // to the thread's next phase boundary: exact right after
-                // its domain's rebuild, then decayed by each tick's
-                // progress (the decay's f64 rounding is absorbed by a
-                // one-instruction cushion in the test below). When the
-                // whole tick's progress fits strictly inside that bound
-                // and short of the barrier, the exact walk below would
-                // take its single-slice branch with the very same
-                // `advance`, so the walk is skipped outright.
-                let to_barrier0 = (next_barrier_at - retired).max(0.0);
-                let possible0 = rate * dt_s;
-                let mut advance = 0.0;
-                let mut hit_barrier = false;
-                if rate > 0.0
-                    && possible0 < self.thread_boundary[i] - 1.0
-                    && possible0 < to_barrier0
-                {
-                    advance = possible0;
-                } else {
-                    // Near a boundary, a barrier, or stalled: run the exact
-                    // multi-slice advance. The cached bound may have
-                    // decayed, so the true distance is re-walked first —
-                    // `instructions_to_boundary` returns the same value a
-                    // rebuild's phase lookup computes (a property pinned by
-                    // a unit test in `phase.rs`), so re-walking is always
-                    // exact regardless of how stale the bound was.
-                    self.thread_boundary[i] = self.threads.specs[i]
-                        .program
-                        .instructions_to_boundary(retired);
-                    // Advance through as many phase boundaries as the tick
-                    // allows (the achieved rate is held constant within the
-                    // tick; phase boundaries only clamp barrier/completion
-                    // crossings exactly). The first iteration's boundary came
-                    // free with the walk above.
-                    let mut time_left = dt_s;
-                    let mut first_boundary = Some(self.thread_boundary[i]);
-                    for _ in 0..64 {
-                        if time_left <= 0.0 || rate <= 0.0 {
-                            break;
-                        }
-                        let pos = retired + advance;
-                        let to_boundary = match first_boundary.take() {
-                            Some(b) => b,
-                            None => self.threads.specs[i].program.instructions_to_boundary(pos),
-                        };
-                        let to_barrier = (next_barrier_at - pos).max(0.0);
-                        let limit = to_boundary.min(to_barrier);
-                        if limit <= 0.0 {
-                            hit_barrier = to_barrier <= 0.0 && to_barrier <= to_boundary;
-                            break;
-                        }
-                        let possible = rate * time_left;
-                        if possible < limit {
-                            advance += possible;
-                            time_left = 0.0;
-                        } else {
-                            advance += limit;
-                            time_left -= limit / rate;
-                            if to_barrier <= to_boundary {
-                                hit_barrier = true;
-                                break;
-                            }
-                        }
-                    }
-                }
+    /// Apply `k` ticks of thread `i`'s progress: each retires `advance`
+    /// instructions, adds `misses` and `accesses` LLC events and its
+    /// vcore's cycle step, and decays the boundary bound — the same float
+    /// chains, in the same order, whether the ticks run one at a time or
+    /// as a span. The fast path passes its step cache; the slow path its
+    /// walked advance, with `k = 1`.
+    #[inline]
+    fn apply_ticks(&mut self, i: usize, k: u64, advance: f64, misses: f64, accesses: f64) {
+        let v = self.threads.vcore[i].index();
+        let cycles = self.vcore_cycles[v];
+        let mut retired = self.threads.retired[i];
+        let mut bound = self.thread_boundary[i];
+        let c = &mut self.threads.counters[i];
+        for _ in 0..k {
+            retired += advance;
+            bound -= advance;
+            c.instructions += advance;
+            c.llc_misses += misses;
+            c.llc_accesses += accesses;
+            c.cycles += cycles;
+        }
+        c.busy_us += k * self.cfg.tick_us;
+        if self.n_remote > 0 && self.vcore_domain[v] != self.threads.home_domain[i].0 {
+            c.remote_us += k * self.cfg.tick_us;
+        }
+        self.threads.retired[i] = retired;
+        self.thread_boundary[i] = bound;
+    }
 
-                let apki = self.thread_phase[i].apki;
-                self.threads.retired[i] = retired + advance;
-                let c = &mut self.threads.counters[i];
-                c.instructions += advance;
-                c.llc_misses += advance * mr;
-                c.llc_accesses += advance * (apki / 1000.0).max(mr);
-                c.cycles += freq * dt_s;
-                c.busy_us += self.cfg.tick_us;
-                if any_remote && self.vcore_domain[vcore.index()] != self.threads.home_domain[i].0 {
-                    self.threads.counters[i].remote_us += self.cfg.tick_us;
-                }
-                self.scratch_vcore_busy[vcore.index()] = true;
-                self.vcore_counters[vcore.index()].accesses +=
-                    advance * mr * self.cfg.memory.prefetch_factor;
-
-                // Reaching (or crossing) a phase boundary changes the next
-                // tick's phase lookup, so the cached phases cannot be
-                // reused past it.
-                if advance >= self.thread_boundary[i] {
-                    self.state_dirty = true;
-                    self.mark_thread_dirty(i);
-                }
-                // Decay the boundary bound by this tick's progress (see
-                // above; a rebuild restores exactness).
-                self.thread_boundary[i] -= advance;
-                if self.threads.retired[i] >= self.threads.specs[i].program.total_instructions {
-                    self.threads.finished_at[i] =
-                        Some(self.now + SimTime::from_us(self.cfg.tick_us));
-                    self.threads.at_barrier[i] = false;
-                    self.state_dirty = true;
-                    // The departure changes its domain's loads and its
-                    // controller's membership; drop it from both walk lists
-                    // now that it can never run again.
-                    self.mark_thread_dirty(i);
-                    let d = self.vcore_domain[vcore.index()] as usize;
-                    if let Ok(pos) = self.run_members[d].binary_search(&(i as u32)) {
-                        self.run_members[d].remove(pos);
-                    }
-                    let h = self.threads.home_domain[i].index();
-                    if let Ok(pos) = self.home_members[h].binary_search(&(i as u32)) {
-                        self.home_members[h].remove(pos);
-                    }
-                    self.n_remote -= usize::from(d != h);
-                } else if hit_barrier {
-                    self.threads.at_barrier[i] = true;
-                    self.state_dirty = true;
-                    self.mark_thread_dirty(i);
+    /// The exact multi-slice advance of thread `i` over one tick, for a
+    /// thread near a boundary, a barrier, or stalled. The cached bound may
+    /// have decayed, so the true distance is re-walked first (and stored)
+    /// — `instructions_to_boundary` returns the same value a rebuild's
+    /// phase lookup computes (a property pinned by a unit test in
+    /// `phase.rs`), so re-walking is always exact regardless of how stale
+    /// the bound was. The thread then advances through as many phase
+    /// boundaries as the tick allows (the achieved rate is held constant
+    /// within the tick; phase boundaries only clamp barrier/completion
+    /// crossings exactly). Returns the instructions retired and whether
+    /// the thread reached its barrier.
+    fn slow_advance(&mut self, i: usize, dt_s: f64) -> (f64, bool) {
+        let rate = self.thread_rate[i];
+        let retired = self.threads.retired[i];
+        let next_barrier_at = self.threads.next_barrier_at[i];
+        self.thread_boundary[i] = self.threads.specs[i]
+            .program
+            .instructions_to_boundary(retired);
+        let mut advance = 0.0;
+        let mut hit_barrier = false;
+        let mut time_left = dt_s;
+        // The first iteration's boundary came free with the walk above.
+        let mut first_boundary = Some(self.thread_boundary[i]);
+        for _ in 0..64 {
+            if time_left <= 0.0 || rate <= 0.0 {
+                break;
+            }
+            let pos = retired + advance;
+            let to_boundary = match first_boundary.take() {
+                Some(b) => b,
+                None => self.threads.specs[i].program.instructions_to_boundary(pos),
+            };
+            let to_barrier = (next_barrier_at - pos).max(0.0);
+            let limit = to_boundary.min(to_barrier);
+            if limit <= 0.0 {
+                hit_barrier = to_barrier <= 0.0 && to_barrier <= to_boundary;
+                break;
+            }
+            let possible = rate * time_left;
+            if possible < limit {
+                advance += possible;
+                time_left = 0.0;
+            } else {
+                advance += limit;
+                time_left -= limit / rate;
+                if to_barrier <= to_boundary {
+                    hit_barrier = true;
+                    break;
                 }
             }
-            for (v, busy) in self.scratch_vcore_busy.iter().enumerate() {
-                if *busy {
-                    self.vcore_counters[v].busy_us += self.cfg.tick_us;
+        }
+        (advance, hit_barrier)
+    }
+
+    /// The rest of a lone tick after its head: advance every runnable
+    /// thread, release complete barrier groups, record completions.
+    fn tick_body(&mut self) {
+        let dt_s = self.cfg.tick_us as f64 / 1e6;
+        let tick_us = self.cfg.tick_us;
+        let pf = self.cfg.memory.prefetch_factor;
+        let tick_end = self.now + SimTime::from_us(tick_us);
+        self.scratch_vcore_busy.clear();
+        self.scratch_vcore_busy
+            .resize(self.cfg.topology.num_vcores(), false);
+        self.scratch_finished.clear();
+        // 5. Advance threads (the alive list is ascending and the runnable
+        // set cannot have changed since the last rebuild, so this meets
+        // exactly the rebuilt threads, in rebuild order).
+        for idx in 0..self.alive.len() {
+            let i = self.alive[idx] as usize;
+            if !self.threads.runnable(i, self.now) {
+                continue;
+            }
+            let v = self.threads.vcore[i].index();
+            if !self.scratch_vcore_busy[v] {
+                self.scratch_vcore_busy[v] = true;
+                self.vcore_counters[v].busy_us += tick_us;
+            }
+            if self.fast_ticks_ahead(i, dt_s, 1) == 1 {
+                let (advance, misses) = (self.thread_rate[i] * dt_s, self.thread_step_miss[i]);
+                self.apply_ticks(i, 1, advance, misses, self.thread_step_access[i]);
+                self.vcore_counters[v].accesses += misses * pf;
+                continue;
+            }
+            let (advance, hit_barrier) = self.slow_advance(i, dt_s);
+            self.phase_fresh[i] = false;
+            // Reaching (or crossing) a phase boundary changes the next
+            // rebuild's phase lookup, so the cached state cannot be reused
+            // past it.
+            if advance >= self.thread_boundary[i] {
+                self.state_dirty = true;
+                self.mark_thread_dirty(i);
+            }
+            let mr = self.thread_demand[i].miss_ratio;
+            let misses = advance * mr;
+            let accesses = advance * (self.thread_phase[i].apki / 1000.0).max(mr);
+            self.apply_ticks(i, 1, advance, misses, accesses);
+            self.vcore_counters[v].accesses += misses * pf;
+            if self.threads.retired[i] >= self.threads.specs[i].program.total_instructions {
+                self.threads.finished_at[i] = Some(tick_end);
+                self.threads.at_barrier[i] = false;
+                self.state_dirty = true;
+                // The departure changes its domain's loads and its
+                // controller's membership; drop it from both walk lists
+                // now that it can never run again.
+                self.mark_thread_dirty(i);
+                let d = self.vcore_domain[v] as usize;
+                if let Ok(pos) = self.run_members[d].binary_search(&(i as u32)) {
+                    self.run_members[d].remove(pos);
                 }
+                let h = self.threads.home_domain[i].index();
+                if let Ok(pos) = self.home_members[h].binary_search(&(i as u32)) {
+                    self.home_members[h].remove(pos);
+                }
+                self.n_remote -= usize::from(d != h);
+                // The alive walk is ascending, so completions are recorded
+                // in id order.
+                self.scratch_finished.push(ThreadId(i as u32));
+            } else if hit_barrier {
+                self.threads.at_barrier[i] = true;
+                self.state_dirty = true;
+                self.mark_thread_dirty(i);
             }
         }
 
         // Barrier release: a group proceeds when every alive member waits.
         // Membership state only moves on completions and barrier arrivals,
-        // both of which dirty the cache — on a still-clean quiescent tick
-        // the previous scan already released every complete group and
-        // nothing has arrived since, so the scan is skipped.
-        if !quiescent || self.state_dirty {
+        // both of which dirty the state; no group is releasable at a tick's
+        // start (see `barrier_releasable`), so a tick whose advance left
+        // the state clean has nothing to release.
+        if self.state_dirty {
             for members in self.barrier_groups.values() {
                 let all_arrived = members.iter().all(|t| {
                     let i = t.index();
@@ -1363,17 +1522,6 @@ impl Machine {
         }
 
         // Record completions after the fact (events carry the finish tick).
-        // Only a thread that ran this tick can have finished in it, so the
-        // alive list — still holding this tick's finishers, ascending — is
-        // the full candidate set (events keep their id order).
-        self.scratch_finished.clear();
-        let tick_end = self.now + SimTime::from_us(self.cfg.tick_us);
-        for idx in 0..self.alive.len() {
-            let i = self.alive[idx] as usize;
-            if self.threads.finished_at[i] == Some(tick_end) {
-                self.scratch_finished.push(ThreadId(i as u32));
-            }
-        }
         self.now = tick_end;
         self.tick_index += 1;
         if !self.scratch_finished.is_empty() {
@@ -1387,6 +1535,79 @@ impl Machine {
         }
     }
 
+    /// The span horizon: how many ticks, up to `max`, can run from here
+    /// as one span — at least 2, or this tick runs alone. Every later
+    /// tick of a span must have a quiescent head and fast-path advances,
+    /// so the span stops short of
+    ///
+    /// * the next noise window (its head would redraw burstiness);
+    /// * the next balancer instant (its head would run the balancer);
+    /// * the cached next expiry (its head could see a crossing);
+    /// * the first tick on which any runnable thread's fast-path test
+    ///   fails (its advance would take the slow path).
+    ///
+    /// A fast-path advance never parks, finishes or crosses a boundary,
+    /// so nothing inside a span dirties the state. Leaves the runnable
+    /// threads, in alive order, in the span scratch.
+    fn span_horizon(&mut self, max: u64) -> u64 {
+        debug_assert!(!self.state_dirty && self.next_expiry > self.now);
+        let tick = self.cfg.tick_us;
+        let now = self.now.as_us();
+        let mut h = max.min(NOISE_WINDOW_TICKS - self.tick_index % NOISE_WINDOW_TICKS);
+        if self.cfg.balance.enabled {
+            let interval = self.cfg.balance.interval_us;
+            h = h.min(((now / interval + 1) * interval - now).div_ceil(tick));
+        }
+        h = h.min((self.next_expiry.as_us() - now).div_ceil(tick));
+        let dt_s = tick as f64 / 1e6;
+        self.scratch_span.clear();
+        for idx in 0..self.alive.len() {
+            if h < 2 {
+                break;
+            }
+            let i = self.alive[idx] as usize;
+            if self.threads.runnable(i, self.now) {
+                h = self.fast_ticks_ahead(i, dt_s, h);
+                self.scratch_span.push(i as u32);
+            }
+        }
+        h
+    }
+
+    /// Run `h` ticks from [`Machine::span_horizon`] in one thread-major
+    /// pass. Each thread's float sums take its `h` adds in the same order
+    /// as `h` lone ticks; integer counters add `h` ticks at once; per-vcore
+    /// access sums stay tick-major, in alive order, because two threads
+    /// can share a vcore. No thread finishes, parks or crosses a boundary
+    /// in a span, so there is nothing to release or record.
+    fn advance_span(&mut self, h: u64) {
+        let dt_s = self.cfg.tick_us as f64 / 1e6;
+        let pf = self.cfg.memory.prefetch_factor;
+        let span_us = h * self.cfg.tick_us;
+        self.scratch_vcore_busy.clear();
+        self.scratch_vcore_busy
+            .resize(self.cfg.topology.num_vcores(), false);
+        for idx in 0..self.scratch_span.len() {
+            let i = self.scratch_span[idx] as usize;
+            let v = self.threads.vcore[i].index();
+            if !self.scratch_vcore_busy[v] {
+                self.scratch_vcore_busy[v] = true;
+                self.vcore_counters[v].busy_us += span_us;
+            }
+            let (advance, misses) = (self.thread_rate[i] * dt_s, self.thread_step_miss[i]);
+            self.apply_ticks(i, h, advance, misses, self.thread_step_access[i]);
+        }
+        for _ in 0..h {
+            for &i in &self.scratch_span {
+                let i = i as usize;
+                self.vcore_counters[self.threads.vcore[i].index()].accesses +=
+                    self.thread_step_miss[i] * pf;
+            }
+        }
+        self.now += SimTime::from_us(span_us);
+        self.tick_index += h;
+    }
+
     /// Run for a duration (must be a multiple of the tick length).
     pub fn run_for(&mut self, dur: SimTime) {
         assert_eq!(
@@ -1394,17 +1615,20 @@ impl Machine {
             0,
             "duration {dur} is not a multiple of the tick"
         );
-        let ticks = dur.as_us() / self.cfg.tick_us;
-        for _ in 0..ticks {
-            self.tick();
+        let mut left = dur.as_us() / self.cfg.tick_us;
+        while left > 0 {
+            left -= self.step(left);
         }
     }
 
     /// Run until all threads finish or `deadline` passes. Returns true if
-    /// everything finished.
+    /// everything finished. Spans are capped at the ticks left before
+    /// `deadline`; no thread finishes inside one, so stopping at the first
+    /// tick after which everything is done is unaffected.
     pub fn run_until_done(&mut self, deadline: SimTime) -> bool {
         while !self.all_done() && self.now < deadline {
-            self.tick();
+            let left = (deadline.as_us() - self.now.as_us()).div_ceil(self.cfg.tick_us);
+            self.step(left);
         }
         self.all_done()
     }
@@ -1985,18 +2209,28 @@ mod tests {
 
     impl Machine {
         /// One tick with every fast path forced off: the quiescent skip,
-        /// the per-domain incremental rebuild, the solver memo and the
-        /// no-remote shortcut (an offset on the remote count sends every
-        /// controller through the gather from its home list). The
-        /// reference a normal tick must match bit for bit.
+        /// the per-domain incremental rebuild, phase freshness (every
+        /// thread's phase is walked again), the cached next expiry (the
+        /// expiry scan runs), the solver memo, the no-remote shortcut (an
+        /// offset on the remote count sends every controller through the
+        /// gather from its home list) and the advance fast path with its
+        /// step cache (a bound of −∞ fails the fast-path test, so every
+        /// thread takes the exact slow walk). The reference a normal tick,
+        /// or a span, must match bit for bit.
         fn tick_cold(&mut self) {
             const PRETEND_REMOTE: usize = usize::MAX / 2;
             self.state_dirty = true;
             self.dirty_domains.iter_mut().for_each(|f| *f = true);
             self.stale_ctrls.iter_mut().for_each(|f| *f = true);
+            self.phase_fresh.iter_mut().for_each(|f| *f = false);
+            self.next_expiry = SimTime::ZERO;
             self.ctrl_solver.invalidate();
             self.n_remote += PRETEND_REMOTE;
-            self.tick();
+            self.tick_head();
+            for &i in &self.alive {
+                self.thread_boundary[i as usize] = f64::NEG_INFINITY;
+            }
+            self.tick_body();
             self.n_remote -= PRETEND_REMOTE;
         }
 
@@ -2061,26 +2295,40 @@ mod tests {
         lines
     }
 
+    /// Require the twins' `state_lines` to be equal, line by line.
+    fn assert_same_state(fast: &Machine, cold: &Machine, what: &str) {
+        let (f, c) = (state_lines(fast), state_lines(cold));
+        assert_eq!(f.len(), c.len(), "{what}: state shapes differ");
+        for (a, b) in f.iter().zip(&c) {
+            assert_eq!(a, b, "{what}: fast ticks diverged from cold ticks");
+        }
+    }
+
     #[test]
     fn fast_ticks_match_cold_ticks_on_random_machines() {
-        // The quiescent skip, the per-domain incremental rebuild, the
+        // The quiescent skip, spans, the step cache, phase freshness, the
+        // cached next expiry, the per-domain incremental rebuild, the
         // solver memo and the no-remote shortcut must each be a pure
-        // speedup: a machine ticking normally and its twin rebuilding,
-        // gathering and solving everything cold every tick must stay
-        // bit-identical through random placements, barriers, migrations,
-        // stalls, partition plans and mid-run spawns, on one- and
-        // two-domain machines alike.
+        // speedup: a machine running stretches of 1-20 ticks through
+        // `run_for` (so spans form wherever they may) and its twin
+        // rebuilding, walking, scanning, gathering and solving everything
+        // cold every single tick must stay bit-identical through random
+        // placements, barriers, migrations, stalls, partition plans and
+        // mid-run spawns, on one- and two-domain machines alike.
         check(
             "fast_ticks_match_cold_ticks_on_random_machines",
             48,
             |rng| {
                 let seed = rng.gen_range(0u64..1000);
-                let cfg = match rng.gen_range(0u32..4) {
+                let mut cfg = match rng.gen_range(0u32..4) {
                     0 => presets::paper_machine(seed),
                     1 => presets::small_machine(seed),
                     2 => numa_small(seed),
                     _ => presets::numa_machine(2, seed),
                 };
+                // A short balancer period, sometimes off the tick grid,
+                // puts balancer instants inside the stretches spans cover.
+                cfg.balance.interval_us = rng.gen_range(1u64..=24) * 500;
                 let n_vcores = cfg.topology.num_vcores();
                 let ways = cfg.llc.ways;
                 let mut fast = Machine::new(cfg.clone());
@@ -2097,16 +2345,14 @@ mod tests {
                     fast.spawn(spec.clone(), vcore);
                     cold.spawn(spec, vcore);
                 }
+                let tick_us = fast.config().tick_us;
                 for batch in 0..8 {
-                    for _ in 0..rng.gen_range(1u32..20) {
-                        fast.tick();
+                    let ticks = rng.gen_range(1u64..=20);
+                    fast.run_for(SimTime::from_us(ticks * tick_us));
+                    for _ in 0..ticks {
                         cold.tick_cold();
                     }
-                    let (f, c) = (state_lines(&fast), state_lines(&cold));
-                    assert_eq!(f.len(), c.len(), "batch {batch}: state shapes differ");
-                    for (a, b) in f.iter().zip(&c) {
-                        assert_eq!(a, b, "batch {batch}: fast tick diverged from cold tick");
-                    }
+                    assert_same_state(&fast, &cold, &format!("batch {batch}"));
                     assert_eq!(fast.n_remote, fast.count_remote(), "batch {batch}");
                     let n = fast.num_threads() as u32;
                     let thread = ThreadId(rng.gen_range(0..n));
@@ -2153,6 +2399,15 @@ mod tests {
                         }
                     }
                 }
+                // `run_until_done` spans too: capped at a deadline that may
+                // fall between ticks, and stopping once everything is done.
+                let deadline = fast.now() + SimTime::from_us(rng.gen_range(1u64..=60_000));
+                let done = fast.run_until_done(deadline);
+                while !cold.all_done() && cold.now() < deadline {
+                    cold.tick_cold();
+                }
+                assert_eq!(done, cold.all_done());
+                assert_same_state(&fast, &cold, "run_until_done");
             },
         );
     }

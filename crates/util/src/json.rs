@@ -246,12 +246,19 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a limit a hostile document of a few thousand `[`
+/// overflows the thread's stack and aborts the process. Every document
+/// this workspace writes nests at most 6 levels deep.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document. Trailing whitespace is allowed; trailing content
-/// is an error.
+/// is an error, and so is nesting deeper than 128 arrays/objects.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -265,6 +272,8 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -314,11 +323,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
         }
+    }
+
+    /// Parse one array or object a level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -488,9 +512,11 @@ impl<'a> Parser<'a> {
         }
         let num = if is_float {
             Num::F(text.parse::<f64>().map_err(|e| self.err(e.to_string()))?)
-        } else if let Some(stripped) = text.strip_prefix('-') {
-            match stripped.parse::<i64>() {
-                Ok(i) => Num::I(-i),
+        } else if text.starts_with('-') {
+            // Parsed with its sign, so `i64::MIN` (whose magnitude is no
+            // `i64`) stays an integer.
+            match text.parse::<i64>() {
+                Ok(i) => Num::I(i),
                 Err(_) => Num::F(text.parse::<f64>().map_err(|e| self.err(e.to_string()))?),
             }
         } else {
@@ -943,6 +969,17 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("-").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("[{ok}]");
+        let e = parse(&deep).unwrap_err();
+        assert!(e.msg.contains("nesting"), "{e}");
+        assert_eq!(e.pos, MAX_DEPTH);
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

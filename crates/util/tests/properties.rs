@@ -161,3 +161,122 @@ fn json_output_shape_is_frozen() {
         FixtureId(u64::MAX)
     );
 }
+
+/// Characters a hostile or mangled document is made of: JSON structure,
+/// escapes, number syntax, control characters and multi-byte text.
+const JSON_PALETTE: &[char] = &[
+    '[', ']', '{', '}', '"', '\\', ',', ':', ' ', '\n', '-', '+', '.', 'e', 'E', '0', '1', '9',
+    'n', 'u', 'l', 't', 'r', 'f', 'a', 's', 'x', '/', 'b', '\u{0}', '\u{1f}', '\u{7f}', 'é', '√',
+    '\u{2028}', '😀',
+];
+
+fn arb_text(rng: &mut Pcg32, max_len: usize) -> String {
+    (0..rng.gen_range(0..max_len))
+        .map(|_| JSON_PALETTE[rng.gen_range(0..JSON_PALETTE.len())])
+        .collect()
+}
+
+/// A random number in the shape the writer renders it (a non-negative
+/// integer is a `U`, so `I` is negative), edge values included.
+fn arb_num(rng: &mut Pcg32) -> json::Num {
+    use json::Num;
+    match rng.gen_range(0u32..7) {
+        0 => Num::U(rng.next_u64()),
+        1 => Num::U([0, 1, u64::MAX][rng.gen_range(0usize..3)]),
+        2 => Num::I(-((rng.next_u64() >> 1) as i64) - 1),
+        3 => Num::I([i64::MIN, -1][rng.gen_range(0usize..2)]),
+        4 => {
+            let f = f64::from_bits(rng.next_u64());
+            Num::F(if f.is_finite() { f } else { 0.5 })
+        }
+        5 => Num::F(rng.gen_range(-1e6..1e6)),
+        _ => {
+            let edges = [
+                0.0,
+                -0.0,
+                3.0,
+                f64::MAX,
+                f64::MIN,
+                f64::MIN_POSITIVE,
+                5e-324,
+            ];
+            Num::F(edges[rng.gen_range(0..edges.len())])
+        }
+    }
+}
+
+fn arb_value(rng: &mut Pcg32, depth: u32) -> json::Value {
+    use json::Value;
+    match rng.gen_range(0..if depth == 0 { 4u32 } else { 6 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen_bool()),
+        2 => Value::Num(arb_num(rng)),
+        3 => Value::Str(arb_text(rng, 12)),
+        4 => Value::Array(
+            (0..rng.gen_range(0usize..4))
+                .map(|_| arb_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Value::Object(
+            (0..rng.gen_range(0usize..4))
+                .map(|_| (arb_text(rng, 6), arb_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+#[test]
+fn json_parse_survives_hostile_input() {
+    check("json_parse_survives_hostile_input", 256, |rng| {
+        // Rendered values round-trip, and rendering is a pure function.
+        let value = arb_value(rng, 4);
+        let text = value.render();
+        let back = json::parse(&text).expect("a rendered value parses");
+        assert_eq!(back, value, "round trip mismatch for {text}");
+        assert_eq!(back.render(), text);
+
+        // Arbitrary text and mutated documents return, never panic; what
+        // parses renders to a document that parses again (not always to
+        // itself: an overflowing number parses as infinity, which renders
+        // as `null`).
+        let mut mutated: Vec<char> = text.chars().collect();
+        for _ in 0..rng.gen_range(1u32..5) {
+            let at = rng.gen_range(0..mutated.len() + 1);
+            match rng.gen_range(0u32..3) {
+                0 if at < mutated.len() => {
+                    let end = rng.gen_range(at..mutated.len()) + 1;
+                    mutated.drain(at..end);
+                }
+                1 if at < mutated.len() => {
+                    mutated[at] = JSON_PALETTE[rng.gen_range(0..JSON_PALETTE.len())];
+                }
+                _ => mutated.insert(at, JSON_PALETTE[rng.gen_range(0..JSON_PALETTE.len())]),
+            }
+        }
+        let mutated: String = mutated.into_iter().collect();
+        for input in [mutated, arb_text(rng, 48)] {
+            if let Ok(v) = json::parse(&input) {
+                assert!(json::parse(&v.render()).is_ok(), "for input {input:?}");
+            }
+        }
+    });
+
+    // Ten thousand levels would overflow the stack of a parser without a
+    // depth limit; they must come back as an error instead.
+    for open in ["[", "{\"k\":", "[{\"k\":"] {
+        let deep = open.repeat(10_000);
+        assert!(json::parse(&deep).is_err());
+        let closed = format!(
+            "{deep}0{}",
+            open.chars()
+                .filter_map(|c| match c {
+                    '[' => Some(']'),
+                    '{' => Some('}'),
+                    _ => None,
+                })
+                .collect::<String>()
+                .repeat(10_000)
+        );
+        assert!(json::parse(&closed).is_err());
+    }
+}

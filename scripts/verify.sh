@@ -39,6 +39,14 @@ step "clippy" cargo clippy --offline --workspace --all-targets -- -D warnings
 # leaves the links to it dangling, and nothing but rustdoc notices.
 step "doc" env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
+# Engine differential property, run hard: 600 random machines ticking
+# through `run_for` (quiescent ticks, spans, the step cache, phase
+# freshness, the cached next expiry) against a twin whose every tick is
+# cold, bit for bit. Release, because 600 cases are slow in debug.
+step "engine-fast-vs-cold" env DIKE_CHECK_CASES=600 \
+    cargo test -q --release --offline -p dike-machine --lib \
+    fast_ticks_match_cold_ticks_on_random_machines
+
 # Parallel-driver smoke: the pooled sweeps — closed, open-system and the
 # fleet roll-up — must stay byte-identical to the serial path when
 # actually running on multiple workers.
