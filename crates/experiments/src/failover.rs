@@ -274,6 +274,32 @@ mod tests {
         assert_eq!(back, pts);
     }
 
+    /// The deadline bounds every run, faulted or not: the smoke fleet's
+    /// arrivals run to 10 s, and a 5 s deadline stops the loop after
+    /// ⌈5/2⌉ = 3 epochs. Arrivals due later stay in flight; no machine's
+    /// clock, and so no thread's spawn, passes the last epoch.
+    #[test]
+    fn deadline_bounds_every_epoch_loop() {
+        let mut cfg = fleet::smoke_config(fleet::FLEET_SEED);
+        cfg.deadline_s = 5.0;
+        let runner = FleetRunner::new(cfg);
+        for crash in [0.0, 0.2] {
+            for failover in [false, true] {
+                let fo = FailoverConfig {
+                    failover,
+                    faults: MachineFaultConfig::axis(crash, 0.15, 1009),
+                    ..FailoverConfig::default()
+                };
+                let r = runner.run_failover(&Pool::new(1), &fo);
+                let cell = format!("crash {crash}, failover {failover}");
+                assert_eq!(r.epochs, 3, "{cell}");
+                r.ledger.assert_holds(&cell);
+                assert!(r.ledger.in_flight > 0, "{cell}: {:?}", r.ledger);
+                assert!(r.machines.iter().all(|m| m.makespan_s <= 6.0), "{cell}");
+            }
+        }
+    }
+
     #[test]
     fn grid_conserves_everywhere_and_zero_fault_cells_lose_nothing() {
         let pts = run_grid_pool(FAILOVER_SEED, &Pool::new(1));

@@ -168,17 +168,21 @@ fn failover_quick_pair_is_byte_identical_to_golden() {
     check_golden("golden_failover.json", &json::to_string(&points));
 }
 
-/// The one-shot fleet, pinned: the smoke fleet and a 64-machine wide
-/// fleet, every routing decision (through the per-machine arrival
+/// The one-shot fleet, pinned: the smoke fleet, a 64-machine wide fleet
+/// and the smoke fleet cut by a 5 s deadline while its arrivals run to
+/// 10 s, every routing decision (through the per-machine arrival
 /// counts), every window and every tenant roll-up byte for byte. Any
-/// change to the dispatch scorer, its tie-breaking or the per-tenant
-/// reduction shows up here as a byte diff.
+/// change to the dispatch scorer, its tie-breaking, the per-tenant
+/// reduction or what a deadline cuts shows up here as a byte diff.
 #[test]
 fn one_shot_fleet_is_byte_identical_to_golden() {
     let pool = Pool::new(1);
+    let mut cut = fleet::smoke_config(fleet::FLEET_SEED);
+    cut.deadline_s = 5.0;
     let results = vec![
         fleet::run_fleet_pool(&fleet::smoke_config(fleet::FLEET_SEED), &pool),
         fleet::run_fleet_pool(&fleet::wide_quick_config(64, fleet::FLEET_SEED), &pool),
+        fleet::run_fleet_pool(&cut, &pool),
     ];
     check_golden("golden_fleet.json", &json::to_string(&results));
 }

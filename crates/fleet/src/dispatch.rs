@@ -1,21 +1,24 @@
-//! Open-loop arrival dispatch: route every tenant arrival to a machine
-//! *before* any machine simulates a tick.
+//! Open-loop arrival dispatch: the blind router that picks a machine for
+//! every tenant arrival from the dispatch history alone.
 //!
 //! A feedback dispatcher (route by each machine's observed queue) would
 //! force the fleet to simulate in lockstep — machine `i`'s state at time
 //! `t` would depend on every other machine's state at `t`, serialising
 //! the whole fleet and destroying worker-count invariance. Instead the
-//! dispatcher is a *pre-pass*: it walks the merged, time-ordered arrival
-//! stream once and maintains its own load estimate per machine — an
-//! exponentially decayed count of dispatched threads, normalised by the
-//! machine's vcore count so a 2-domain NUMA box absorbs twice the share
-//! of a single-socket one. Each event goes to the machine with the
-//! lowest effective load, where a tenant's *home* machine (a seeded hash
-//! of the tenant id) competes with a configurable discount — the
+//! router keeps its own load estimate per machine — an exponentially
+//! decayed count of dispatched threads, normalised by the machine's
+//! vcore count so a 2-domain NUMA box absorbs twice the share of a
+//! single-socket one. Each event goes to the machine with the lowest
+//! effective load, where a tenant's *home* machine (a seeded hash of the
+//! tenant id) competes with a configurable discount — the
 //! least-loaded-with-affinity rule, ties broken toward the lowest
-//! machine index. The result is a pure function of the fleet config, so
-//! the per-machine simulations can fan out in parallel afterwards with
-//! no cross-machine communication at all.
+//! machine index. The answer depends only on the merged arrival stream,
+//! never on machine state, so the fleet's epoch loop
+//! ([`crate::failover`]) can route each epoch's arrivals at its barrier
+//! and fan the machines out with no cross-machine communication. A
+//! one-shot [`FleetRunner::run`](crate::FleetRunner::run) is one epoch, so
+//! every arrival is routed before any machine simulates a tick;
+//! [`dispatch`] is that routing as one pass, without the simulation.
 //!
 //! An arrival event is dispatched *whole*: all of its threads land on
 //! one machine. Splitting would strand barrier siblings (KMEANS phases
@@ -27,13 +30,10 @@
 //! event (its docs say why the answer is identical).
 
 use crate::config::{DispatchConfig, FleetConfig};
-use dike_machine::{AppId, BarrierId, SimTime};
-use dike_sched_core::TimedSpawn;
 use dike_util::rng::splitmix64;
 use dike_workloads::{ArrivalTrace, MergedArrival};
 
-/// Where every arrival went, plus the per-machine spawn plans the runner
-/// feeds to the open-system driver.
+/// Where every arrival goes under the blind router.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchPlan {
     /// The merged, time-ordered event stream (one entry per arrival
@@ -41,19 +41,10 @@ pub struct DispatchPlan {
     pub merged: Vec<MergedArrival>,
     /// Machine index chosen for each merged event, parallel to `merged`.
     pub assignment: Vec<u32>,
-    /// Owning tenant of each *global event index*. The runner tags every
+    /// Owning tenant of each *global event index*. The fleet tags every
     /// spawned thread's `AppId` with its global event index, so this is
     /// the thread→tenant map for the roll-up.
     pub tenant_of_event: Vec<u32>,
-    /// Per-machine spawn plans, in arrival order.
-    pub per_machine: Vec<Vec<TimedSpawn>>,
-}
-
-impl DispatchPlan {
-    /// Total threads routed, across all machines.
-    pub fn total_threads(&self) -> usize {
-        self.per_machine.iter().map(Vec::len).sum()
-    }
 }
 
 /// Materialise every tenant's arrival trace, in tenant order.
@@ -289,13 +280,10 @@ impl LoadRouter {
     }
 }
 
-/// Route every arrival in `traces` over the fleet's machines and expand
-/// the per-machine spawn plans.
-///
-/// Every thread of event `g` (global merged index) is spawned with
-/// `AppId(g)` and `BarrierId(g)`: distinct arrivals stay distinct
-/// applications even when two tenants' events land on the same machine,
-/// and barrier groups never span machines.
+/// Route every arrival in `traces` over the fleet's machines with the
+/// blind router, in merged order: the routing a one-shot
+/// [`FleetRunner::run`](crate::FleetRunner::run) does at its single
+/// barrier.
 pub fn dispatch(cfg: &FleetConfig, traces: &[ArrivalTrace]) -> DispatchPlan {
     let m = cfg.machines.len();
     assert!(m > 0, "cannot dispatch over an empty fleet");
@@ -313,32 +301,10 @@ pub fn dispatch(cfg: &FleetConfig, traces: &[ArrivalTrace]) -> DispatchPlan {
         .collect();
     let tenant_of_event = merged.iter().map(|ev| ev.tenant).collect();
 
-    // Size every plan before filling it: a wide fleet routes over a
-    // million specs, and growing the plans by doubling copies them again.
-    let mut threads_on = vec![0usize; m];
-    for (ev, &i) in merged.iter().zip(&assignment) {
-        threads_on[i as usize] += event_of(ev).nthreads as usize;
-    }
-    let mut per_machine: Vec<Vec<TimedSpawn>> =
-        threads_on.into_iter().map(Vec::with_capacity).collect();
-    for (g, (ev, &i)) in merged.iter().zip(&assignment).enumerate() {
-        let event = event_of(ev);
-        let app = AppId(g as u32);
-        let barrier = BarrierId(g as u32);
-        let at = SimTime::from_ms(ev.at_ms);
-        for _ in 0..event.nthreads {
-            per_machine[i as usize].push(TimedSpawn {
-                at,
-                spec: event.app.thread_spec(app, cfg.scale, barrier),
-            });
-        }
-    }
-
     DispatchPlan {
         merged,
         assignment,
         tenant_of_event,
-        per_machine,
     }
 }
 
@@ -463,7 +429,8 @@ mod tests {
     fn zero_tenant_fleet_dispatches_to_an_empty_plan() {
         // `FleetConfig::uniform` refuses zero tenants, but a hand-built
         // config (e.g. a fleet spun up before its tenants onboard) is
-        // legal and must dispatch to an all-idle plan, not panic.
+        // legal and must dispatch to an all-idle plan and run to an idle
+        // fleet, not panic.
         let cfg = FleetConfig {
             machines: fleet(2, 1).machines,
             tenants: Vec::new(),
@@ -475,16 +442,17 @@ mod tests {
         assert!(plan.merged.is_empty());
         assert!(plan.assignment.is_empty());
         assert!(plan.tenant_of_event.is_empty());
-        assert_eq!(plan.per_machine.len(), 2);
-        assert!(plan.per_machine.iter().all(Vec::is_empty));
-        assert_eq!(plan.total_threads(), 0);
+        let r = crate::FleetRunner::new(cfg).run(&dike_util::Pool::new(1));
+        assert_eq!(r.total_arrivals, 0);
+        assert!(r.completed);
+        assert!(r.machines.iter().all(|m| m.quanta == 0));
     }
 
     #[test]
     fn all_empty_traces_dispatch_to_an_empty_plan() {
         // Tenants exist but every trace drew zero events (a horizon
         // shorter than any plausible inter-arrival draw): same empty
-        // plan, one slot per machine, nothing routed.
+        // plan, nothing routed.
         let mut cfg = fleet(3, 2);
         for t in &mut cfg.tenants {
             t.arrivals.horizon_ms = 0;
@@ -494,8 +462,7 @@ mod tests {
         assert_eq!(traces.len(), 2);
         let plan = dispatch(&cfg, &traces);
         assert!(plan.merged.is_empty());
-        assert_eq!(plan.per_machine.len(), 3);
-        assert!(plan.per_machine.iter().all(Vec::is_empty));
+        assert!(plan.assignment.is_empty());
     }
 
     #[test]
@@ -507,10 +474,13 @@ mod tests {
         cfg.dispatch.affinity_bonus = 0.0;
         let traces = tenant_traces(&cfg);
         let plan = dispatch(&cfg, &traces);
-        let counts: Vec<usize> = plan.per_machine.iter().map(Vec::len).collect();
-        let single_avg: f64 = counts[..7].iter().sum::<usize>() as f64 / 7.0;
+        let mut counts = [0u32; 8];
+        for (ev, &i) in plan.merged.iter().zip(&plan.assignment) {
+            counts[i as usize] += traces[ev.tenant as usize].events[ev.event as usize].nthreads;
+        }
+        let single_avg = f64::from(counts[..7].iter().sum::<u32>()) / 7.0;
         assert!(
-            counts[7] as f64 > single_avg,
+            f64::from(counts[7]) > single_avg,
             "NUMA box got {} vs single-socket average {single_avg:.1}",
             counts[7]
         );

@@ -1,15 +1,16 @@
-//! Epoch-driven fleet dispatch with machine-fault tolerance.
+//! The fleet's one loop: epochs, with machine-fault tolerance.
 //!
-//! The one-shot dispatcher in [`crate::dispatch`] routes every arrival
-//! before any machine simulates a tick — perfect for a healthy fleet,
-//! blind to machines that die mid-run. This module restructures the run
-//! into *epochs*: simulate every machine up to an epoch barrier, observe
-//! per-machine health (alive/brownout/down state, queue depth, running
-//! count), route the next epoch's arrivals with a health-aware scorer
-//! that quarantines failed machines, re-dispatch orphaned work from
-//! crashed machines to healthy peers under a bounded per-arrival retry
-//! budget with linear backoff, and re-admit recovered machines with
-//! decayed trust that warms back up over epochs.
+//! A fleet run is a sequence of *epochs*: simulate every machine up to an
+//! epoch barrier, observe per-machine health (alive/brownout/down state,
+//! queue depth, running count), route the next epoch's arrivals,
+//! re-dispatch orphaned work from crashed machines to healthy peers
+//! under a bounded per-arrival retry budget with linear backoff, and
+//! re-admit recovered machines with decayed trust that warms back up over
+//! epochs. The health-aware router quarantines failed machines; the blind
+//! one is the decayed-load router of [`crate::dispatch`]. A one-shot
+//! [`FleetRunner::run`] is the loop's simplest case: one epoch that ends
+//! at the deadline, blind routing and no machine faults. The deadline
+//! bounds every run: the loop runs `⌈deadline/epoch⌉` epochs at most.
 //!
 //! [`crate::dispatch`]: mod@crate::dispatch
 //!
@@ -39,17 +40,17 @@
 //!   in the [`ConservationLedger`]; `dispatched = drained + in_flight +
 //!   lost` holds at every fault level.
 //!
-//! With `failover: false` the same epoch loop runs the PR-8-style blind
-//! decayed-load scorer over *all* machines: arrivals routed into a dead
-//! machine are lost, stranded queues are lost, nothing is re-dispatched
-//! — the baseline the failover experiment compares against.
+//! With `failover: false` the blind router scores *all* machines:
+//! arrivals routed into a dead machine are lost, stranded queues are
+//! lost, nothing is re-dispatched — the baseline the failover experiment
+//! compares against.
 
 use crate::dispatch::{fleet_vcores, home_machine, tenant_traces, LoadRouter};
-use crate::run::{departures, machine_spans, FleetRunner, WINDOW_S, WINDOW_STEP_S};
+use crate::run::{FleetResult, FleetRunner, MachineSummary, TenantPoint, WINDOW_S, WINDOW_STEP_S};
 use dike_machine::{AppId, BarrierId, MachineFaultConfig, SimTime, ThreadId};
 use dike_metrics::{
-    fairness_summary, mean_sojourn, merge_spans, sojourn_by_app, windowed_fairness,
-    ConservationLedger, ThreadSpan,
+    fairness_summary, mean_sojourn, sojourn_by_app, windowed_fairness, ConservationLedger,
+    ThreadSpan,
 };
 use dike_sched_core::{run_open_epoch_pooled, Scheduler, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
@@ -57,8 +58,8 @@ use dike_util::{json_struct, Pool};
 use dike_workloads::ArrivalTrace;
 use std::sync::Mutex;
 
-/// Knobs of one failover run (passed per run, never stored in the fleet
-/// config, so the zero-fault one-shot path is untouched).
+/// Knobs of one run of the epoch loop (passed per run, never stored in
+/// the fleet config).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailoverConfig {
     /// Epoch length in milliseconds — the health-observation cadence.
@@ -350,6 +351,20 @@ json_struct!(FailoverResult {
     mean_sojourn_s,
 });
 
+/// One machine's lane through the epoch loop.
+#[derive(Default)]
+struct Lane {
+    /// The machine's policy, made on the worker at the machine's first
+    /// epoch and dropped after the run's last: in a one-epoch run,
+    /// `make(i)` and the drop bracket machine `i`'s simulation.
+    sched: Option<Box<dyn Scheduler + Send>>,
+    /// Work waiting for the machine: its last epoch's leftovers, then the
+    /// arrivals routed to it since.
+    pending: Vec<TimedSpawn>,
+    /// Scheduling quanta the machine has executed.
+    quanta: u64,
+}
+
 impl FleetRunner {
     /// Run the epoch-driven fault-tolerant fleet under the default Dike
     /// policy. See [`FleetRunner::run_failover_with`].
@@ -369,8 +384,8 @@ impl FleetRunner {
     /// After the arrival window closes, the loop keeps running *drain*
     /// epochs — orphans become immediately eligible, recoverable machines
     /// come back and catch up, permanently-down machines never run — and
-    /// exits as soon as no machine can make further progress, or at the
-    /// fleet deadline (rounded up to the epoch grid).
+    /// exits as soon as no machine can make further progress, or after
+    /// the epoch that reaches the fleet deadline.
     ///
     /// # Panics
     /// Panics on an invalid [`FailoverConfig`] or an empty fleet.
@@ -384,10 +399,25 @@ impl FleetRunner {
     where
         F: Fn(usize) -> Box<dyn Scheduler + Send> + Sync,
     {
+        self.run_epochs(pool, fo, label, make).1
+    }
+
+    /// The fleet's one loop (see the module docs), rolled up once at the
+    /// end into both result schemas; each entry point returns its own.
+    pub(crate) fn run_epochs<F>(
+        &self,
+        pool: &Pool,
+        fo: &FailoverConfig,
+        label: &str,
+        make: F,
+    ) -> (FleetResult, FailoverResult)
+    where
+        F: Fn(usize) -> Box<dyn Scheduler + Send> + Sync,
+    {
         fo.validate().expect("invalid failover config");
         let cfg = &self.cfg;
         let n = self.machines.len();
-        assert!(n > 0, "cannot run failover over an empty fleet");
+        assert!(n > 0, "cannot run a fleet with no machines");
         let n_tenants = cfg.tenants.len();
 
         let traces = tenant_traces(cfg);
@@ -398,12 +428,14 @@ impl FleetRunner {
             .map(|m| traces[m.tenant as usize].events[m.event as usize].nthreads)
             .collect();
         let total_offered: u64 = threads_of.iter().map(|&t| u64::from(t)).sum();
-        let spec_of = |g: usize| {
-            let ev = &merged[g];
+        // Every thread of global merged event `g` spawns as `AppId(g)` and
+        // `BarrierId(g)`: two tenants' arrivals stay distinct applications
+        // on a shared machine, and barrier groups never span machines.
+        let spawn_of = |g: u32, at: SimTime| {
+            let ev = &merged[g as usize];
             let event = &traces[ev.tenant as usize].events[ev.event as usize];
-            event
-                .app
-                .thread_spec(AppId(g as u32), cfg.scale, BarrierId(g as u32))
+            let spec = event.app.thread_spec(AppId(g), cfg.scale, BarrierId(g));
+            TimedSpawn { at, spec }
         };
 
         let epoch_ms = fo.epoch_ms;
@@ -411,17 +443,12 @@ impl FleetRunner {
         // Faults are drawn over the arrival window; drain epochs past it
         // only recover, re-dispatch and finish work.
         let fault_epochs = merged.last().map_or(0, |m| m.at_ms) / epoch_ms + 1;
-        let total_epochs = deadline_ms.div_ceil(epoch_ms).max(fault_epochs);
+        let total_epochs = deadline_ms.div_ceil(epoch_ms);
 
         for m in &self.machines {
             m.lock().expect("fleet machine lock").reset();
         }
-        let scheds: Vec<Mutex<Box<dyn Scheduler + Send>>> =
-            (0..n).map(|i| Mutex::new(make(i))).collect();
-        // Per-machine pending work (queued leftovers + this epoch's
-        // routed arrivals). Lives in mutexes so epoch closures can take
-        // and refill it; barriers are the only other accessor.
-        let slots: Vec<Mutex<Vec<TimedSpawn>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
+        let mut lanes: Vec<Lane> = (0..n).map(|_| Lane::default()).collect();
 
         let vcores = fleet_vcores(cfg);
         let homes: Vec<u32> = (0..n_tenants as u32).map(|t| home_machine(t, n)).collect();
@@ -431,9 +458,11 @@ impl FleetRunner {
         // at the previous barrier; frozen while a machine is down.
         let mut running: Vec<u64> = vec![0; n];
         let mut book = OrphanBook::new(merged.len(), n_tenants);
-        // The no-failover baseline routes with the one-shot dispatcher's
-        // scorer, fed epoch by epoch.
         let mut blind = LoadRouter::new(vcores.clone(), &cfg.dispatch);
+        // A barrier's routed events, (event, arrival instant, machine), in
+        // routing order; and each machine's thread share of them.
+        let mut routed: Vec<(u32, SimTime, usize)> = Vec::new();
+        let mut share: Vec<usize> = vec![0; n];
 
         let mut quarantines = 0u64;
         let mut readmissions = 0u64;
@@ -448,24 +477,22 @@ impl FleetRunner {
         let mut admitted_stamp: Vec<u64> = vec![0; merged.len()];
         let mut crash_stamp = 0u64;
         // Conservation at a barrier: every thread released so far is
-        // admitted on a machine, queued in a slot, waiting as an orphan,
+        // admitted on a machine, queued in a lane, waiting as an orphan,
         // or lost. O(machines + pending orphans), no per-thread scan.
-        let accounted = |book: &OrphanBook| -> u64 {
+        let accounted = |book: &OrphanBook, lanes: &[Lane]| -> u64 {
             let admitted: u64 = self
                 .machines
                 .iter()
                 .map(|m| m.lock().expect("fleet machine lock").num_threads() as u64)
                 .sum();
-            let queued: u64 = slots
-                .iter()
-                .map(|s| s.lock().expect("failover slot lock").len() as u64)
-                .sum();
+            let queued: u64 = lanes.iter().map(|l| l.pending.len() as u64).sum();
             admitted + queued + book.pending_threads(&threads_of) + book.lost_threads
         };
 
         for e in 0..total_epochs {
             let e_start = SimTime::from_ms(e * epoch_ms);
             let e_end = SimTime::from_ms((e + 1) * epoch_ms);
+            let last = e + 1 == total_epochs;
 
             // ---- barrier: health transitions + fault draws ----
             for i in 0..n {
@@ -493,8 +520,8 @@ impl FleetRunner {
                         e + u64::from(fo.faults.recovery_epochs)
                     });
                     h.needs_catchup = false; // re-set at the next recovery
-                    let stranded =
-                        std::mem::take(&mut *slots[i].lock().expect("failover slot lock"));
+                    let pending = &mut lanes[i].pending;
+                    let stranded = std::mem::take(pending);
                     if stranded.is_empty() {
                         continue;
                     }
@@ -509,7 +536,6 @@ impl FleetRunner {
                             admitted_stamp[machine.app_of(t).0 as usize] = crash_stamp;
                         }
                         drop(machine);
-                        let mut keep = Vec::new();
                         let mut j = 0;
                         while j < stranded.len() {
                             let g = stranded[j].spec.app.0;
@@ -518,7 +544,7 @@ impl FleetRunner {
                                 k += 1;
                             }
                             if admitted_stamp[g as usize] == crash_stamp {
-                                keep.extend_from_slice(&stranded[j..k]);
+                                pending.extend_from_slice(&stranded[j..k]);
                             } else {
                                 book.orphan_or_lose(
                                     g,
@@ -531,7 +557,6 @@ impl FleetRunner {
                             }
                             j = k;
                         }
-                        *slots[i].lock().expect("failover slot lock") = keep;
                     } else {
                         // Blind baseline: the stranded queue is lost.
                         for ts in &stranded {
@@ -550,12 +575,12 @@ impl FleetRunner {
             let routable: Vec<usize> = (0..n).filter(|&i| health[i].routable(e)).collect();
             // Effective-backlog estimate (threads) per machine: queued +
             // running at the last barrier + assigned this barrier.
-            let mut backlog: Vec<f64> = (0..n)
-                .map(|i| {
-                    slots[i].lock().expect("failover slot lock").len() as f64 + running[i] as f64
-                })
+            let mut backlog: Vec<f64> = lanes
+                .iter()
+                .zip(&running)
+                .map(|(l, &r)| l.pending.len() as f64 + r as f64)
                 .collect();
-            let route_healthy = |g: u32, at: SimTime, backlog: &mut [f64]| -> usize {
+            let route_healthy = |g: u32, backlog: &mut [f64]| -> usize {
                 let home = homes[tenant_of[g as usize] as usize];
                 let mut best = routable[0];
                 let mut best_eff = f64::INFINITY;
@@ -570,15 +595,7 @@ impl FleetRunner {
                         best = i;
                     }
                 }
-                let nthreads = threads_of[g as usize];
-                backlog[best] += f64::from(nthreads);
-                let mut slot = slots[best].lock().expect("failover slot lock");
-                for _ in 0..nthreads {
-                    slot.push(TimedSpawn {
-                        at,
-                        spec: spec_of(g as usize),
-                    });
-                }
+                backlog[best] += f64::from(threads_of[g as usize]);
                 best
             };
 
@@ -608,99 +625,107 @@ impl FleetRunner {
                         }
                         continue;
                     }
-                    let at = if o.at < e_start { e_start } else { o.at };
-                    route_healthy(o.event, at, &mut backlog);
+                    let at = o.at.max(e_start);
+                    routed.push((o.event, at, route_healthy(o.event, &mut backlog)));
                     book.redispatched += 1;
                 }
             }
 
-            while next_event < merged.len() && merged[next_event].at_ms < (e + 1) * epoch_ms {
+            // Arrivals due after the run's end are never judged by machine
+            // health; they stay in flight. The blind router's last barrier
+            // still queues them, as the one-shot dispatch does (a one-shot
+            // machine with nothing queued would stop early); the
+            // health-aware router leaves them unrouted.
+            let end_ms = (e + 1) * epoch_ms;
+            let horizon_ms = if last && !fo.failover {
+                u64::MAX
+            } else {
+                end_ms
+            };
+            while next_event < merged.len() && merged[next_event].at_ms < horizon_ms {
                 let g = next_event as u32;
-                let at = SimTime::from_ms(merged[next_event].at_ms);
+                let at_ms = merged[next_event].at_ms;
+                let at = SimTime::from_ms(at_ms);
                 let tenant = tenant_of[next_event];
-                released += u64::from(threads_of[next_event]);
+                let nthreads = threads_of[next_event];
+                released += u64::from(nthreads);
                 if fo.failover {
                     if routable.is_empty() {
-                        book.orphan_or_lose(
-                            g,
-                            threads_of[next_event],
-                            tenant,
-                            at,
-                            e,
-                            fo.retry_budget,
-                        );
+                        book.orphan_or_lose(g, nthreads, tenant, at, e, fo.retry_budget);
                     } else {
-                        route_healthy(g, at, &mut backlog);
+                        routed.push((g, at, route_healthy(g, &mut backlog)));
                     }
                 } else {
-                    // Blind decayed-load scorer over ALL machines — the
-                    // exact pre-pass rule, unaware of machine health.
-                    let nthreads = threads_of[next_event];
-                    let best =
-                        blind.route(merged[next_event].at_ms, homes[tenant as usize], nthreads);
-                    if health[best].is_down() {
+                    // Blind decayed-load router over ALL machines, unaware
+                    // of machine health.
+                    let best = blind.route(at_ms, homes[tenant as usize], nthreads);
+                    if at_ms < end_ms && health[best].is_down() {
                         // Routed into a dead machine: the work is lost —
                         // the cost of dispatching blind.
                         book.lose(nthreads, tenant);
                     } else {
-                        let mut slot = slots[best].lock().expect("failover slot lock");
-                        for _ in 0..nthreads {
-                            slot.push(TimedSpawn {
-                                at,
-                                spec: spec_of(next_event),
-                            });
-                        }
+                        routed.push((g, at, best));
                     }
                 }
                 next_event += 1;
             }
+
+            // Size each lane once for the barrier's arrivals, then expand
+            // their specs in routing order: pushing as each event is routed
+            // would grow every lane by doubling.
+            for &(g, _, i) in &routed {
+                share[i] += threads_of[g as usize] as usize;
+            }
+            for (lane, s) in lanes.iter_mut().zip(&mut share) {
+                lane.pending.reserve_exact(std::mem::take(s));
+            }
+            for (g, at, i) in routed.drain(..) {
+                let threads = (0..threads_of[g as usize]).map(|_| spawn_of(g, at));
+                lanes[i].pending.extend(threads);
+            }
             debug_assert_eq!(
-                accounted(&book),
+                accounted(&book, &lanes),
                 released,
                 "ledger imbalance after routing at epoch {e}"
             );
 
             // ---- epoch plan: who runs, with what entry stalls ----
             // (catchup, brownout) per machine; None = down, skipped.
-            let plan: Vec<Option<(bool, bool)>> = (0..n)
-                .map(|i| {
-                    let h = &mut health[i];
+            let plan: Vec<Option<(bool, bool)>> = health
+                .iter_mut()
+                .map(|h| {
                     if h.is_down() {
                         return None;
                     }
-                    let catchup = h.needs_catchup;
-                    if catchup {
-                        h.needs_catchup = false;
-                        // The queue slept through the outage with the
-                        // machine: nothing admits before the recovery
-                        // barrier.
-                        for ts in slots[i].lock().expect("failover slot lock").iter_mut() {
-                            if ts.at < e_start {
-                                ts.at = e_start;
-                            }
-                        }
-                    }
+                    let catchup = std::mem::take(&mut h.needs_catchup);
                     Some((catchup, h.brown_until > e))
                 })
                 .collect();
 
-            // ---- simulate the epoch: machines fan out, no cross-talk ----
-            pool.map_indexed(n, |i| {
+            // ---- simulate the epoch: machines fan out, no cross-talk;
+            // each worker takes its machine's lane and hands it back ----
+            let handoff: Vec<Mutex<Lane>> = lanes.drain(..).map(Mutex::new).collect();
+            lanes = pool.map_indexed(n, |i| {
+                let mut lane = std::mem::take(&mut *handoff[i].lock().expect("fleet lane lock"));
                 let Some((catchup, brown)) = plan[i] else {
-                    return;
+                    return lane;
                 };
                 let mut machine = self.machines[i].lock().expect("fleet machine lock");
-                let mut sched = scheds[i].lock().expect("failover sched lock");
                 if catchup {
                     // Freeze semantics: alive threads made no progress
                     // while the box was down, so stall them by exactly
-                    // the outage length before the clock catches up.
+                    // the outage length before the clock catches up; the
+                    // queue slept too, so nothing admits before the
+                    // recovery barrier.
                     let gap = e_start.saturating_sub(machine.now());
                     if gap > SimTime::ZERO {
                         let ids: Vec<ThreadId> = machine.alive_ids().collect();
                         for t in ids {
                             machine.stall(t, gap);
                         }
+                    }
+                    for ts in &mut lane.pending {
+                        ts.at = ts.at.max(e_start);
                     }
                 }
                 if brown {
@@ -710,14 +735,21 @@ impl FleetRunner {
                         machine.stall(t, dur);
                     }
                 }
-                let arrivals = std::mem::take(&mut *slots[i].lock().expect("failover slot lock"));
-                let leftovers = run_open_epoch_pooled(&mut machine, &mut **sched, e_end, arrivals);
-                *slots[i].lock().expect("failover slot lock") = leftovers;
+                let sched = lane.sched.get_or_insert_with(|| make(i));
+                let arrivals = std::mem::take(&mut lane.pending);
+                let (totals, leftovers) =
+                    run_open_epoch_pooled(&mut machine, sched.as_mut(), e_end, arrivals);
+                lane.pending = leftovers;
+                lane.quanta += totals.quanta;
+                if last {
+                    lane.sched = None;
+                }
+                lane
             });
 
             // ---- barrier: observe drain state ----
             debug_assert_eq!(
-                accounted(&book),
+                accounted(&book, &lanes),
                 released,
                 "ledger imbalance after simulating epoch {e}"
             );
@@ -732,11 +764,11 @@ impl FleetRunner {
                 }
             }
             if next_event >= merged.len() && book.orphans.is_empty() {
-                let settled = (0..n).all(|i| {
+                let settled = lanes.iter().enumerate().all(|(i, lane)| {
                     if health[i].down_until == Some(u64::MAX) {
                         return true; // never runs again; its work is in_flight
                     }
-                    running[i] == 0 && slots[i].lock().expect("failover slot lock").is_empty()
+                    running[i] == 0 && lane.pending.is_empty()
                 });
                 if settled {
                     break;
@@ -744,63 +776,89 @@ impl FleetRunner {
             }
         }
 
-        // ---- roll-up: query machines directly, tolerating partial
-        // results (a frozen machine's threads count as unfinished) ----
-        let mut machines_out = Vec::with_capacity(n);
-        let mut span_lists: Vec<Vec<ThreadSpan>> = Vec::with_capacity(n);
-        for i in 0..n {
+        // ---- roll-up: read every machine once, in machine order,
+        // tolerating partial results (a frozen machine's threads count as
+        // unfinished); tag each thread span with its tenant through its
+        // global event index ----
+        let admitted_total: usize = self
+            .machines
+            .iter()
+            .map(|m| m.lock().expect("fleet machine lock").num_threads())
+            .sum();
+        let mut spans: Vec<ThreadSpan> = Vec::with_capacity(admitted_total);
+        let mut summaries = Vec::with_capacity(n);
+        let mut fo_summaries = Vec::with_capacity(n);
+        for (i, lane) in lanes.iter().enumerate() {
             let machine = self.machines[i].lock().expect("fleet machine lock");
-            let spans = machine_spans(&machine, &tenant_of);
-            machines_out.push(FailoverMachineSummary {
+            let first = spans.len();
+            spans.extend(machine.thread_ids().map(|id| ThreadSpan {
+                app: tenant_of[machine.app_of(id).0 as usize],
+                spawned_at: machine.spawn_time(id).as_secs_f64(),
+                finished_at: machine.finish_time(id).map(|f| f.as_secs_f64()),
+            }));
+            let admitted = (spans.len() - first) as u64;
+            let drained = spans[first..]
+                .iter()
+                .filter(|s| s.finished_at.is_some())
+                .count() as u64;
+            let makespan_s = machine.now().as_secs_f64();
+            summaries.push(MachineSummary {
                 machine: i as u32,
-                admitted: spans.len() as u64,
-                drained: departures(&spans),
-                queued: slots[i].lock().expect("failover slot lock").len() as u64,
+                arrivals: admitted,
+                departures: drained,
+                completed: machine.all_done() && lane.pending.is_empty(),
+                makespan_s,
+                quanta: lane.quanta,
+                migrations: machine.total_migrations(),
+            });
+            fo_summaries.push(FailoverMachineSummary {
+                machine: i as u32,
+                admitted,
+                drained,
+                queued: lane.pending.len() as u64,
                 crashes: health[i].crashes,
                 brownouts: health[i].brownouts,
                 down_at_end: health[i].is_down(),
-                makespan_s: machine.now().as_secs_f64(),
+                makespan_s,
             });
-            span_lists.push(spans);
         }
 
-        let drained: u64 = machines_out.iter().map(|m| m.drained).sum();
-        let admitted: u64 = machines_out.iter().map(|m| m.admitted).sum();
-        let queued: u64 = machines_out.iter().map(|m| m.queued).sum();
+        let admitted: u64 = summaries.iter().map(|m| m.arrivals).sum();
+        let drained: u64 = summaries.iter().map(|m| m.departures).sum();
+        let queued: u64 = fo_summaries.iter().map(|m| m.queued).sum();
+        // Arrivals left unrouted: all of them in a run of zero epochs, and
+        // those due after a health-aware run's end.
+        let unrouted: u64 = threads_of[next_event..].iter().map(|&t| u64::from(t)).sum();
         let ledger = ConservationLedger {
             dispatched: total_offered,
             drained,
-            in_flight: (admitted - drained) + queued + book.pending_threads(&threads_of),
+            in_flight: (admitted - drained) + queued + book.pending_threads(&threads_of) + unrouted,
             lost: book.lost_threads,
         };
 
-        let merged_spans = merge_spans(&span_lists);
-        let wall = machines_out
-            .iter()
-            .map(|m| m.makespan_s)
-            .fold(0.0, f64::max);
-        let windows = windowed_fairness(&merged_spans, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
+        let wall = summaries.iter().map(|m| m.makespan_s).fold(0.0, f64::max);
+        let windows = windowed_fairness(&spans, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
         let (mean_fair, min_fair) = fairness_summary(&windows);
+        let by_tenant = sojourn_by_app(&spans, n_tenants, wall);
+        let mean_sojourn_s = mean_sojourn(&spans, wall);
 
-        let tenants: Vec<FailoverTenantPoint> = sojourn_by_app(&merged_spans, n_tenants, wall)
-            .iter()
-            .enumerate()
-            .map(|(t, totals)| FailoverTenantPoint {
-                tenant: t as u32,
-                name: cfg.tenants[t].name.clone(),
-                offered: traces[t].num_threads() as u64,
-                drained: totals.departures,
-                lost: book.lost_by_tenant[t],
-                mean_sojourn_s: totals.mean_sojourn_s(),
-            })
-            .collect();
-
-        FailoverResult {
+        let failover = FailoverResult {
             scheduler: label.to_string(),
             failover: fo.failover,
             epochs: epochs_run,
-            machines: machines_out,
-            tenants,
+            machines: fo_summaries,
+            tenants: by_tenant
+                .iter()
+                .enumerate()
+                .map(|(t, totals)| FailoverTenantPoint {
+                    tenant: t as u32,
+                    name: cfg.tenants[t].name.clone(),
+                    offered: traces[t].num_threads() as u64,
+                    drained: totals.departures,
+                    lost: book.lost_by_tenant[t],
+                    mean_sojourn_s: totals.mean_sojourn_s(),
+                })
+                .collect(),
             ledger,
             quarantines,
             readmissions,
@@ -809,8 +867,33 @@ impl FleetRunner {
             mean_windowed_fairness: mean_fair,
             min_windowed_fairness: min_fair,
             makespan_s: wall,
-            mean_sojourn_s: mean_sojourn(&merged_spans, wall),
-        }
+            mean_sojourn_s,
+        };
+        let fleet = FleetResult {
+            scheduler: label.to_string(),
+            total_arrivals: admitted,
+            total_departures: drained,
+            completed: unrouted == 0 && summaries.iter().all(|m| m.completed),
+            makespan_s: wall,
+            mean_sojourn_s,
+            machines: summaries,
+            tenants: by_tenant
+                .iter()
+                .enumerate()
+                .map(|(t, totals)| TenantPoint {
+                    tenant: t as u32,
+                    name: cfg.tenants[t].name.clone(),
+                    home: homes[t],
+                    arrivals: totals.threads,
+                    departures: totals.departures,
+                    mean_sojourn_s: totals.mean_sojourn_s(),
+                })
+                .collect(),
+            windows,
+            mean_windowed_fairness: mean_fair,
+            min_windowed_fairness: min_fair,
+        };
+        (fleet, failover)
     }
 }
 

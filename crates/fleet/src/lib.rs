@@ -6,21 +6,23 @@
 //! that layer while preserving the workspace's two core contracts:
 //!
 //! * **Determinism** — a fleet run is a pure function of its
-//!   [`FleetConfig`]. The dispatcher routes *before* simulation starts
-//!   (an open-loop pre-pass over the merged arrival stream), so machines
-//!   never communicate and the per-machine runs fan out over
-//!   [`dike_util::Pool`] workers with byte-identical output at any
-//!   `DIKE_THREADS`.
+//!   [`FleetConfig`]. Routing reads only the arrival stream and, at epoch
+//!   barriers, machine health, so machines never communicate inside an
+//!   epoch and fan out over [`dike_util::Pool`] workers with
+//!   byte-identical output at any `DIKE_THREADS`.
 //! * **Paper metrics** — per-tenant fairness is the windowed Eqn-4
 //!   reduction from [`dike_metrics::windowed`], computed over the merged
 //!   fleet-wide span set; with one machine the roll-up equals the
 //!   single-machine value exactly.
 //!
-//! Pipeline: [`config`] describes machines + tenants → [`dispatch`]
-//! routes arrivals (least-loaded, vcore-normalised, home-affinity bonus)
-//! → [`run`] fans the machines out and rolls the results up.
+//! Pipeline: [`config`] describes machines + tenants → [`failover`] runs
+//! the fleet's one loop, epoch by epoch, routing each epoch's arrivals
+//! with the [`dispatch`] router (least-loaded, vcore-normalised,
+//! home-affinity bonus) or the health-aware one, and rolls the machines
+//! up. [`run`] is that loop's one-epoch, fault-free case.
 //!
 //! [`dispatch`]: mod@dispatch
+//! [`run`]: mod@run
 
 pub mod config;
 pub mod dispatch;

@@ -1,25 +1,21 @@
-//! Fan a dispatched fleet across pool workers and roll the results up.
+//! The fleet runner, and the one-shot run's result schema.
 //!
-//! Each machine's open-system run is completely independent after the
-//! dispatch pre-pass (see [`crate::dispatch`]), so the fleet fans out
-//! over [`dike_util::Pool`]'s workers with `map_indexed` — results come
-//! back in machine order regardless of worker count, which is what makes
-//! the fleet JSON byte-identical at `DIKE_THREADS=1`, `2`, or `8`. The
-//! roll-up then re-tags every thread span with its owning *tenant* (the
-//! dispatcher records the event→tenant map) and scores fleet-wide
+//! A one-shot run is the fleet's epoch loop ([`crate::failover`]) with
+//! one epoch that ends at the deadline, blind routing and no machine
+//! faults: the single barrier routes every arrival, then the machines'
+//! open-system runs fan out over [`dike_util::Pool`]'s workers with
+//! `map_indexed`, which returns in machine order regardless of worker
+//! count — what makes the fleet JSON byte-identical at `DIKE_THREADS=1`,
+//! `2`, or `8`. The roll-up then re-tags every thread span with its
+//! owning *tenant* (through the event→tenant map) and scores fleet-wide
 //! windowed fairness over the merged span set, exactly the way a single
 //! machine's open run scores its own.
-//!
-//! [`crate::dispatch`]: mod@crate::dispatch
 
 use crate::config::FleetConfig;
-use crate::dispatch::{dispatch, home_machine, tenant_traces, DispatchPlan};
-use dike_machine::{Machine, SimTime};
-use dike_metrics::{
-    fairness_summary, mean_sojourn, merge_spans, sojourn_by_app, windowed_fairness, ThreadSpan,
-    WindowPoint,
-};
-use dike_sched_core::{run_open_pooled, Scheduler, TimedSpawn};
+use crate::failover::FailoverConfig;
+use dike_machine::Machine;
+use dike_metrics::WindowPoint;
+use dike_sched_core::Scheduler;
 use dike_scheduler::{Dike, SchedConfig};
 use dike_util::{json_struct, Pool};
 use std::sync::Mutex;
@@ -127,27 +123,6 @@ json_struct!(FleetResult {
     mean_sojourn_s,
 });
 
-/// One span per thread `machine` has admitted since its last reset, in id
-/// order, tagged with its owning tenant: the fleet tags every thread's
-/// `AppId` with its global event index, and `tenant_of_event` maps that
-/// back. Both fleet loops roll their machines up through this, reading
-/// the machine directly rather than a per-thread result list.
-pub(crate) fn machine_spans(machine: &Machine, tenant_of_event: &[u32]) -> Vec<ThreadSpan> {
-    machine
-        .thread_ids()
-        .map(|id| ThreadSpan {
-            app: tenant_of_event[machine.app_of(id).0 as usize],
-            spawned_at: machine.spawn_time(id).as_secs_f64(),
-            finished_at: machine.finish_time(id).map(|f| f.as_secs_f64()),
-        })
-        .collect()
-}
-
-/// Spans that finished.
-pub(crate) fn departures(spans: &[ThreadSpan]) -> u64 {
-    spans.iter().filter(|s| s.finished_at.is_some()).count() as u64
-}
-
 /// A reusable fleet: machines are built once and reset per run, so bench
 /// iterations pay construction cost only on the first lap.
 pub struct FleetRunner {
@@ -171,11 +146,6 @@ impl FleetRunner {
         &self.cfg
     }
 
-    /// Materialise traces and the dispatch plan for this config.
-    pub fn plan(&self) -> DispatchPlan {
-        dispatch(&self.cfg, &tenant_traces(&self.cfg))
-    }
-
     /// Run the whole fleet under the default Dike policy.
     pub fn run(&self, pool: &Pool) -> FleetResult {
         self.run_with(pool, "dike", |_| {
@@ -184,83 +154,22 @@ impl FleetRunner {
     }
 
     /// Run the whole fleet, constructing one scheduler per machine with
-    /// `make` (called with the machine index). Machines fan out over the
-    /// pool's workers; results are reassembled in machine order, so the
+    /// `make` (called with the machine index on the worker that simulates
+    /// the machine, and dropped there once it is done). This is the epoch
+    /// loop with one epoch that ends at the deadline, blind routing and no
+    /// machine faults; results are reassembled in machine order, so the
     /// output is identical at any worker count.
     pub fn run_with<F>(&self, pool: &Pool, label: &str, make: F) -> FleetResult
     where
-        F: Fn(usize) -> Box<dyn Scheduler> + Sync,
+        F: Fn(usize) -> Box<dyn Scheduler + Send> + Sync,
     {
-        let mut plan = self.plan();
-        let deadline = SimTime::from_secs_f64(self.cfg.deadline_s);
-        let n = self.machines.len();
-
-        // Hand each machine its spawn plan by move: a fleet-sized plan is
-        // millions of specs, and cloning it once more per run would cost
-        // more than the dispatch pre-pass itself.
-        let spawn_plans: Vec<Mutex<Option<Vec<TimedSpawn>>>> = plan
-            .per_machine
-            .drain(..)
-            .map(|v| Mutex::new(Some(v)))
-            .collect();
-
-        // (summary, tenant-tagged spans) per machine, in machine order.
-        let per_machine: Vec<(MachineSummary, Vec<ThreadSpan>)> = pool.map_indexed(n, |i| {
-            let mut machine = self.machines[i].lock().expect("fleet machine lock");
-            machine.reset();
-            let mut sched = make(i);
-            let spawns = spawn_plans[i]
-                .lock()
-                .expect("fleet plan lock")
-                .take()
-                .expect("each machine's plan is taken exactly once");
-            let totals = run_open_pooled(&mut machine, sched.as_mut(), deadline, spawns);
-            let spans = machine_spans(&machine, &plan.tenant_of_event);
-            let summary = MachineSummary {
-                machine: i as u32,
-                arrivals: spans.len() as u64,
-                departures: departures(&spans),
-                completed: totals.completed,
-                makespan_s: totals.wall.as_secs_f64(),
-                quanta: totals.quanta,
-                migrations: totals.migrations,
-            };
-            (summary, spans)
-        });
-
-        let (machines, span_lists): (Vec<MachineSummary>, Vec<Vec<ThreadSpan>>) =
-            per_machine.into_iter().unzip();
-        let merged = merge_spans(&span_lists);
-        let wall = machines.iter().map(|m| m.makespan_s).fold(0.0, f64::max);
-        let windows = windowed_fairness(&merged, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
-        let (mean_fair, min_fair) = fairness_summary(&windows);
-
-        let tenants: Vec<TenantPoint> = sojourn_by_app(&merged, self.cfg.tenants.len(), wall)
-            .iter()
-            .enumerate()
-            .map(|(t, totals)| TenantPoint {
-                tenant: t as u32,
-                name: self.cfg.tenants[t].name.clone(),
-                home: home_machine(t as u32, n),
-                arrivals: totals.threads,
-                departures: totals.departures,
-                mean_sojourn_s: totals.mean_sojourn_s(),
-            })
-            .collect();
-
-        FleetResult {
-            scheduler: label.to_string(),
-            total_arrivals: machines.iter().map(|m| m.arrivals).sum(),
-            total_departures: machines.iter().map(|m| m.departures).sum(),
-            completed: machines.iter().all(|m| m.completed),
-            makespan_s: wall,
-            mean_sojourn_s: mean_sojourn(&merged, wall),
-            machines,
-            tenants,
-            windows,
-            mean_windowed_fairness: mean_fair,
-            min_windowed_fairness: min_fair,
-        }
+        // A zero deadline runs zero epochs; the epoch itself must be > 0.
+        let fo = FailoverConfig {
+            epoch_ms: ((self.cfg.deadline_s * 1_000.0).ceil() as u64).max(1),
+            failover: false,
+            ..Default::default()
+        };
+        self.run_epochs(pool, &fo, label, make).0
     }
 }
 
@@ -313,5 +222,43 @@ mod tests {
         assert!(r.makespan_s > 0.0);
         assert!(r.mean_windowed_fairness > 0.0);
         assert!(r.min_windowed_fairness <= r.mean_windowed_fairness);
+    }
+
+    /// The one-shot run places events exactly as `dispatch()` does, event
+    /// by event: every thread runs on the machine its event was assigned,
+    /// and every event is admitted whole. Per-machine totals alone would
+    /// not catch two equal-sized events swapped between machines.
+    #[test]
+    fn every_event_runs_whole_where_dispatch_sends_it() {
+        let mut cfg = FleetConfig::uniform(
+            4,
+            5,
+            ArrivalConfig {
+                mean_interarrival_ms: 300.0,
+                horizon_ms: 5_000,
+                threads_min: 1,
+                threads_max: 4,
+            },
+            23,
+        );
+        cfg.scale = 0.01;
+        let runner = FleetRunner::new(cfg);
+        assert!(runner.run(&Pool::new(1)).completed);
+        let traces = crate::tenant_traces(&runner.cfg);
+        let plan = crate::dispatch(&runner.cfg, &traces);
+        assert!(plan.assignment.iter().any(|&i| i != plan.assignment[0]));
+        let mut admitted = vec![0u32; plan.merged.len()];
+        for (i, m) in runner.machines.iter().enumerate() {
+            let machine = m.lock().expect("fleet machine lock");
+            for t in machine.thread_ids() {
+                let g = machine.app_of(t).0 as usize;
+                assert_eq!(plan.assignment[g] as usize, i, "event {g}");
+                admitted[g] += 1;
+            }
+        }
+        for (g, ev) in plan.merged.iter().enumerate() {
+            let nthreads = traces[ev.tenant as usize].events[ev.event as usize].nthreads;
+            assert_eq!(admitted[g], nthreads, "event {g}");
+        }
     }
 }

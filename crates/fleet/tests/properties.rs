@@ -1,14 +1,15 @@
 //! Dispatcher and roll-up properties the fleet layer is contractually
 //! bound to: routing is a pure function of the config, no arrival is
-//! lost or duplicated, and the M=1 fleet degenerates *exactly* to a
-//! single-machine open run.
+//! lost or duplicated, the fleet loop routes exactly as [`dispatch`]
+//! does, and the M=1 fleet degenerates *exactly* to a single-machine
+//! open run.
 
 use dike_fleet::{
     dispatch, tenant_traces, FailoverConfig, FleetConfig, FleetRunner, WINDOW_S, WINDOW_STEP_S,
 };
-use dike_machine::{FaultConfig, Machine, MachineFaultConfig};
+use dike_machine::{AppId, BarrierId, FaultConfig, Machine, MachineFaultConfig, SimTime};
 use dike_metrics::{fairness_summary, windowed_fairness, ThreadSpan};
-use dike_sched_core::run_open;
+use dike_sched_core::{run_open, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
 use dike_util::check::check;
 use dike_util::Pool;
@@ -48,35 +49,57 @@ fn every_arrival_lands_on_exactly_one_machine() {
         let traces = tenant_traces(&cfg);
         let plan = dispatch(&cfg, &traces);
 
-        // Event conservation: one assignment per merged event…
+        // Event conservation: one assignment per merged event, each to a
+        // machine of the fleet. Where their threads land is checked
+        // against the simulated fleet in
+        // `dispatch_is_the_fleet_loops_blind_router`.
         let total_events: usize = traces.iter().map(|tr| tr.events.len()).sum();
         assert_eq!(plan.merged.len(), total_events);
         assert_eq!(plan.assignment.len(), total_events);
         assert_eq!(plan.tenant_of_event.len(), total_events);
+        assert!(plan.assignment.iter().all(|&i| (i as usize) < m));
+    });
+}
 
-        // …and thread conservation: the per-machine plans partition the
-        // offered threads exactly.
-        let offered: usize = traces.iter().map(|tr| tr.num_threads()).sum();
-        assert_eq!(plan.total_threads(), offered);
+/// [`dispatch`] is the fleet loop's blind router as one pass: on random
+/// zero-fault fleets that drain, every machine admits exactly the
+/// threads `dispatch()` assigns it, both in a one-shot `run()` and in a
+/// blind epoch-by-epoch `run_failover`. Short arrival windows leave some
+/// machines idle, and an idle machine is done.
+#[test]
+fn dispatch_is_the_fleet_loops_blind_router() {
+    check("dispatch_is_the_fleet_loops_blind_router", 32, |rng| {
+        let m = rng.gen_range(1u64..9) as usize;
+        let t = rng.gen_range(1u64..9) as usize;
+        let seed = rng.gen_range(0u64..u64::MAX);
+        let horizon_ms = rng.gen_range(500u64..4_000);
+        let mut cfg = FleetConfig::uniform(m, t, arrivals(900.0, horizon_ms), seed);
+        cfg.scale = 0.01;
+        cfg.deadline_s = 60.0;
+        let traces = tenant_traces(&cfg);
+        let plan = dispatch(&cfg, &traces);
+        let mut assigned = vec![0u64; m];
+        for (ev, &i) in plan.merged.iter().zip(&plan.assignment) {
+            assigned[i as usize] +=
+                u64::from(traces[ev.tenant as usize].events[ev.event as usize].nthreads);
+        }
 
-        // Every global event index appears on exactly one machine, with
-        // exactly its event's thread count.
-        let mut seen = vec![0u32; total_events];
-        for (mi, spawns) in plan.per_machine.iter().enumerate() {
-            for s in spawns {
-                let g = s.spec.app.0 as usize;
-                assert_eq!(
-                    plan.assignment[g] as usize, mi,
-                    "thread of event {g} on machine {mi}, assigned {}",
-                    plan.assignment[g]
-                );
-                seen[g] += 1;
-            }
-        }
-        for (g, ev) in plan.merged.iter().enumerate() {
-            let nthreads = traces[ev.tenant as usize].events[ev.event as usize].nthreads;
-            assert_eq!(seen[g], nthreads, "event {g} thread count mismatch");
-        }
+        let runner = FleetRunner::new(cfg);
+        let pool = Pool::new(1);
+        let one_shot = runner.run(&pool);
+        let blind = runner.run_failover(
+            &pool,
+            &FailoverConfig {
+                failover: false,
+                ..FailoverConfig::default()
+            },
+        );
+        assert!(one_shot.completed, "light load drains: {one_shot:?}");
+        let admitted: Vec<u64> = one_shot.machines.iter().map(|s| s.arrivals).collect();
+        assert_eq!(admitted, assigned, "one-shot run");
+        let admitted: Vec<u64> = blind.machines.iter().map(|s| s.admitted).collect();
+        assert_eq!(admitted, assigned, "blind epochs");
+        assert_eq!(blind.ledger.drained, blind.ledger.dispatched);
     });
 }
 
@@ -90,18 +113,27 @@ fn m1_rollup_equals_the_single_machine_value() {
     let runner = FleetRunner::new(cfg.clone());
     let fleet = runner.run(&Pool::new(1));
 
-    // The reference: drive the dispatch plan's (single) machine plan
-    // through the plain open-system driver and roll up by tenant by hand.
-    let plan = dispatch(&cfg, &tenant_traces(&cfg));
+    // The reference: spawn every thread of every merged event `g` as
+    // `AppId(g)`/`BarrierId(g)` on the single machine through the plain
+    // open-system driver, and roll up by tenant by hand.
+    let traces = tenant_traces(&cfg);
+    let plan = dispatch(&cfg, &traces);
+    let mut spawns = Vec::new();
+    for (g, ev) in plan.merged.iter().enumerate() {
+        let event = &traces[ev.tenant as usize].events[ev.event as usize];
+        for _ in 0..event.nthreads {
+            spawns.push(TimedSpawn {
+                at: SimTime::from_ms(ev.at_ms),
+                spec: event
+                    .app
+                    .thread_spec(AppId(g as u32), cfg.scale, BarrierId(g as u32)),
+            });
+        }
+    }
     let mut machine = Machine::new(cfg.machines[0].clone());
     let mut sched = Dike::fixed(SchedConfig::DEFAULT);
-    let deadline = dike_machine::SimTime::from_secs_f64(cfg.deadline_s);
-    let result = run_open(
-        &mut machine,
-        &mut sched,
-        deadline,
-        plan.per_machine[0].clone(),
-    );
+    let deadline = SimTime::from_secs_f64(cfg.deadline_s);
+    let result = run_open(&mut machine, &mut sched, deadline, spawns);
     let wall = result.wall.as_secs_f64();
     let spans: Vec<ThreadSpan> = result
         .threads

@@ -723,9 +723,10 @@ impl Machine {
         !self.threads.finished(thread.index())
     }
 
-    /// True once every thread has finished.
+    /// True when no thread is alive: every spawned thread has finished, or
+    /// none was ever spawned.
     pub fn all_done(&self) -> bool {
-        !self.threads.is_empty() && self.alive.is_empty()
+        self.alive.is_empty()
     }
 
     /// Number of spawned threads.

@@ -105,8 +105,8 @@ impl ThreadResult {
 }
 
 /// A driven run's scalar totals: a [`RunResult`] without its per-thread
-/// list. The pooled entry points return only these; the per-thread state
-/// stays on the machine for callers that want it.
+/// list. [`run_open_epoch_pooled`] returns only these; the per-thread
+/// state stays on the machine for callers that want it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunTotals {
     /// Wall time when the run ended (all threads done, or the deadline).
@@ -222,7 +222,7 @@ impl Watched {
 /// across quanta and across runs, so the steady-state loop performs no
 /// heap allocation. [`run_with`]/[`run_open_with`] create
 /// one internally; harnesses that drive many runs back to back can hold
-/// one [`DriverScratch`] and pass it to the `_scratch` variants.
+/// one [`DriverScratch`] and pass it to [`run_with_scratch`].
 #[derive(Debug, Default)]
 pub struct DriverScratch {
     view: SystemView,
@@ -305,7 +305,9 @@ pub fn run_with(
 }
 
 /// [`run_with`] against caller-owned scratch buffers, for harnesses that
-/// drive many runs and want later runs allocation-free too.
+/// drive many runs and want later runs allocation-free too: after the
+/// first quantum warms the buffers, the loop performs no steady-state
+/// heap allocation (enforced by the workspace `zero_alloc` test).
 pub fn run_with_scratch(
     machine: &mut Machine,
     scheduler: &mut dyn Scheduler,
@@ -313,7 +315,8 @@ pub fn run_with_scratch(
     observer: impl FnMut(&SystemView),
     scratch: &mut DriverScratch,
 ) -> RunResult {
-    run_open_with_scratch(machine, scheduler, deadline, Vec::new(), observer, scratch)
+    let (totals, _) = run_open_core(machine, scheduler, deadline, Vec::new(), observer, scratch);
+    RunResult::new(scheduler.name(), totals, machine)
 }
 
 /// Run an open system: `arrivals` are injected mid-run, and the run ends
@@ -340,84 +343,45 @@ pub fn run_open_with(
     observer: impl FnMut(&SystemView),
 ) -> RunResult {
     let mut scratch = DriverScratch::new();
-    run_open_with_scratch(
+    let (totals, _) = run_open_core(
         machine,
         scheduler,
         deadline,
         arrivals,
         observer,
         &mut scratch,
-    )
-}
-
-std::thread_local! {
-    /// Per-thread driver scratch for [`run_open_pooled`]: harnesses that
-    /// drive many machines back to back on pool workers (the fleet layer
-    /// runs hundreds of open-system loops per worker) share one warm
-    /// buffer set per OS thread instead of reallocating per machine.
-    static POOLED_SCRATCH: std::cell::RefCell<DriverScratch> =
-        std::cell::RefCell::new(DriverScratch::new());
-}
-
-/// [`run_open`] against a per-OS-thread reusable [`DriverScratch`],
-/// returning only the run's [`RunTotals`]: the per-thread outcomes stay on
-/// the machine, and a caller that needs them reads them there. The totals
-/// are identical to [`run_open`]'s (the scratch is reset per run — see
-/// `pooled_runs_match_fresh_scratch_runs`); only the buffer reuse differs.
-/// This is the entry point the fleet layer drives its machines through.
-pub fn run_open_pooled(
-    machine: &mut Machine,
-    scheduler: &mut dyn Scheduler,
-    deadline: SimTime,
-    arrivals: Vec<TimedSpawn>,
-) -> RunTotals {
-    POOLED_SCRATCH.with(|s| {
-        run_open_core(
-            machine,
-            scheduler,
-            deadline,
-            arrivals,
-            |_| {},
-            &mut s.borrow_mut(),
-            None,
-        )
-    })
-}
-
-/// [`run_open_with`] against caller-owned scratch buffers. After the
-/// first quantum warms the buffers, the loop performs no steady-state
-/// heap allocation (enforced by the workspace `zero_alloc` test).
-pub fn run_open_with_scratch(
-    machine: &mut Machine,
-    scheduler: &mut dyn Scheduler,
-    deadline: SimTime,
-    arrivals: Vec<TimedSpawn>,
-    observer: impl FnMut(&SystemView),
-    scratch: &mut DriverScratch,
-) -> RunResult {
-    let totals = run_open_core(
-        machine, scheduler, deadline, arrivals, observer, scratch, None,
     );
     RunResult::new(scheduler.name(), totals, machine)
 }
 
-/// One *epoch* of an open-system run: [`run_open_pooled`] with the
-/// deadline as an epoch cutoff, returning the undrained remainder instead
-/// of dropping it. Queued-but-unadmitted specs come back first (due
-/// immediately at the cutoff, FIFO order preserved), followed by plan
-/// entries whose arrival instant lies beyond the cutoff, so a fleet can
-/// feed them into the machine's next epoch — or re-dispatch them to a
-/// peer when the machine failed. Nothing else is returned: the machine
-/// itself holds every thread's outcome, and an epoch caller reads it once
-/// at the end of the run rather than at every barrier.
+std::thread_local! {
+    /// Per-thread driver scratch for [`run_open_epoch_pooled`]: the fleet
+    /// layer drives hundreds of machines per pool worker, each through
+    /// many epochs, and shares one warm buffer set per OS thread instead
+    /// of reallocating per call.
+    static POOLED_SCRATCH: std::cell::RefCell<DriverScratch> =
+        std::cell::RefCell::new(DriverScratch::new());
+}
+
+/// One *epoch* of an open-system run, against a per-OS-thread reusable
+/// [`DriverScratch`]: the run stops at the cutoff `until` and returns its
+/// [`RunTotals`] together with the undrained remainder instead of
+/// dropping it (queued specs first, then plan entries not yet due), so a
+/// fleet can feed them into the machine's next epoch — or re-dispatch
+/// them to a peer when the machine failed. The per-thread outcomes stay
+/// on the machine, and an epoch caller reads them there once at the end
+/// of the run rather than at every barrier. The totals are those of
+/// [`run_open`] up to the cutoff: the scratch is reset per call (see
+/// `pooled_runs_match_fresh_scratch_runs`); only the buffer reuse
+/// differs. This is the entry point the fleet layer drives its machines
+/// through.
 pub fn run_open_epoch_pooled(
     machine: &mut Machine,
     scheduler: &mut dyn Scheduler,
     until: SimTime,
     arrivals: Vec<TimedSpawn>,
-) -> Vec<TimedSpawn> {
+) -> (RunTotals, Vec<TimedSpawn>) {
     POOLED_SCRATCH.with(|s| {
-        let mut leftovers = Vec::new();
         run_open_core(
             machine,
             scheduler,
@@ -425,16 +389,16 @@ pub fn run_open_epoch_pooled(
             arrivals,
             |_| {},
             &mut s.borrow_mut(),
-            Some(&mut leftovers),
-        );
-        leftovers
+        )
     })
 }
 
-/// The single driver loop behind every run mode. With `leftovers` set,
-/// undrained work at the deadline is drained into it instead of being
-/// dropped (the epoch path); with `None` the behaviour is byte-identical
-/// to the pre-epoch driver.
+/// The single driver loop behind every run mode. Besides the run's
+/// totals it returns the work still undrained at the deadline, which
+/// only the epoch path keeps: queued specs already arrived, so they are
+/// due immediately (FIFO order preserved — equal arrival instants keep
+/// insertion order through the driver's stable sort); not-yet-due plan
+/// entries keep their original instants.
 ///
 /// Per call and per quantum the loop costs O(live threads): it walks the
 /// watch list (threads alive at the call's start plus those it admits),
@@ -448,8 +412,7 @@ fn run_open_core(
     arrivals: Vec<TimedSpawn>,
     mut observer: impl FnMut(&SystemView),
     scratch: &mut DriverScratch,
-    leftovers: Option<&mut Vec<TimedSpawn>>,
-) -> RunTotals {
+) -> (RunTotals, Vec<TimedSpawn>) {
     scratch.reset();
     let tick = machine.config().tick_us;
     let clamp_quantum = |q: SimTime| -> SimTime {
@@ -842,25 +805,22 @@ fn run_open_core(
         }
     }
 
-    if let Some(out) = leftovers {
-        // Undrained work at the cutoff: queued specs already arrived, so
-        // they are due immediately (FIFO order preserved — equal arrival
-        // instants keep insertion order through the driver's stable
-        // sort); not-yet-due plan entries keep their original instants.
-        let now = machine.now();
-        out.extend(waiting.drain(..).map(|spec| TimedSpawn { at: now, spec }));
-        out.extend(pending.drain(..));
-    }
-
-    RunTotals {
-        wall: machine.now(),
+    let now = machine.now();
+    let totals = RunTotals {
+        wall: now,
         completed: machine.all_done(),
         quanta,
         migrations: machine.total_migrations() - migrations_before,
         swaps,
         unilateral_migrations: unilateral,
         partitions,
-    }
+    };
+    let leftovers = waiting
+        .into_iter()
+        .map(|spec| TimedSpawn { at: now, spec })
+        .chain(pending)
+        .collect();
+    (totals, leftovers)
 }
 
 #[cfg(test)]
@@ -1143,9 +1103,9 @@ mod tests {
         }
     }
 
-    /// The pooled entry point reuses one scratch per OS thread; its totals
-    /// and the machine's per-thread outcomes must still match fresh-scratch
-    /// runs exactly, run after run.
+    /// The pooled epoch entry point reuses one scratch per OS thread; cut
+    /// at the deadline, its totals and the machine's per-thread outcomes
+    /// must still match fresh-scratch runs exactly, run after run.
     #[test]
     fn pooled_runs_match_fresh_scratch_runs() {
         let arrivals = || {
@@ -1164,7 +1124,9 @@ mod tests {
             let mut m = Machine::new(presets::small_machine(1));
             spawn_pair(&mut m);
             let mut s = SwapOnce { done: false };
-            let totals = run_open_pooled(&mut m, &mut s, SimTime::from_secs_f64(60.0), arrivals());
+            let (totals, leftovers) =
+                run_open_epoch_pooled(&mut m, &mut s, SimTime::from_secs_f64(60.0), arrivals());
+            assert!(leftovers.is_empty());
             assert_eq!(RunResult::new(s.name(), totals, &m), fresh);
         }
     }

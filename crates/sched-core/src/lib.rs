@@ -28,8 +28,8 @@ pub mod view;
 
 pub use actuation::{ActuationReport, PartitionPlanner, SwapPlanner};
 pub use driver::{
-    run, run_open, run_open_epoch_pooled, run_open_pooled, run_open_with, run_open_with_scratch,
-    run_with, run_with_scratch, DriverScratch, RunResult, RunTotals, ThreadResult, TimedSpawn,
+    run, run_open, run_open_epoch_pooled, run_open_with, run_with, run_with_scratch, DriverScratch,
+    RunResult, RunTotals, ThreadResult, TimedSpawn,
 };
 pub use scheduler::{NullScheduler, Scheduler};
 pub use view::{Actions, CoreObservation, SystemView, ThreadObservation};

@@ -163,7 +163,7 @@ fn observe_step_reports_exactly_the_live_set_under_churn() {
                 let mut until = SimTime::ZERO;
                 while until < deadline && !(machine.all_done() && pending.is_empty()) {
                     until += SimTime::from_ms(rng.gen_range(1u64..60));
-                    pending = run_open_epoch_pooled(&mut machine, &mut sched, until, pending);
+                    pending = run_open_epoch_pooled(&mut machine, &mut sched, until, pending).1;
                 }
             } else {
                 run_open_with(&mut machine, &mut sched, deadline, plan, |_| {});

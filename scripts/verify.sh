@@ -47,6 +47,14 @@ step "engine-fast-vs-cold" env DIKE_CHECK_CASES=600 \
     cargo test -q --release --offline -p dike-machine --lib \
     fast_ticks_match_cold_ticks_on_random_machines
 
+# Fleet-loop properties, run hard: the fleet's one epoch loop against
+# the one-pass router (`dispatch()` assigns every machine exactly the
+# threads `run()` and a blind `run_failover` admit, on random fleets that
+# drain), conservation under random machine faults, and the M=1 roll-up.
+# Release, because 500 cases are slow in debug.
+step "fleet-loop-properties" env DIKE_CHECK_CASES=500 \
+    cargo test -q --release --offline -p dike-fleet --test properties
+
 # Parallel-driver smoke: the pooled sweeps — closed, open-system and the
 # fleet roll-up — must stay byte-identical to the serial path when
 # actually running on multiple workers.
@@ -65,8 +73,9 @@ step "zero-alloc" cargo test -q --offline -p dike-repro --test zero_alloc
 step "robustness-smoke" bash -c \
     'cargo run -q --release --offline -p dike-experiments --bin robustness -- --scale 0.02 > /dev/null'
 
-# Fleet smoke: the 8-machine multi-tenant fleet end to end — dispatch
-# pre-pass, per-machine open runs, fleet-wide fairness roll-up.
+# Fleet smoke: the 8-machine multi-tenant fleet end to end — the epoch
+# loop's one-epoch case: routing at the single barrier, per-machine open
+# runs, fleet-wide fairness roll-up.
 step "fleet-smoke" bash -c \
     'cargo run -q --release --offline -p dike-experiments --bin fleet -- --quick > /dev/null'
 
