@@ -25,11 +25,10 @@
 //! input order — byte-identical at any `DIKE_THREADS`, like every other
 //! experiment in this crate.
 
-use crate::open::drive_open;
-use crate::robustness::{WINDOW_S, WINDOW_STEP_S};
-use crate::runner::{RunOptions, SchedKind};
-use dike_machine::{presets, FaultConfig, Machine, MachineConfig, SimTime};
-use dike_metrics::{mean, windowed_fairness, RuntimeMatrix, TextTable, ThreadSpan};
+use crate::open::spans_of;
+use crate::runner::{drive_cell, RunOptions, SchedKind};
+use dike_machine::{presets, FaultConfig, MachineConfig};
+use dike_metrics::{window_series, TextTable};
 use dike_scheduler::SchedConfig;
 use dike_util::{json_struct, Pool};
 use dike_workloads::paper;
@@ -53,8 +52,8 @@ pub fn cachepart_comparison_set() -> Vec<SchedKind> {
 
 /// The fault environments each `(workload × scheduler)` pair runs under:
 /// clean, a telemetry axis point, and an actuation axis point. The clean
-/// cell uses the all-zero default config, so it takes the driver's exact
-/// pre-fault code path.
+/// cell uses the all-zero default config, under which no fault draw
+/// fires.
 pub fn fault_cells(seed: u64) -> Vec<(String, f64, FaultConfig)> {
     vec![
         ("none".into(), 0.0, FaultConfig::default()),
@@ -126,44 +125,19 @@ pub fn run_cachepart_cell(
     kind: &SchedKind,
     opts: &RunOptions,
 ) -> CachePartPoint {
-    let mut cfg = machine_cfg.clone();
-    cfg.seed = opts.seed;
-    let mut machine = Machine::new(cfg);
     let workload = paper::workload(wl);
-    let spawned = workload.spawn(&mut machine, opts.placement, opts.scale);
-    let deadline = SimTime::from_secs_f64(opts.deadline_s);
-    // Closed run through the open driver with an empty arrival plan —
-    // byte-identical to the closed loop (the golden suite enforces it).
-    let result = drive_open(&mut machine, kind, deadline, vec![]);
-
-    let bench_apps = spawned.benchmark_apps();
-    let per_app: Vec<Vec<f64>> = bench_apps
-        .iter()
-        .map(|a| result.app_runtimes(a.0))
-        .collect();
-    let matrix = RuntimeMatrix::new(per_app);
-
+    let (result, matrix, _) = drive_cell(machine_cfg, &workload, kind, opts, |_| {});
     let wall = result.wall.as_secs_f64();
-    let spans: Vec<ThreadSpan> = result
-        .threads
-        .iter()
-        .map(|t| ThreadSpan {
-            app: t.app,
-            spawned_at: t.spawned_at.as_secs_f64(),
-            finished_at: t.finished_at.map(|f| f.as_secs_f64()),
-        })
-        .collect();
-    let windows = windowed_fairness(&spans, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
-    let fair: Vec<f64> = windows.iter().map(|w| w.fairness).collect();
+    let (_, mean_fair, min_fair) = window_series(&spans_of(&result), wall);
 
     CachePartPoint {
         axis: axis.to_string(),
         level,
-        workload: workload.name.clone(),
+        workload: workload.name,
         scheduler: kind.label(),
         fairness: matrix.fairness(),
-        mean_windowed_fairness: mean(&fair),
-        min_windowed_fairness: fair.iter().copied().fold(f64::INFINITY, f64::min),
+        mean_windowed_fairness: mean_fair,
+        min_windowed_fairness: min_fair,
         mean_app_runtime_s: matrix.mean_app_runtime(),
         makespan_s: wall,
         swaps: result.swaps,

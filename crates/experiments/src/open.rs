@@ -19,10 +19,8 @@
 use crate::roster::PolicyHandle;
 use crate::runner::{RunOptions, SchedKind};
 use dike_machine::{presets, Machine, MachineConfig, SimTime};
-use dike_metrics::{
-    fairness_summary, mean_sojourn, windowed_fairness, TextTable, ThreadSpan, WindowPoint,
-};
-use dike_sched_core::{run_open, RunResult, TimedSpawn};
+use dike_metrics::{mean_sojourn, window_series, TextTable, ThreadSpan, WindowPoint};
+use dike_sched_core::{drive, RunResult, TimedSpawn};
 use dike_scheduler::SchedConfig;
 use dike_util::{json_struct, Pool};
 use dike_workloads::{paper, ArrivalConfig, ArrivalTrace};
@@ -34,12 +32,6 @@ pub const LOAD_LEVELS_MS: [f64; 3] = [4000.0, 2000.0, 1000.0];
 /// Arrivals stop after this horizon; each run continues until the last
 /// admitted thread departs (or the deadline cuts it off).
 pub const HORIZON_MS: u64 = 30_000;
-
-/// Sliding-window length for windowed fairness, in seconds.
-pub const WINDOW_S: f64 = 5.0;
-
-/// Window step (half-overlapping windows), in seconds.
-pub const WINDOW_STEP_S: f64 = 2.5;
 
 /// The open-system comparison set: Dike against the CFS/DIO/random
 /// baselines and the null-scheduler floor.
@@ -115,16 +107,17 @@ pub fn wl1_trace(mean_ms: f64, seed: u64) -> ArrivalTrace {
     )
 }
 
-/// Drive one policy over an arrival plan on a fresh machine. Also reused
-/// by the robustness experiment (closed run = empty plan, byte-identical).
-pub(crate) fn drive_open(
-    machine: &mut Machine,
-    kind: &SchedKind,
-    deadline: SimTime,
-    plan: Vec<TimedSpawn>,
-) -> RunResult {
-    let mut policy = PolicyHandle::build(kind, &machine.config().llc);
-    run_open(machine, policy.as_scheduler(), deadline, plan)
+/// Every thread's lifetime in `result`, in seconds, tagged with its app.
+pub(crate) fn spans_of(result: &RunResult) -> Vec<ThreadSpan> {
+    result
+        .threads
+        .iter()
+        .map(|t| ThreadSpan {
+            app: t.app,
+            spawned_at: t.spawned_at.as_secs_f64(),
+            finished_at: t.finished_at.map(|f| f.as_secs_f64()),
+        })
+        .collect()
 }
 
 /// Run one open cell: inject the trace into an initially empty machine
@@ -144,20 +137,14 @@ pub fn run_open_cell(
         .map(|(at, spec)| TimedSpawn { at, spec })
         .collect();
     let deadline = SimTime::from_secs_f64(opts.deadline_s);
-    let result = drive_open(&mut machine, kind, deadline, plan);
+    let mut policy = PolicyHandle::build(kind, &machine.config().llc);
+    let sched = policy.as_scheduler();
+    let (totals, _) = drive(&mut machine, sched, deadline, plan, |_| {});
+    let result = RunResult::collect(sched.name(), totals, &machine);
 
     let wall = result.wall.as_secs_f64();
-    let spans: Vec<ThreadSpan> = result
-        .threads
-        .iter()
-        .map(|t| ThreadSpan {
-            app: t.app,
-            spawned_at: t.spawned_at.as_secs_f64(),
-            finished_at: t.finished_at.map(|f| f.as_secs_f64()),
-        })
-        .collect();
-    let windows = windowed_fairness(&spans, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
-    let (mean_fair, min_fair) = fairness_summary(&windows);
+    let spans = spans_of(&result);
+    let (windows, mean_fair, min_fair) = window_series(&spans, wall);
 
     OpenPoint {
         trace: trace.name.clone(),

@@ -11,19 +11,20 @@
 //! the windowed fairness series, so the output is a degradation curve per
 //! policy: how gracefully does fairness decay as the fault rate climbs?
 //!
-//! The zero-fault points use an all-zero [`FaultConfig`], which the driver
-//! treats as "layer absent" — those cells are byte-identical to the
-//! ordinary Figure 6 cells (the golden-stability suite proves it).
+//! The zero-fault points use an all-zero [`FaultConfig`]: the driver
+//! draws, but at zero rates no draw fires, so those cells are
+//! byte-identical to the ordinary Figure 6 cells (the golden-stability
+//! suite proves it).
 //!
 //! Cells are flattened into one task list over the [`dike_util::pool`]
 //! workers and reassembled in input order, so output is byte-identical to
 //! a serial run at any `DIKE_THREADS` — the same contract as every other
 //! experiment in this crate.
 
-use crate::open::drive_open;
-use crate::runner::{RunOptions, SchedKind};
-use dike_machine::{presets, FaultConfig, Machine, MachineConfig, SimTime};
-use dike_metrics::{mean, windowed_fairness, RuntimeMatrix, TextTable, ThreadSpan};
+use crate::open::spans_of;
+use crate::runner::{drive_cell, RunOptions, SchedKind};
+use dike_machine::{presets, FaultConfig, MachineConfig};
+use dike_metrics::{window_series, TextTable};
 use dike_scheduler::SchedConfig;
 use dike_util::{json_struct, Pool};
 use dike_workloads::paper;
@@ -36,13 +37,6 @@ pub const TELEMETRY_LEVELS: [f64; 4] = [0.0, 0.10, 0.20, 0.30];
 /// Actuation-axis fault levels: the migration-failure rate; delayed
 /// migrations ride along at half that (see [`FaultConfig::actuation_axis`]).
 pub const ACTUATION_LEVELS: [f64; 3] = [0.0, 0.05, 0.10];
-
-/// Sliding-window length for windowed fairness, in seconds (matches the
-/// open experiment).
-pub const WINDOW_S: f64 = 5.0;
-
-/// Window step (half-overlapping windows), in seconds.
-pub const WINDOW_STEP_S: f64 = 2.5;
 
 /// The robustness comparison set: the unhardened paper pipeline against
 /// its hardened sibling, with the CFS and DIO baselines for context.
@@ -104,43 +98,17 @@ pub fn run_robustness_cell(
     kind: &SchedKind,
     opts: &RunOptions,
 ) -> RobustnessPoint {
-    let mut cfg = machine_cfg.clone();
-    cfg.seed = opts.seed;
-    let mut machine = Machine::new(cfg);
-    let workload = paper::workload(1);
-    let spawned = workload.spawn(&mut machine, opts.placement, opts.scale);
-    let deadline = SimTime::from_secs_f64(opts.deadline_s);
-    // Closed run through the open driver with an empty arrival plan —
-    // byte-identical to the closed loop (the golden suite enforces it).
-    let result = drive_open(&mut machine, kind, deadline, vec![]);
-
-    let bench_apps = spawned.benchmark_apps();
-    let per_app: Vec<Vec<f64>> = bench_apps
-        .iter()
-        .map(|a| result.app_runtimes(a.0))
-        .collect();
-    let matrix = RuntimeMatrix::new(per_app);
-
+    let (result, matrix, _) = drive_cell(machine_cfg, &paper::workload(1), kind, opts, |_| {});
     let wall = result.wall.as_secs_f64();
-    let spans: Vec<ThreadSpan> = result
-        .threads
-        .iter()
-        .map(|t| ThreadSpan {
-            app: t.app,
-            spawned_at: t.spawned_at.as_secs_f64(),
-            finished_at: t.finished_at.map(|f| f.as_secs_f64()),
-        })
-        .collect();
-    let windows = windowed_fairness(&spans, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
-    let fair: Vec<f64> = windows.iter().map(|w| w.fairness).collect();
+    let (_, mean_fair, min_fair) = window_series(&spans_of(&result), wall);
 
     RobustnessPoint {
         axis: axis.to_string(),
         level,
         scheduler: kind.label(),
         fairness: matrix.fairness(),
-        mean_windowed_fairness: mean(&fair),
-        min_windowed_fairness: fair.iter().copied().fold(f64::INFINITY, f64::min),
+        mean_windowed_fairness: mean_fair,
+        min_windowed_fairness: min_fair,
         mean_app_runtime_s: matrix.mean_app_runtime(),
         makespan_s: wall,
         swaps: result.swaps,

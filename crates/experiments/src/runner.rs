@@ -4,7 +4,7 @@
 use crate::roster::PolicyHandle;
 use dike_machine::{Machine, MachineConfig, SimTime};
 use dike_metrics::RuntimeMatrix;
-use dike_sched_core::{run_with, SystemView};
+use dike_sched_core::{run_with, RunResult, SystemView};
 use dike_scheduler::{DikeConfig, SchedConfig};
 use dike_util::{json_enum, json_struct};
 use dike_workloads::{Placement, Workload};
@@ -173,14 +173,17 @@ json_struct!(CellResult {
     prediction_trace,
 });
 
-/// Run one cell with a custom per-quantum observer hook.
-pub fn run_cell_with(
+/// Drive one closed cell: spawn `workload` on a machine built from
+/// `machine_cfg` (its faults included) at `opts.seed`, run `kind` to
+/// `opts.deadline_s`, and return the run, its benchmark apps' runtime
+/// matrix and the policy.
+pub(crate) fn drive_cell(
     machine_cfg: &MachineConfig,
     workload: &Workload,
     kind: &SchedKind,
     opts: &RunOptions,
     observer: impl FnMut(&SystemView),
-) -> CellResult {
+) -> (RunResult, RuntimeMatrix, PolicyHandle) {
     let mut cfg = machine_cfg.clone();
     cfg.seed = opts.seed;
     let mut machine = Machine::new(cfg);
@@ -200,8 +203,18 @@ pub fn run_cell_with(
         .iter()
         .map(|a| result.app_runtimes(a.0))
         .collect();
-    let matrix = RuntimeMatrix::new(per_app);
+    (result, RuntimeMatrix::new(per_app), policy)
+}
 
+/// Run one cell with a custom per-quantum observer hook.
+pub fn run_cell_with(
+    machine_cfg: &MachineConfig,
+    workload: &Workload,
+    kind: &SchedKind,
+    opts: &RunOptions,
+    observer: impl FnMut(&SystemView),
+) -> CellResult {
+    let (result, matrix, policy) = drive_cell(machine_cfg, workload, kind, opts, observer);
     let (prediction_errors, prediction_trace) = policy
         .dike()
         .map(|d| (d.predictor().error_values(), d.predictor().error_trace()))

@@ -46,13 +46,10 @@
 //! compares against.
 
 use crate::dispatch::{fleet_vcores, home_machine, tenant_traces, LoadRouter};
-use crate::run::{FleetResult, FleetRunner, MachineSummary, TenantPoint, WINDOW_S, WINDOW_STEP_S};
+use crate::run::{FleetResult, FleetRunner, MachineSummary, TenantPoint};
 use dike_machine::{AppId, BarrierId, MachineFaultConfig, SimTime, ThreadId};
-use dike_metrics::{
-    fairness_summary, mean_sojourn, sojourn_by_app, windowed_fairness, ConservationLedger,
-    ThreadSpan,
-};
-use dike_sched_core::{run_open_epoch_pooled, Scheduler, TimedSpawn};
+use dike_metrics::{mean_sojourn, sojourn_by_app, window_series, ConservationLedger, ThreadSpan};
+use dike_sched_core::{drive, Scheduler, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
 use dike_util::{json_struct, Pool};
 use dike_workloads::ArrivalTrace;
@@ -738,7 +735,7 @@ impl FleetRunner {
                 let sched = lane.sched.get_or_insert_with(|| make(i));
                 let arrivals = std::mem::take(&mut lane.pending);
                 let (totals, leftovers) =
-                    run_open_epoch_pooled(&mut machine, sched.as_mut(), e_end, arrivals);
+                    drive(&mut machine, sched.as_mut(), e_end, arrivals, |_| {});
                 lane.pending = leftovers;
                 lane.quanta += totals.quanta;
                 if last {
@@ -837,8 +834,7 @@ impl FleetRunner {
         };
 
         let wall = summaries.iter().map(|m| m.makespan_s).fold(0.0, f64::max);
-        let windows = windowed_fairness(&spans, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
-        let (mean_fair, min_fair) = fairness_summary(&windows);
+        let (windows, mean_fair, min_fair) = window_series(&spans, wall);
         let by_tenant = sojourn_by_app(&spans, n_tenants, wall);
         let mean_sojourn_s = mean_sojourn(&spans, wall);
 
@@ -952,7 +948,6 @@ mod tests {
         let runner = FleetRunner::new(tiny_fleet(11));
         let pool = Pool::new(1);
         let fo = FailoverConfig::default();
-        assert!(!fo.faults.is_active());
         let a = runner.run_failover(&pool, &fo);
         let b = runner.run_failover(&pool, &fo);
         assert_eq!(a, b, "machines reset per run: identical laps");

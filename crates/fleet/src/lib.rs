@@ -32,4 +32,4 @@ pub mod run;
 pub use config::{DispatchConfig, FleetConfig, TenantSpec};
 pub use dispatch::{dispatch, home_machine, tenant_traces, DispatchPlan};
 pub use failover::{FailoverConfig, FailoverMachineSummary, FailoverResult, FailoverTenantPoint};
-pub use run::{FleetResult, FleetRunner, MachineSummary, TenantPoint, WINDOW_S, WINDOW_STEP_S};
+pub use run::{FleetResult, FleetRunner, MachineSummary, TenantPoint};

@@ -20,13 +20,6 @@ use dike_scheduler::{Dike, SchedConfig};
 use dike_util::{json_struct, Pool};
 use std::sync::Mutex;
 
-/// Sliding-window length for fleet fairness, in seconds (matches the
-/// single-machine open experiment).
-pub const WINDOW_S: f64 = 5.0;
-
-/// Window step, in seconds.
-pub const WINDOW_STEP_S: f64 = 2.5;
-
 /// One machine's contribution to a fleet run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineSummary {

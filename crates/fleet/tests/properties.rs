@@ -4,12 +4,10 @@
 //! does, and the M=1 fleet degenerates *exactly* to a single-machine
 //! open run.
 
-use dike_fleet::{
-    dispatch, tenant_traces, FailoverConfig, FleetConfig, FleetRunner, WINDOW_S, WINDOW_STEP_S,
-};
+use dike_fleet::{dispatch, tenant_traces, FailoverConfig, FleetConfig, FleetRunner};
 use dike_machine::{AppId, BarrierId, FaultConfig, Machine, MachineFaultConfig, SimTime};
-use dike_metrics::{fairness_summary, windowed_fairness, ThreadSpan};
-use dike_sched_core::{run_open, TimedSpawn};
+use dike_metrics::{window_series, ThreadSpan};
+use dike_sched_core::{drive, RunResult, Scheduler, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
 use dike_util::check::check;
 use dike_util::Pool;
@@ -133,7 +131,8 @@ fn m1_rollup_equals_the_single_machine_value() {
     let mut machine = Machine::new(cfg.machines[0].clone());
     let mut sched = Dike::fixed(SchedConfig::DEFAULT);
     let deadline = SimTime::from_secs_f64(cfg.deadline_s);
-    let result = run_open(&mut machine, &mut sched, deadline, spawns);
+    let (totals, _) = drive(&mut machine, &mut sched, deadline, spawns, |_| {});
+    let result = RunResult::collect(sched.name(), totals, &machine);
     let wall = result.wall.as_secs_f64();
     let spans: Vec<ThreadSpan> = result
         .threads
@@ -144,8 +143,7 @@ fn m1_rollup_equals_the_single_machine_value() {
             finished_at: t.finished_at.map(|f| f.as_secs_f64()),
         })
         .collect();
-    let windows = windowed_fairness(&spans, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
-    let (mean_fair, min_fair) = fairness_summary(&windows);
+    let (windows, mean_fair, min_fair) = window_series(&spans, wall);
 
     assert!(fleet.total_arrivals > 0);
     assert_eq!(fleet.total_arrivals as usize, spans.len());

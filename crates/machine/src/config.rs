@@ -191,9 +191,9 @@ pub struct MachineConfig {
     pub tick_us: u64,
     /// Seed for deterministic burstiness noise.
     pub seed: u64,
-    /// Fault injection at the observe/act boundary. All-zero (the
-    /// default) disables the layer entirely; the driver then takes the
-    /// exact pre-fault code path, keeping golden outputs byte-identical.
+    /// Fault injection at the observe/act boundary. The driver draws on
+    /// every run; at all-zero rates (the default) no draw fires, so the
+    /// layer applies nothing and golden outputs stay byte-identical.
     pub faults: FaultConfig,
 }
 

@@ -12,10 +12,11 @@
 //! Everything is a pure hash of `(fault seed, channel, thread, quantum)`
 //! — the same SplitMix64 construction as the machine's burstiness noise —
 //! so fault streams are identical across worker counts and independent of
-//! what any other experiment cell does. A zero-rate config takes the
-//! exact pre-fault code path: the driver checks [`FaultConfig::is_active`]
-//! once and skips the layer entirely, keeping zero-fault runs
-//! byte-identical to the committed goldens.
+//! what any other experiment cell does. The driver draws on every call,
+//! and a zero-rate channel draws nothing: no fault, a noise factor of
+//! exactly 1.0, no stall. So a zero-rate config, whatever its seed,
+//! applies nothing, keeping zero-fault runs byte-identical to the
+//! committed goldens.
 //!
 //! [`FaultPlan`] is the serializable preview of a fault stream: the same
 //! draws the online injector makes, expanded into an event list that can
@@ -76,9 +77,8 @@ json_enum!(FaultKind {
 } {});
 
 /// Per-channel fault rates. All rates are per-(thread, quantum)
-/// probabilities; the default is all-zero, which disables the layer
-/// entirely ([`FaultConfig::is_active`] is false and the driver takes the
-/// legacy code path).
+/// probabilities; the default is all-zero, under which every draw returns
+/// nothing and the layer changes no run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Probability a thread's sample for a quantum is dropped.
@@ -164,18 +164,6 @@ fn unit(h: u64) -> f64 {
 }
 
 impl FaultConfig {
-    /// True when any channel can fire. The driver checks this once per
-    /// run; an inactive config takes the exact pre-fault code path.
-    pub fn is_active(&self) -> bool {
-        self.dropout_rate > 0.0
-            || self.corruption_rate > 0.0
-            || self.stale_rate > 0.0
-            || self.noise_amplitude > 0.0
-            || self.migration_fail_rate > 0.0
-            || self.migration_delay_rate > 0.0
-            || self.stall_rate > 0.0
-    }
-
     /// Validate rates and channel parameters.
     pub fn validate(&self) -> Result<(), String> {
         for (name, r) in [
@@ -436,9 +424,9 @@ impl FaultHasher {
 /// chained-SplitMix64 construction as the per-thread channels with the
 /// machine index in the thread slot and the fleet epoch in the quantum
 /// slot, under fresh salts — enabling machine faults never shifts any
-/// existing channel's stream, and an all-zero config short-circuits every
-/// draw ([`MachineFaultConfig::is_active`] is false) so fault-free fleets
-/// take the exact pre-fault code path.
+/// existing channel's stream, and a zero-rate channel returns `false`
+/// without hashing, so fault-free fleets take the exact pre-fault code
+/// path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineFaultConfig {
     /// Per-(machine, epoch) probability the machine hard-crashes at that
@@ -483,13 +471,6 @@ impl Default for MachineFaultConfig {
 }
 
 impl MachineFaultConfig {
-    /// True when any machine-scope channel can fire. An inactive config
-    /// makes every draw below return `false` without hashing, so the
-    /// fleet's zero-fault path is byte-identical to the pre-fault one.
-    pub fn is_active(&self) -> bool {
-        self.crash_rate > 0.0 || self.brownout_rate > 0.0
-    }
-
     /// Validate rates and window parameters.
     pub fn validate(&self) -> Result<(), String> {
         for (name, r) in [
@@ -666,21 +647,45 @@ mod tests {
     use dike_util::check::check;
     use dike_util::json;
 
+    /// The driver draws on every call, so the default's zero rates must
+    /// draw nothing through the hasher it uses, whatever the seed and the
+    /// channels' other parameters: no telemetry or actuation fault, a
+    /// noise factor of exactly 1.0 and no stall, for any thread (the
+    /// partition sentinel included) at any quantum.
     #[test]
     fn default_config_is_inert_and_valid() {
-        let cfg = FaultConfig::default();
-        assert!(!cfg.is_active());
-        cfg.validate().unwrap();
-        for q in 0..50 {
-            for t in 0..8 {
+        FaultConfig::default().validate().unwrap();
+        check("default_config_is_inert_and_valid", 64, |rng| {
+            let cfg = FaultConfig {
+                migration_delay_quanta: rng.gen_range(0u32..8),
+                stall_us: rng.gen_range(0u64..100_000),
+                seed: rng.gen_range(0u64..u64::MAX),
+                ..FaultConfig::default()
+            };
+            cfg.validate().unwrap();
+            let h = FaultHasher::new(&cfg);
+            for _ in 0..64 {
+                let t = match rng.gen_range(0u32..3) {
+                    0 => u32::MAX,
+                    1 => rng.gen_range(0u32..64),
+                    _ => rng.gen_range(0u32..=u32::MAX),
+                };
+                let q = rng.gen_range(0u64..u64::MAX);
+                // The reference draws the hasher is checked against...
                 assert_eq!(cfg.telemetry_fault(t, q), None);
-                assert_eq!(cfg.migration_fault(t, q), None);
                 assert_eq!(cfg.noise_factor(t, q), 1.0);
+                assert_eq!(cfg.migration_fault(t, q), None);
                 assert!(!cfg.stall(t, q));
+                assert_eq!(cfg.partition_fault(q), None);
+                // ...and the hasher the driver draws through.
+                assert_eq!(h.telemetry_fault(t, q), None);
+                assert_eq!(h.noise_factor(t, q), 1.0);
+                assert_eq!(h.migration_fault(t, q), None);
+                assert!(!h.stall(t, q));
+                assert_eq!(h.partition_fault(q), None);
             }
-        }
-        let plan = FaultPlan::generate("inert", &cfg, 8, 50);
-        assert!(plan.events.is_empty());
+            assert!(FaultPlan::generate("inert", &cfg, 8, 50).events.is_empty());
+        });
     }
 
     #[test]
@@ -766,7 +771,6 @@ mod tests {
             seed: 4,
             ..FaultConfig::default()
         };
-        assert!(cfg.is_active());
         let mut sum = 0.0;
         let mut n = 0u32;
         for q in 0..200 {
@@ -873,7 +877,6 @@ mod tests {
     #[test]
     fn machine_fault_default_is_inert_and_valid() {
         let cfg = MachineFaultConfig::default();
-        assert!(!cfg.is_active());
         cfg.validate().unwrap();
         for e in 0..200 {
             for m in 0..32 {
@@ -888,7 +891,6 @@ mod tests {
             seed: 0xDEAD_BEEF,
             ..MachineFaultConfig::default()
         };
-        assert!(!seeded.is_active());
         assert!(seeded.timeline(32, 200).is_empty());
     }
 

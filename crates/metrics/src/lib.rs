@@ -22,6 +22,5 @@ pub use stats::{coefficient_of_variation, geometric_mean, mean, std_dev, Summary
 pub use table::{pct, ratio, TextTable};
 pub use timeseries::TimeSeries;
 pub use windowed::{
-    fairness_summary, mean_sojourn, merge_spans, sojourn_by_app, windowed_fairness, SojournTotals,
-    ThreadSpan, WindowPoint,
+    mean_sojourn, sojourn_by_app, window_series, SojournTotals, ThreadSpan, WindowPoint,
 };

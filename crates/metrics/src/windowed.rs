@@ -61,6 +61,25 @@ json_struct!(WindowPoint {
     departures,
 });
 
+/// Sliding-window length of every reported window series, in seconds.
+const WINDOW_S: f64 = 5.0;
+
+/// Window step of every reported window series (half-overlapping
+/// windows), in seconds.
+const WINDOW_STEP_S: f64 = 2.5;
+
+/// The window series every open-system, robustness, cache-partitioning
+/// and fleet result reports: 5 s windows every 2.5 s over a run of
+/// `wall` seconds, with the mean and the minimum of their fairness. A run
+/// shorter than one window still gets the one window `[0, 5)`, so the
+/// series is never empty.
+pub fn window_series(spans: &[ThreadSpan], wall: f64) -> (Vec<WindowPoint>, f64, f64) {
+    let windows = windowed_fairness(spans, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
+    let fair: Vec<f64> = windows.iter().map(|w| w.fairness).collect();
+    let min = fair.iter().copied().fold(f64::INFINITY, f64::min);
+    (windows, mean(&fair), min)
+}
+
 /// Slide a `window_s`-long interval in steps of `step_s` across `[0,
 /// horizon_s]` and score each position over `spans`.
 ///
@@ -71,7 +90,7 @@ json_struct!(WindowPoint {
 ///
 /// # Panics
 /// Panics if `window_s` or `step_s` is not positive.
-pub fn windowed_fairness(
+fn windowed_fairness(
     spans: &[ThreadSpan],
     window_s: f64,
     step_s: f64,
@@ -111,34 +130,6 @@ pub fn windowed_fairness(
         end += step_s;
     }
     points
-}
-
-/// Deterministically flatten per-machine span lists into one fleet-wide
-/// set: machine order first, span order within a machine second. This is
-/// the roll-up input order for fleet-level [`windowed_fairness`] — a pure
-/// function of the per-machine results, so the fleet metric is as
-/// thread-count-invariant as the runs that produced it. With one machine
-/// the merge is the identity, which is what makes the M=1 fleet roll-up
-/// equal the single-machine value exactly.
-pub fn merge_spans(per_machine: &[Vec<ThreadSpan>]) -> Vec<ThreadSpan> {
-    let total = per_machine.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    for spans in per_machine {
-        merged.extend_from_slice(spans);
-    }
-    merged
-}
-
-/// `(mean, min)` fairness over a window series — the two scalars every
-/// open-system table reports. An empty series is vacuously fair:
-/// `(1.0, 1.0)`.
-pub fn fairness_summary(windows: &[WindowPoint]) -> (f64, f64) {
-    if windows.is_empty() {
-        return (1.0, 1.0);
-    }
-    let fair: Vec<f64> = windows.iter().map(|w| w.fairness).collect();
-    let min = fair.iter().copied().fold(f64::INFINITY, f64::min);
-    (mean(&fair), min)
 }
 
 /// Mean sojourn time over all spans, charging unfinished threads up to
@@ -264,25 +255,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_spans_keeps_machine_then_span_order_and_m1_is_identity() {
-        let m0 = vec![span(0, 0.0, 1.0), span(1, 0.5, 2.0)];
-        let m1 = vec![span(0, 0.2, 1.4)];
-        let merged = merge_spans(&[m0.clone(), m1.clone()]);
-        assert_eq!(merged, vec![m0[0], m0[1], m1[0]]);
-        // One machine: the roll-up input is exactly the machine's spans,
-        // so every downstream metric matches the single-machine value.
-        assert_eq!(merge_spans(std::slice::from_ref(&m0)), m0);
-        assert_eq!(merge_spans(&[]), Vec::<ThreadSpan>::new());
+    fn window_series_is_never_empty() {
+        let spans = vec![span(0, 0.0, 1.0), span(0, 0.0, 3.9), span(1, 2.0, 9.0)];
+        // A run shorter than one window still gets the window [0, 5).
+        let (short, mean_f, min_f) = window_series(&spans[..2], 1.0);
+        assert_eq!(short.len(), 1);
+        assert_eq!(short[0].end_s, WINDOW_S);
+        assert_eq!((mean_f, min_f), (short[0].fairness, short[0].fairness));
+        let (long, _, _) = window_series(&spans, 9.0);
+        assert_eq!(
+            long,
+            windowed_fairness(&spans, WINDOW_S, WINDOW_STEP_S, 9.0)
+        );
     }
 
     #[test]
-    fn fairness_summary_reduces_mean_and_min() {
-        let spans = vec![span(0, 0.0, 1.0), span(0, 0.0, 3.9)];
-        let windows = windowed_fairness(&spans, 2.0, 2.0, 4.0);
-        let (mean_f, min_f) = fairness_summary(&windows);
-        assert!(min_f <= mean_f);
-        assert!(mean_f <= 1.0);
-        assert_eq!(fairness_summary(&[]), (1.0, 1.0));
+    fn window_series_reduces_mean_and_min() {
+        // Windows [0,5) [2.5,7.5) [5,10): a skewed pair, then one lone
+        // departure each, so only the first window is below 1.0.
+        let spans = vec![span(0, 0.0, 1.0), span(0, 0.0, 3.9), span(1, 2.0, 9.0)];
+        let (windows, mean_f, min_f) = window_series(&spans, 9.0);
+        assert_eq!(
+            windows.iter().map(|w| w.departures).collect::<Vec<_>>(),
+            vec![2, 1, 1]
+        );
+        let skewed = windows[0].fairness;
+        assert!(skewed < 1.0);
+        assert_eq!(min_f, skewed);
+        assert!((mean_f - (skewed + 2.0) / 3.0).abs() < 1e-12);
+        assert!(min_f < mean_f && mean_f < 1.0);
     }
 
     #[test]

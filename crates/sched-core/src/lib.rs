@@ -9,12 +9,13 @@
 //!   (counter rates in, migrations + quantum changes out);
 //! * [`Scheduler`] — the policy trait implemented by Dike, DIO and the
 //!   baselines;
-//! * [`run`] / [`run_with`] — the quantum driver connecting a policy to a
+//! * [`drive`] — the quantum driver connecting a policy to a
 //!   [`dike_machine::Machine`], the simulated analogue of a userspace
-//!   scheduling daemon on a perf-counter timer;
-//! * [`run_open`] / [`run_open_with`] — the same driver fed a
-//!   [`TimedSpawn`] plan, for open systems where threads arrive and
-//!   depart mid-run.
+//!   scheduling daemon on a perf-counter timer. It takes a [`TimedSpawn`]
+//!   plan, for open systems where threads arrive and depart mid-run, and
+//!   returns the run's [`RunTotals`] with the work left undrained;
+//! * [`run`] / [`run_with`] — its closed form: no plan, every thread
+//!   spawned up front, the outcome collected into a [`RunResult`].
 
 //! * [`SwapPlanner`] / [`PartitionPlanner`] — actuation verification:
 //!   confirm that requested swaps and LLC partition plans actually
@@ -27,9 +28,6 @@ pub mod scheduler;
 pub mod view;
 
 pub use actuation::{ActuationReport, PartitionPlanner, SwapPlanner};
-pub use driver::{
-    run, run_open, run_open_epoch_pooled, run_open_with, run_with, run_with_scratch, DriverScratch,
-    RunResult, RunTotals, ThreadResult, TimedSpawn,
-};
+pub use driver::{drive, run, run_with, RunResult, RunTotals, ThreadResult, TimedSpawn};
 pub use scheduler::{NullScheduler, Scheduler};
 pub use view::{Actions, CoreObservation, SystemView, ThreadObservation};

@@ -3,8 +3,8 @@
 //! The driver builds each quantum's [`SystemView`] from a watch list of
 //! live threads rather than from every thread the machine has ever run.
 //! This property drives random open workloads — more threads than vcores,
-//! so the wait queue builds — through one-shot runs and through epoch
-//! slices at random cutoffs, records every view, and checks each one
+//! so the wait queue builds — through `drive`, whole and in epoch slices
+//! at random cutoffs, records every view, and checks each one
 //! against `Machine::spawn_time`/`finish_time` after the run:
 //!
 //! * every observed thread was live at `view.now`, and ids ascend;
@@ -17,9 +17,7 @@ use dike_machine::{
     presets, AppId, FaultConfig, Machine, MachineConfig, Phase, PhaseProgram, SimTime, ThreadId,
     ThreadSpec,
 };
-use dike_sched_core::{
-    run_open_epoch_pooled, run_open_with, Actions, Scheduler, SystemView, TimedSpawn,
-};
+use dike_sched_core::{drive, Actions, Scheduler, SystemView, TimedSpawn};
 use dike_util::check::check;
 use dike_util::Pcg32;
 use std::collections::BTreeSet;
@@ -163,10 +161,10 @@ fn observe_step_reports_exactly_the_live_set_under_churn() {
                 let mut until = SimTime::ZERO;
                 while until < deadline && !(machine.all_done() && pending.is_empty()) {
                     until += SimTime::from_ms(rng.gen_range(1u64..60));
-                    pending = run_open_epoch_pooled(&mut machine, &mut sched, until, pending).1;
+                    pending = drive(&mut machine, &mut sched, until, pending, |_| {}).1;
                 }
             } else {
-                run_open_with(&mut machine, &mut sched, deadline, plan, |_| {});
+                drive(&mut machine, &mut sched, deadline, plan, |_| {});
             }
             // Fault draws are keyed by the quantum index of the call, so
             // equal short slices replay one stall draw every call and can

@@ -55,6 +55,15 @@ step "engine-fast-vs-cold" env DIKE_CHECK_CASES=600 \
 step "fleet-loop-properties" env DIKE_CHECK_CASES=500 \
     cargo test -q --release --offline -p dike-fleet --test properties
 
+# Driver observe property, run hard: random open workloads with a wait
+# queue, per-thread faults on and off, driven through the driver's one
+# entry point (`drive`) whole and in random epoch slices. Every view must
+# be the live set when faults are off, report each departure once and
+# list ids in ascending order. Release, because 600 cases are slow in
+# debug.
+step "driver-observe" env DIKE_CHECK_CASES=600 \
+    cargo test -q --release --offline -p dike-sched-core --test observe
+
 # Parallel-driver smoke: the pooled sweeps — closed, open-system and the
 # fleet roll-up — must stay byte-identical to the serial path when
 # actually running on multiple workers.

@@ -1,7 +1,7 @@
 //! Steady-state allocation discipline of the closed-system driver.
 //!
 //! The engine core's performance claim is structural: after the first few
-//! quanta warm the [`DriverScratch`] buffers, a quantum performs **zero**
+//! quanta warm the driver's per-thread scratch buffers, a quantum performs **zero**
 //! heap allocations — every per-quantum structure (the `SystemView`, its
 //! CSR occupant table, the `Actions` buffer, fault draws, observer and
 //! selector working sets) lives in reused storage. This test installs a
@@ -21,7 +21,7 @@
 use dike_repro::baselines::StaticSpread;
 use dike_repro::dike::Dike;
 use dike_repro::machine::{presets, Machine, SimTime};
-use dike_repro::sched_core::{run_with_scratch, DriverScratch, Scheduler};
+use dike_repro::sched_core::{run_with, Scheduler};
 use dike_repro::workloads::{paper, Placement};
 use dike_util::CountingAllocator;
 use std::sync::{Mutex, MutexGuard};
@@ -51,11 +51,10 @@ const WARMUP_QUANTA: usize = 3;
 fn post_warmup_deltas(sched: &mut dyn Scheduler) -> Vec<u64> {
     let mut machine = Machine::new(presets::paper_machine(42));
     paper::workload(9).spawn(&mut machine, Placement::Interleaved, 1.0);
-    let mut scratch = DriverScratch::new();
     // Pre-size the sample buffer: pushing within capacity must not
     // allocate, or the probe would perturb the measurement.
     let mut samples: Vec<u64> = Vec::with_capacity(4096);
-    let result = run_with_scratch(
+    let result = run_with(
         &mut machine,
         sched,
         SimTime::from_secs_f64(120.0),
@@ -66,7 +65,6 @@ fn post_warmup_deltas(sched: &mut dyn Scheduler) -> Vec<u64> {
             );
             samples.push(ALLOC.allocations());
         },
-        &mut scratch,
     );
     assert!(result.completed);
     assert!(
