@@ -320,8 +320,7 @@ mod tests {
         m.spawn(
             ThreadSpec {
                 app: dike_machine::AppId(0),
-                app_name: "thrash".into(),
-                program: PhaseProgram::single(Phase::steady(1.0, 60.0, 20.0, 1e6), 4e10),
+                program: PhaseProgram::single(Phase::steady(1.0, 60.0, 20.0, 1e6), 4e10).into(),
                 barrier: None,
             },
             VCoreId(0),
@@ -330,8 +329,7 @@ mod tests {
             m.spawn(
                 ThreadSpec {
                     app: dike_machine::AppId(i),
-                    app_name: format!("light{i}"),
-                    program: PhaseProgram::single(Phase::steady(0.8, 1.0, 0.5, 1e7), 1e10),
+                    program: PhaseProgram::single(Phase::steady(0.8, 1.0, 0.5, 1e7), 1e10).into(),
                     barrier: None,
                 },
                 VCoreId(i + 1),
@@ -364,8 +362,7 @@ mod tests {
         m.spawn(
             ThreadSpec {
                 app: dike_machine::AppId(0),
-                app_name: "thrash".into(),
-                program: PhaseProgram::single(Phase::steady(1.0, 60.0, 20.0, 1e6), 2e9),
+                program: PhaseProgram::single(Phase::steady(1.0, 60.0, 20.0, 1e6), 2e9).into(),
                 barrier: None,
             },
             VCoreId(0),
@@ -374,8 +371,7 @@ mod tests {
             m.spawn(
                 ThreadSpec {
                     app: dike_machine::AppId(i),
-                    app_name: format!("light{i}"),
-                    program: PhaseProgram::single(Phase::steady(0.8, 1.0, 0.5, 1e7), 5e8),
+                    program: PhaseProgram::single(Phase::steady(0.8, 1.0, 0.5, 1e7), 5e8).into(),
                     barrier: None,
                 },
                 VCoreId(i + 1),

@@ -8,9 +8,9 @@
 //! the homogeneous machine vs 4.6× on the heterogeneous one).
 
 use crate::runner::RunOptions;
-use dike_machine::{presets, Machine, MachineConfig, SimTime};
+use dike_machine::{presets, AppId, BarrierId, Machine, MachineConfig, SimTime, VCoreId};
 use dike_metrics::TextTable;
-use dike_workloads::{paper, AppKind, Workload};
+use dike_workloads::{paper, AppKind, ProgramTable, Workload};
 
 /// One application's standalone-vs-concurrent measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,15 +58,10 @@ fn standalone_runtime(machine_cfg: &MachineConfig, app: AppKind, opts: &RunOptio
     let mut cfg = machine_cfg.clone();
     cfg.seed = opts.seed;
     let mut machine = Machine::new(cfg);
-    let mut threads = Vec::new();
-    for k in 0..8u32 {
-        let spec = app.thread_spec(
-            dike_machine::AppId(0),
-            opts.scale,
-            dike_machine::BarrierId(0),
-        );
-        threads.push(machine.spawn(spec, dike_machine::VCoreId(k * 5)));
-    }
+    let spec = ProgramTable::new(opts.scale).spec(app, AppId(0), BarrierId(0));
+    let threads: Vec<_> = (0..8u32)
+        .map(|k| machine.spawn(spec.clone(), VCoreId(k * 5)))
+        .collect();
     machine.run_until_done(SimTime::from_secs_f64(opts.deadline_s));
     threads
         .iter()

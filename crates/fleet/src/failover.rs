@@ -52,7 +52,7 @@ use dike_metrics::{mean_sojourn, sojourn_by_app, window_series, ConservationLedg
 use dike_sched_core::{drive, Scheduler, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
 use dike_util::{json_struct, Pool};
-use dike_workloads::ArrivalTrace;
+use dike_workloads::{ArrivalTrace, ProgramTable};
 use std::sync::Mutex;
 
 /// Knobs of one run of the epoch loop (passed per run, never stored in
@@ -428,11 +428,12 @@ impl FleetRunner {
         // Every thread of global merged event `g` spawns as `AppId(g)` and
         // `BarrierId(g)`: two tenants' arrivals stay distinct applications
         // on a shared machine, and barrier groups never span machines.
-        let spawn_of = |g: u32, at: SimTime| {
+        // Its program is its kind's, shared by refcount.
+        let programs = ProgramTable::new(cfg.scale);
+        let spec_of = |g: u32| {
             let ev = &merged[g as usize];
             let event = &traces[ev.tenant as usize].events[ev.event as usize];
-            let spec = event.app.thread_spec(AppId(g), cfg.scale, BarrierId(g));
-            TimedSpawn { at, spec }
+            programs.spec(event.app, AppId(g), BarrierId(g))
         };
 
         let epoch_ms = fo.epoch_ms;
@@ -677,7 +678,11 @@ impl FleetRunner {
                 lane.pending.reserve_exact(std::mem::take(s));
             }
             for (g, at, i) in routed.drain(..) {
-                let threads = (0..threads_of[g as usize]).map(|_| spawn_of(g, at));
+                let spec = spec_of(g);
+                let threads = (0..threads_of[g as usize]).map(|_| TimedSpawn {
+                    at,
+                    spec: spec.clone(),
+                });
                 lanes[i].pending.extend(threads);
             }
             debug_assert_eq!(

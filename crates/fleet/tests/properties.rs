@@ -11,7 +11,7 @@ use dike_sched_core::{drive, RunResult, Scheduler, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
 use dike_util::check::check;
 use dike_util::Pool;
-use dike_workloads::ArrivalConfig;
+use dike_workloads::{ArrivalConfig, ProgramTable};
 
 fn arrivals(mean_ms: f64, horizon_ms: u64) -> ArrivalConfig {
     ArrivalConfig {
@@ -116,15 +116,14 @@ fn m1_rollup_equals_the_single_machine_value() {
     // open-system driver, and roll up by tenant by hand.
     let traces = tenant_traces(&cfg);
     let plan = dispatch(&cfg, &traces);
+    let programs = ProgramTable::new(cfg.scale);
     let mut spawns = Vec::new();
     for (g, ev) in plan.merged.iter().enumerate() {
         let event = &traces[ev.tenant as usize].events[ev.event as usize];
         for _ in 0..event.nthreads {
             spawns.push(TimedSpawn {
                 at: SimTime::from_ms(ev.at_ms),
-                spec: event
-                    .app
-                    .thread_spec(AppId(g as u32), cfg.scale, BarrierId(g as u32)),
+                spec: programs.spec(event.app, AppId(g as u32), BarrierId(g as u32)),
             });
         }
     }

@@ -421,6 +421,29 @@ impl Machine {
         id
     }
 
+    /// Reserve room for `additional` more spawns in every column the
+    /// machine keeps per spawned thread: the slab (spec, placement,
+    /// progress, counters), the engine's per-thread tick caches, the LLC
+    /// cluster column and the event log (a `Spawned` and a `Finished`
+    /// entry per thread). These columns hold every thread spawned since
+    /// the last reset, so a caller that knows its spawn count up front —
+    /// the driver, for its arrival plan — sizes each one once instead of
+    /// growing it by doubling. Capacity only: nothing simulated changes.
+    pub fn reserve_threads(&mut self, additional: usize) {
+        self.threads.reserve(additional);
+        self.noise_window.reserve(additional);
+        self.noise_unit.reserve(additional);
+        self.thread_phase.reserve(additional);
+        self.thread_boundary.reserve(additional);
+        self.thread_demand.reserve(additional);
+        self.thread_rate.reserve(additional);
+        self.thread_step_miss.reserve(additional);
+        self.thread_step_access.reserve(additional);
+        self.phase_fresh.reserve(additional);
+        self.thread_cluster.reserve(additional);
+        self.events.reserve(2 * additional);
+    }
+
     /// Mark thread `i`'s current run domain dirty and its home controller
     /// stale. Every event that can change the thread's runnability,
     /// placement or demand must call this — for moves, once per endpoint.
@@ -747,11 +770,6 @@ impl Machine {
     /// The NUMA domain a thread's memory is homed to (fixed at spawn).
     pub fn home_domain_of(&self, thread: ThreadId) -> DomainId {
         self.threads.home_domain[thread.index()]
-    }
-
-    /// The application name a thread belongs to.
-    pub fn app_name_of(&self, thread: ThreadId) -> &str {
-        &self.threads.specs[thread.index()].app_name
     }
 
     /// Cumulative hardware counters of a thread.
@@ -1681,12 +1699,12 @@ mod tests {
     use crate::thread::BarrierSpec;
     use dike_util::check::check;
     use dike_util::Pcg32;
+    use std::sync::Arc;
 
     fn compute_spec(app: u32, instr: f64) -> ThreadSpec {
         ThreadSpec {
             app: AppId(app),
-            app_name: format!("comp{app}"),
-            program: PhaseProgram::single(Phase::steady(0.6, 1.5, 0.5, 1e6), instr),
+            program: PhaseProgram::single(Phase::steady(0.6, 1.5, 0.5, 1e6), instr).into(),
             barrier: None,
         }
     }
@@ -1694,8 +1712,7 @@ mod tests {
     fn memory_spec(app: u32, instr: f64) -> ThreadSpec {
         ThreadSpec {
             app: AppId(app),
-            app_name: format!("mem{app}"),
-            program: PhaseProgram::single(Phase::steady(1.0, 30.0, 8.0, 1e6), instr),
+            program: PhaseProgram::single(Phase::steady(1.0, 30.0, 8.0, 1e6), instr).into(),
             barrier: None,
         }
     }
@@ -1861,7 +1878,7 @@ mod tests {
         let run = || {
             let mut m = Machine::new(presets::small_machine(7));
             let mut spec = memory_spec(0, 1e8);
-            spec.program.phases[0].burstiness = 0.4;
+            Arc::make_mut(&mut spec.program).phases[0].burstiness = 0.4;
             let t = m.spawn(spec, VCoreId(0));
             m.spawn(compute_spec(1, 1e8), VCoreId(2));
             m.run_for(SimTime::from_ms(500));
@@ -1877,7 +1894,7 @@ mod tests {
         let run = |seed: u64| {
             let mut m = Machine::new(presets::small_machine(seed));
             let mut spec = memory_spec(0, 1e9);
-            spec.program.phases[0].burstiness = 0.5;
+            Arc::make_mut(&mut spec.program).phases[0].burstiness = 0.5;
             let t = m.spawn(spec, VCoreId(0));
             m.run_for(SimTime::from_ms(200));
             m.counters(t).llc_misses
@@ -1904,6 +1921,59 @@ mod tests {
             .collect();
         assert_eq!(kinds, vec!["spawn", "migrate", "finish"]);
         assert_eq!(m.total_migrations(), 1);
+    }
+
+    /// Capacity of every column the machine keeps per spawned thread.
+    fn per_thread_capacities(m: &Machine) -> Vec<usize> {
+        let t = &m.threads;
+        vec![
+            t.specs.capacity(),
+            t.vcore.capacity(),
+            t.home_domain.capacity(),
+            t.spawned_at.capacity(),
+            t.retired.capacity(),
+            t.finished_at.capacity(),
+            t.dead_until.capacity(),
+            t.warmup_until.capacity(),
+            t.next_barrier_at.capacity(),
+            t.at_barrier.capacity(),
+            t.counters.capacity(),
+            m.noise_window.capacity(),
+            m.noise_unit.capacity(),
+            m.thread_phase.capacity(),
+            m.thread_boundary.capacity(),
+            m.thread_demand.capacity(),
+            m.thread_rate.capacity(),
+            m.thread_step_miss.capacity(),
+            m.thread_step_access.capacity(),
+            m.phase_fresh.capacity(),
+            m.thread_cluster.capacity(),
+            m.events.capacity() / 2,
+        ]
+    }
+
+    #[test]
+    fn reserved_threads_grow_no_column_and_change_nothing() {
+        // More threads than the event log's initial capacity, each
+        // logging a spawn and a finish (no balancer, no migrations).
+        let n = 1_500;
+        let run = |reserve: bool| {
+            let mut m = Machine::new(small_machine_pinned(3));
+            if reserve {
+                m.reserve_threads(n);
+            }
+            let reserved = per_thread_capacities(&m);
+            for i in 0..n as u32 {
+                m.spawn(compute_spec(i % 4, 2e5), VCoreId(i % 8));
+            }
+            assert!(m.run_until_done(SimTime::from_secs_f64(60.0)));
+            assert_eq!(m.events().len(), 2 * n);
+            (reserved, per_thread_capacities(&m), state_lines(&m))
+        };
+        let (reserved, after, lines) = run(true);
+        assert!(reserved.iter().all(|&c| c >= n), "{reserved:?}");
+        assert_eq!(after, reserved, "a reserved column grew");
+        assert_eq!(lines, run(false).2);
     }
 
     #[test]
@@ -2072,7 +2142,7 @@ mod tests {
             let mut ids = Vec::new();
             for i in 0..4u32 {
                 let mut spec = memory_spec(i, 2e8);
-                spec.program.phases[0].burstiness = 0.3;
+                Arc::make_mut(&mut spec.program).phases[0].burstiness = 0.3;
                 ids.push(m.spawn(spec, VCoreId(i * 2)));
             }
             if partition {
@@ -2097,7 +2167,7 @@ mod tests {
             let mut ids = Vec::new();
             for i in 0..4u32 {
                 let mut spec = memory_spec(i, 2e8);
-                spec.program.phases[0].burstiness = 0.3;
+                Arc::make_mut(&mut spec.program).phases[0].burstiness = 0.3;
                 ids.push(m.spawn(spec, VCoreId(i * 2)));
             }
             if partition {
@@ -2128,8 +2198,7 @@ mod tests {
             let thrasher = m.spawn(
                 ThreadSpec {
                     app: AppId(1),
-                    app_name: "thrash".into(),
-                    program: PhaseProgram::single(Phase::steady(1.0, 5.0, 20.0, 1e6), 1e9),
+                    program: PhaseProgram::single(Phase::steady(1.0, 5.0, 20.0, 1e6), 1e9).into(),
                     barrier: None,
                 },
                 VCoreId(2),
@@ -2267,12 +2336,12 @@ mod tests {
             .collect();
         ThreadSpec {
             app: AppId(app),
-            app_name: format!("t{app}"),
             program: PhaseProgram {
                 phases,
                 repeat: PhaseRepeat::LoopFrom(rng.gen_range(0..n_phases)),
                 total_instructions: rng.gen_range(1e6f64..3e7),
-            },
+            }
+            .into(),
             barrier,
         }
     }

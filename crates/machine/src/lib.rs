@@ -26,8 +26,7 @@
 //! let mut machine = Machine::new(presets::small_machine(42));
 //! let spec = ThreadSpec {
 //!     app: AppId(0),
-//!     app_name: "demo".into(),
-//!     program: PhaseProgram::single(Phase::steady(1.0, 20.0, 4.0, 1e6), 1e8),
+//!     program: PhaseProgram::single(Phase::steady(1.0, 20.0, 4.0, 1e6), 1e8).into(),
 //!     barrier: None,
 //! };
 //! let t = machine.spawn(spec, VCoreId(0));

@@ -3,6 +3,7 @@
 use crate::ids::{AppId, BarrierId, DomainId, SimTime, VCoreId};
 use crate::phase::PhaseProgram;
 use dike_util::json_struct;
+use std::sync::Arc;
 
 /// Barrier-synchronisation behaviour of a thread (the paper's KMEANS
 /// background app "produces excessive inter-thread communication"; we model
@@ -17,14 +18,17 @@ pub struct BarrierSpec {
 }
 
 /// Everything the machine needs to know to run one thread.
+///
+/// The program is shared: every thread of one app kind at one scale runs
+/// the same immutable [`PhaseProgram`], so a spec holds it by refcount
+/// and cloning a spec allocates nothing. The machine still validates the
+/// program at every spawn.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadSpec {
     /// Application this thread belongs to.
     pub app: AppId,
-    /// Application name (for reports; the scheduler never reads it).
-    pub app_name: String,
     /// The thread's phase program.
-    pub program: PhaseProgram,
+    pub program: Arc<PhaseProgram>,
     /// Optional barrier synchronisation.
     pub barrier: Option<BarrierSpec>,
 }
@@ -127,7 +131,6 @@ json_struct!(BarrierSpec {
 });
 json_struct!(ThreadSpec {
     app,
-    app_name,
     program,
     barrier,
 });
@@ -203,6 +206,21 @@ impl ThreadSlab {
         self.specs.is_empty()
     }
 
+    /// Reserve room for `additional` more threads in every column.
+    pub fn reserve(&mut self, additional: usize) {
+        self.specs.reserve(additional);
+        self.vcore.reserve(additional);
+        self.home_domain.reserve(additional);
+        self.spawned_at.reserve(additional);
+        self.retired.reserve(additional);
+        self.finished_at.reserve(additional);
+        self.dead_until.reserve(additional);
+        self.warmup_until.reserve(additional);
+        self.next_barrier_at.reserve(additional);
+        self.at_barrier.reserve(additional);
+        self.counters.reserve(additional);
+    }
+
     /// Append a freshly spawned thread; its row index is the new dense id.
     pub fn push(
         &mut self,
@@ -250,8 +268,7 @@ mod tests {
     fn spec() -> ThreadSpec {
         ThreadSpec {
             app: AppId(0),
-            app_name: "test".into(),
-            program: PhaseProgram::single(Phase::steady(1.0, 10.0, 4.0, 1e6), 1e7),
+            program: PhaseProgram::single(Phase::steady(1.0, 10.0, 4.0, 1e6), 1e7).into(),
             barrier: None,
         }
     }
@@ -338,6 +355,37 @@ mod tests {
         let mut s = ThreadSlab::default();
         s.push(sp, VCoreId(1), DomainId(0), SimTime::ZERO);
         assert_eq!(s.next_barrier_at[0], 5000.0);
+    }
+
+    #[test]
+    fn spec_json_is_pinned_and_round_trips() {
+        use dike_util::json::{from_str, to_string};
+        let program = Arc::new(PhaseProgram::single(
+            Phase::steady(0.8, 8.0, 10.0, 1e9).with_burstiness(0.1),
+            4e10,
+        ));
+        let spec = ThreadSpec {
+            app: AppId(3),
+            program: Arc::clone(&program),
+            barrier: Some(BarrierSpec {
+                group: BarrierId(7),
+                interval_instructions: 2e7,
+            }),
+        };
+        let text = to_string(&spec);
+        assert_eq!(
+            text,
+            "{\"app\":3,\"program\":{\"phases\":[{\"cpi_exec\":0.8,\"mpki\":8.0,\
+             \"apki\":300.0,\"working_set_mib\":10.0,\"instructions\":1000000000.0,\
+             \"burstiness\":0.1}],\"repeat\":{\"LoopFrom\":0},\
+             \"total_instructions\":40000000000.0},\
+             \"barrier\":{\"group\":7,\"interval_instructions\":20000000.0}}"
+        );
+        // Sharing is layout only: the program writes what it writes alone.
+        assert!(text.contains(&to_string(&*program)));
+        let back: ThreadSpec = from_str(&text).unwrap();
+        assert_eq!(back, spec);
+        assert_eq!(to_string(&back), text);
     }
 
     #[test]

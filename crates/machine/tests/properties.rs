@@ -46,8 +46,7 @@ fn threads_always_finish_and_counters_are_consistent() {
             for (i, program) in programs.iter().enumerate() {
                 let spec = ThreadSpec {
                     app: AppId(i as u32),
-                    app_name: format!("p{i}"),
-                    program: program.clone(),
+                    program: program.clone().into(),
                     barrier: None,
                 };
                 threads.push(machine.spawn(spec, VCoreId((i % n_vcores) as u32)));
@@ -85,8 +84,7 @@ fn migrations_never_lose_work() {
         let mut machine = Machine::new(presets::small_machine(seed));
         let spec = ThreadSpec {
             app: AppId(0),
-            app_name: "m".into(),
-            program: program.clone(),
+            program: program.clone().into(),
             barrier: None,
         };
         let t = machine.spawn(spec, VCoreId(0));
@@ -466,8 +464,7 @@ fn simulation_is_deterministic() {
                 machine.spawn(
                     ThreadSpec {
                         app: AppId(i as u32),
-                        app_name: "d".into(),
-                        program: p.clone(),
+                        program: p.clone().into(),
                         barrier: None,
                     },
                     VCoreId((i % 8) as u32),
@@ -501,8 +498,7 @@ fn reset_machine_is_indistinguishable_from_fresh() {
                 machine.spawn(
                     ThreadSpec {
                         app: AppId(i as u32),
-                        app_name: "r".into(),
-                        program: p.clone(),
+                        program: p.clone().into(),
                         barrier: None,
                     },
                     VCoreId((i % 8) as u32),

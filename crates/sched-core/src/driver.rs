@@ -86,8 +86,6 @@ pub struct ThreadResult {
     pub id: ThreadId,
     /// Application index (dense; matches spawn order).
     pub app: u32,
-    /// Application name.
-    pub app_name: String,
     /// Time the thread was spawned (zero in a closed run; the arrival
     /// instant in an open run).
     pub spawned_at: SimTime,
@@ -147,7 +145,6 @@ impl RunResult {
                 .map(|id| ThreadResult {
                     id,
                     app: machine.app_of(id).0,
-                    app_name: machine.app_name_of(id).to_string(),
                     spawned_at: machine.spawn_time(id),
                     finished_at: machine.finish_time(id),
                     counters: machine.counters(id),
@@ -391,6 +388,16 @@ pub fn drive(
         // arrivals and departures never grow a buffer: departures start
         // quanta after warmup, and a doubling there would break the
         // steady-state zero-allocation guarantee (see `tests/zero_alloc.rs`).
+        // The machine keeps every admitted thread until its reset, so a
+        // fresh machine's per-thread columns are sized for the whole plan
+        // once, not doubled as admissions arrive. A machine already
+        // running threads grows as it admits: an epoch caller's later
+        // plans carry queued backlog that may be admitted epochs later,
+        // or re-dispatched to a peer, and reserving for it only inflates
+        // the machine.
+        if machine.num_threads() == 0 {
+            machine.reserve_threads(pending.len());
+        }
         scratch
             .view
             .departed
@@ -760,8 +767,7 @@ mod tests {
             machine.spawn(
                 ThreadSpec {
                     app: AppId(i),
-                    app_name: format!("app{i}"),
-                    program: PhaseProgram::single(Phase::steady(0.8, 10.0, 2.0, 1e7), 2e9),
+                    program: PhaseProgram::single(Phase::steady(0.8, 10.0, 2.0, 1e7), 2e9).into(),
                     barrier: None,
                 },
                 VCoreId(vcore),
@@ -1101,8 +1107,7 @@ mod tests {
     fn spec_for(app: u32, instructions: f64) -> ThreadSpec {
         ThreadSpec {
             app: AppId(app),
-            app_name: format!("app{app}"),
-            program: PhaseProgram::single(Phase::steady(0.8, 10.0, 2.0, 1e7), instructions),
+            program: PhaseProgram::single(Phase::steady(0.8, 10.0, 2.0, 1e7), instructions).into(),
             barrier: None,
         }
     }

@@ -67,8 +67,7 @@ fn arrivals(rng: &mut Pcg32, n_vcores: usize) -> Vec<TimedSpawn> {
                 at: SimTime::from_us(rng.gen_range(0u64..ARRIVAL_WINDOW_US)),
                 spec: ThreadSpec {
                     app: AppId(i as u32),
-                    app_name: format!("t{i}"),
-                    program: PhaseProgram::single(phase, instructions),
+                    program: PhaseProgram::single(phase, instructions).into(),
                     barrier: None,
                 },
             }

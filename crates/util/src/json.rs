@@ -8,7 +8,8 @@
 //! * newtype ids (`VCoreId(u32)`) → the bare inner value;
 //! * unit enum variants → `"VariantName"`;
 //! * newtype enum variants → `{"VariantName": payload}` (externally tagged);
-//! * `Option` → `null` / the bare payload; tuples → fixed-length arrays.
+//! * `Option` → `null` / the bare payload; tuples → fixed-length arrays;
+//! * `Arc<T>` → whatever `T` writes.
 //!
 //! Implementations for concrete types are written by hand or through the
 //! `macro_rules!` helpers [`json_struct!`](crate::json_struct),
@@ -19,6 +20,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed or buildable JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -511,21 +513,35 @@ impl<'a> Parser<'a> {
             return Err(self.err("invalid number"));
         }
         let num = if is_float {
-            Num::F(text.parse::<f64>().map_err(|e| self.err(e.to_string()))?)
+            Num::F(self.finite(text)?)
         } else if text.starts_with('-') {
             // Parsed with its sign, so `i64::MIN` (whose magnitude is no
-            // `i64`) stays an integer.
+            // `i64`) stays an integer. `-0` is no negative integer: it
+            // parses as the float `-0.0`, as serde_json reads it.
             match text.parse::<i64>() {
-                Ok(i) => Num::I(i),
-                Err(_) => Num::F(text.parse::<f64>().map_err(|e| self.err(e.to_string()))?),
+                Ok(i) if i < 0 => Num::I(i),
+                _ => Num::F(self.finite(text)?),
             }
         } else {
             match text.parse::<u64>() {
                 Ok(u) => Num::U(u),
-                Err(_) => Num::F(text.parse::<f64>().map_err(|e| self.err(e.to_string()))?),
+                Err(_) => Num::F(self.finite(text)?),
             }
         };
         Ok(Value::Num(num))
+    }
+
+    /// `text` as a finite `f64`. A number past `f64::MAX` in magnitude is
+    /// an error, not an infinity: the writer renders non-finite floats as
+    /// `null`, so no document this crate writes holds one, and an
+    /// infinity read from a config would be an infinite rate.
+    fn finite(&self, text: &str) -> Result<f64, JsonError> {
+        let f = text.parse::<f64>().map_err(|e| self.err(e.to_string()))?;
+        if f.is_finite() {
+            Ok(f)
+        } else {
+            Err(self.err("number overflows f64"))
+        }
     }
 }
 
@@ -770,6 +786,21 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     }
 }
 
+/// A shared value writes exactly what the value writes: sharing is a
+/// memory layout, not part of the document.
+impl<T: ToJson + ?Sized> ToJson for Arc<T> {
+    fn to_json_value(&self) -> Value {
+        (**self).to_json_value()
+    }
+}
+
+/// Decodes into a fresh, unshared allocation.
+impl<T: FromJson> FromJson for Arc<T> {
+    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
+        T::from_json_value(v).map(Arc::new)
+    }
+}
+
 impl ToJson for Value {
     fn to_json_value(&self) -> Value {
         self.clone()
@@ -957,6 +988,53 @@ mod tests {
         // \u escapes incl. surrogate pairs parse.
         assert_eq!(from_str::<String>("\"\\u0041\"").unwrap(), "A");
         assert_eq!(from_str::<String>("\"\\ud83d\\ude00\"").unwrap(), "😀");
+    }
+
+    #[test]
+    fn numbers_past_f64_are_errors_not_infinities() {
+        for text in [
+            "1e999",
+            "-1e400",
+            &"9".repeat(400),
+            &format!("-{}", "1".repeat(400)),
+        ] {
+            let e = parse(text).unwrap_err();
+            assert!(e.msg.contains("overflows"), "{text}: {e}");
+            assert!(parse(&format!("[0,{text}]")).is_err(), "{text}");
+        }
+        // Underflow is not overflow: it rounds to zero.
+        assert_eq!(parse("1e-999").unwrap(), Value::Num(Num::F(0.0)));
+        // The largest finite magnitudes still parse, as floats.
+        assert_eq!(from_str::<f64>("1.7976931348623157e308").unwrap(), f64::MAX);
+        assert_eq!(parse(&"9".repeat(300)).unwrap(), Value::Num(Num::F(1e300)));
+    }
+
+    #[test]
+    fn minus_zero_is_a_float_and_round_trips() {
+        for text in ["-0", "-00", "-0.0", "-0e3"] {
+            let v = parse(text).unwrap();
+            let Value::Num(Num::F(f)) = v else {
+                panic!("{text} parsed as {v:?}");
+            };
+            assert!(f == 0.0 && f.is_sign_negative(), "{text}");
+            assert_eq!(v.render(), "-0.0");
+            assert_eq!(parse(&v.render()).unwrap(), v);
+        }
+        assert_eq!(from_str::<i64>("-0").unwrap(), 0);
+        assert_eq!(from_str::<u64>("-0").unwrap(), 0);
+        assert_eq!(parse("-1").unwrap(), Value::Num(Num::I(-1)));
+    }
+
+    #[test]
+    fn shared_values_write_what_they_share() {
+        let v: Arc<Vec<f64>> = Arc::new(vec![1.0, 2.5]);
+        assert_eq!(to_string(&v), to_string(&*v));
+        let back = from_str::<Arc<Vec<f64>>>(&to_string(&v)).unwrap();
+        assert_eq!(back, v);
+        assert!(!Arc::ptr_eq(&back, &v), "decoding allocates afresh");
+        let opt: Option<Arc<String>> = Some(Arc::new("x".into()));
+        assert_eq!(to_string(&opt), "\"x\"");
+        assert_eq!(from_str::<Option<Arc<String>>>("\"x\"").unwrap(), opt);
     }
 
     #[test]

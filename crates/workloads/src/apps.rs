@@ -20,6 +20,7 @@
 
 use dike_machine::{AppId, BarrierId, BarrierSpec, Phase, PhaseProgram, PhaseRepeat, ThreadSpec};
 use dike_util::json_enum;
+use std::sync::Arc;
 
 /// Broad behavioural class of an application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -345,14 +346,41 @@ impl AppKind {
             _ => None,
         }
     }
+}
 
-    /// A full thread spec for one thread of this application.
-    pub fn thread_spec(self, app: AppId, scale: f64, barrier_group: BarrierId) -> ThreadSpec {
+/// Every app kind's phase program at one scale, built once and shared.
+///
+/// A thread's program is a fixed description of its app kind: the
+/// scheduler sees only the counters it produces. So every thread of one
+/// kind at one scale runs the same immutable program, and a spec holds
+/// it by refcount. Build one table per run; [`ProgramTable::spec`] then
+/// allocates nothing per thread, however many arrivals it expands.
+#[derive(Debug, Clone)]
+pub struct ProgramTable {
+    /// Indexed by the kind's position in [`AppKind::ALL`].
+    programs: [Arc<PhaseProgram>; AppKind::ALL.len()],
+}
+
+impl ProgramTable {
+    /// Build every kind's program at `scale` (see [`AppKind::program`]).
+    ///
+    /// # Panics
+    /// Panics if `scale` is not positive.
+    pub fn new(scale: f64) -> Self {
+        ProgramTable {
+            programs: AppKind::ALL.map(|kind| Arc::new(kind.program(scale))),
+        }
+    }
+
+    /// A spec for one thread of `kind`, running as application `app` in
+    /// barrier group `barrier_group` (used only by barrier-synchronised
+    /// kinds). Its program is the table's, shared by refcount.
+    pub fn spec(&self, kind: AppKind, app: AppId, barrier_group: BarrierId) -> ThreadSpec {
         ThreadSpec {
             app,
-            app_name: self.name().to_string(),
-            program: self.program(scale),
-            barrier: self.barrier(barrier_group),
+            // `ALL` lists the kinds in declaration order.
+            program: Arc::clone(&self.programs[kind as usize]),
+            barrier: kind.barrier(barrier_group),
         }
     }
 }
@@ -443,12 +471,42 @@ mod tests {
     }
 
     #[test]
-    fn thread_spec_is_complete_and_valid() {
-        let spec = AppKind::Kmeans.thread_spec(AppId(3), 0.5, BarrierId(7));
+    fn table_specs_are_complete_and_valid() {
+        let spec = ProgramTable::new(0.5).spec(AppKind::Kmeans, AppId(3), BarrierId(7));
         assert!(spec.validate().is_ok());
         assert_eq!(spec.app, AppId(3));
-        assert_eq!(spec.app_name, "kmeans");
+        assert_eq!(*spec.program, AppKind::Kmeans.program(0.5));
         assert_eq!(spec.barrier.unwrap().group, BarrierId(7));
+    }
+
+    #[test]
+    fn table_specs_of_one_kind_share_one_program() {
+        for scale in [0.01, 1.0] {
+            let table = ProgramTable::new(scale);
+            let firsts: Vec<ThreadSpec> = AppKind::ALL
+                .iter()
+                .map(|&kind| table.spec(kind, AppId(0), BarrierId(0)))
+                .collect();
+            for (kind, first) in AppKind::ALL.into_iter().zip(&firsts) {
+                assert_eq!(*first.program, kind.program(scale), "{}", kind.name());
+                for g in 1..4 {
+                    let spec = table.spec(kind, AppId(g), BarrierId(g));
+                    assert!(
+                        Arc::ptr_eq(&spec.program, &first.program),
+                        "{}",
+                        kind.name()
+                    );
+                    assert_eq!(spec.app, AppId(g));
+                    assert_eq!(spec.barrier, kind.barrier(BarrierId(g)));
+                }
+                // Distinct kinds never share.
+                let sharing = firsts
+                    .iter()
+                    .filter(|f| Arc::ptr_eq(&f.program, &first.program))
+                    .count();
+                assert_eq!(sharing, 1, "{}", kind.name());
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! what to do when a slot is not free — and round-trip through JSON so an
 //! experiment's exact arrival schedule can be archived with its results.
 
-use crate::apps::AppKind;
+use crate::apps::{AppKind, ProgramTable};
 use dike_machine::{AppId, BarrierId, SimTime, ThreadSpec};
 use dike_util::{json_struct, Pcg32, SliceRandom};
 
@@ -162,17 +162,15 @@ impl ArrivalTrace {
     /// Expand the trace into per-thread `(arrival time, spec)` pairs, in
     /// event order. Each event becomes one application instance: a fresh
     /// dense `AppId` (the event index) and a matching barrier group, so two
-    /// arrivals of the same `AppKind` stay distinct applications.
+    /// arrivals of the same `AppKind` stay distinct applications. Every
+    /// spec of one kind shares that kind's program ([`ProgramTable`]).
     pub fn spawn_plan(&self, scale: f64) -> Vec<(SimTime, ThreadSpec)> {
+        let programs = ProgramTable::new(scale);
         let mut plan = Vec::with_capacity(self.num_threads());
         for (i, ev) in self.events.iter().enumerate() {
-            let app_id = AppId(i as u32);
-            let barrier = BarrierId(i as u32);
+            let spec = programs.spec(ev.app, AppId(i as u32), BarrierId(i as u32));
             for _ in 0..ev.nthreads {
-                plan.push((
-                    SimTime::from_ms(ev.at_ms),
-                    ev.app.thread_spec(app_id, scale, barrier),
-                ));
+                plan.push((SimTime::from_ms(ev.at_ms), spec.clone()));
             }
         }
         plan

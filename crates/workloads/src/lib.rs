@@ -6,7 +6,9 @@
 //! machine's 40 virtual cores). This crate provides:
 //!
 //! * [`AppKind`] — phase-structured models of the ten applications, with
-//!   the memory/compute-intensive split implied by Table II;
+//!   the memory/compute-intensive split implied by Table II, and
+//!   [`ProgramTable`], their programs at one scale, built once per run
+//!   and shared by every thread spec;
 //! * [`Workload`] / [`WorkloadClass`] — multi-app mixes and the paper's
 //!   B/UC/UM classification;
 //! * [`paper`] — WL1..=WL16 exactly as in Table II;
@@ -21,7 +23,7 @@ pub mod generator;
 pub mod paper;
 pub mod workload;
 
-pub use apps::{AppClass, AppKind};
+pub use apps::{AppClass, AppKind, ProgramTable};
 pub use arrival::{ArrivalConfig, ArrivalEvent, ArrivalTrace, MergedArrival};
 pub use generator::{random_workload, GeneratorConfig};
 pub use workload::{Placement, SpawnedWorkload, Workload, WorkloadClass};

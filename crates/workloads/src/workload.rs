@@ -1,6 +1,6 @@
 //! Workloads: named multi-application mixes, their classes, and placement.
 
-use crate::apps::{AppClass, AppKind};
+use crate::apps::{AppClass, AppKind, ProgramTable};
 use dike_machine::{AppId, BarrierId, Machine, ThreadId, VCoreId};
 use dike_util::{json_enum, json_struct, Pcg32, SliceRandom};
 
@@ -162,17 +162,18 @@ impl Workload {
         scale: f64,
     ) -> SpawnedWorkload {
         let order = self.placement_order(placement, machine.config().topology.num_vcores());
+        let programs = ProgramTable::new(scale);
         let mut threads = Vec::with_capacity(self.num_threads());
         let mut app_names = Vec::new();
         let mut idx = 0;
         for (a, app) in self.all_apps().into_iter().enumerate() {
             let app_id = AppId(a as u32);
             app_names.push(app.name().to_string());
+            let spec = programs.spec(app, app_id, BarrierId(a as u32));
             for _ in 0..self.threads_per_app {
-                let spec = app.thread_spec(app_id, scale, BarrierId(a as u32));
                 let vcore = order[idx];
                 idx += 1;
-                let tid = machine.spawn(spec, vcore);
+                let tid = machine.spawn(spec.clone(), vcore);
                 threads.push((tid, app_id));
             }
         }

@@ -54,7 +54,7 @@ fn main() {
     for t in &result.threads {
         println!(
             "  {}#{}: finished at {:.2}s after {} migration(s)",
-            t.app_name,
+            spawned.app_names[t.app as usize],
             t.id.0,
             t.finished_at.map(|f| f.as_secs_f64()).unwrap_or(f64::NAN),
             t.counters.migrations,

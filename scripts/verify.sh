@@ -70,10 +70,16 @@ step "driver-observe" env DIKE_CHECK_CASES=600 \
 step "parallel-determinism (DIKE_THREADS=2)" \
     env DIKE_THREADS=2 cargo test -q --offline -p dike-experiments --test parallel_determinism
 
-# Allocation discipline: post-warmup quanta of the closed driver must not
-# allocate (counting global allocator, tests/zero_alloc.rs). The workspace
-# test run above already covers this; the named re-run makes a regression
-# fail loudly as its own step.
+# Allocation discipline (counting global allocator, tests/zero_alloc.rs):
+# post-warmup quanta of the closed driver must not allocate; a whole
+# smoke-fleet lap (8 machines, ~49k admitted threads) must stay under one
+# allocation event per eight admitted threads — the fleet allocation
+# budget, so a per-thread allocation creeping back into the spawn path
+# (a spec owning its program) fails here; and `drive` admitting a
+# 2,000-thread plan into a fresh machine must stay under 100 events, so a
+# per-thread machine column grown by doubling fails too. The workspace
+# test run above already covers this; the named re-run makes a
+# regression fail loudly as its own step.
 step "zero-alloc" cargo test -q --offline -p dike-repro --test zero_alloc
 
 # Robustness smoke: the fault-injection degradation sweep end to end at a

@@ -17,13 +17,23 @@
 //!   growing `Vec`s, whose amortised doubling is O(log quanta) allocation
 //!   events per run, not per quantum. Post-warmup quanta must be zero in
 //!   the common case, with a small documented budget for those doublings.
+//!
+//! Two more gates cover the open-system spawn path:
+//!
+//! * a whole fleet lap may allocate per machine, never per admitted
+//!   thread: every spec shares its kind's program, so the lap stays under
+//!   one allocation event per eight admitted threads;
+//! * `drive` sizes a machine's per-thread columns once for its arrival
+//!   plan, so admitting a long plan reallocates none of them.
 
+use dike_fleet::FleetRunner;
 use dike_repro::baselines::StaticSpread;
 use dike_repro::dike::Dike;
-use dike_repro::machine::{presets, Machine, SimTime};
-use dike_repro::sched_core::{run_with, Scheduler};
-use dike_repro::workloads::{paper, Placement};
-use dike_util::CountingAllocator;
+use dike_repro::experiments::fleet;
+use dike_repro::machine::{presets, AppId, BarrierId, Machine, SimTime};
+use dike_repro::sched_core::{drive, run_with, Scheduler, TimedSpawn};
+use dike_repro::workloads::{paper, AppKind, Placement, ProgramTable};
+use dike_util::{CountingAllocator, Pool};
 use std::sync::{Mutex, MutexGuard};
 
 #[global_allocator]
@@ -116,5 +126,75 @@ fn dike_steady_state_allocates_nothing_beyond_diagnostic_growth() {
         dirty_quanta * 10 <= deltas.len(),
         "allocations in {dirty_quanta}/{} post-warmup quanta — per-quantum churn, not amortised growth",
         deltas.len()
+    );
+}
+
+/// Allocation events allowed per admitted thread in a fleet lap: one per
+/// eight. A per-thread allocation in the spawn path (a spec that owns its
+/// program or its name) costs one or more per thread and fails here.
+const FLEET_THREADS_PER_ALLOCATION: u64 = 8;
+
+#[test]
+fn fleet_lap_allocates_per_machine_not_per_thread() {
+    let _alone = measure_alone();
+    let cfg = fleet::smoke_config(42);
+    // One worker runs every machine on this thread, so one lap warms the
+    // thread-local driver scratch that the measured lap reuses.
+    let pool = Pool::new(1);
+    FleetRunner::new(cfg.clone()).run(&pool);
+
+    let runner = FleetRunner::new(cfg);
+    let before = ALLOC.allocations();
+    let result = runner.run(&pool);
+    let events = ALLOC.allocations() - before;
+    let admitted: u64 = result.machines.iter().map(|m| m.arrivals).sum();
+    assert!(
+        admitted > 1_000,
+        "smoke fleet admitted only {admitted} threads"
+    );
+    assert!(
+        events * FLEET_THREADS_PER_ALLOCATION < admitted,
+        "fleet lap allocated {events} events for {admitted} admitted threads \
+         ({:.3} per thread; budget below {:.3})",
+        events as f64 / admitted as f64,
+        1.0 / FLEET_THREADS_PER_ALLOCATION as f64
+    );
+}
+
+/// Allocation events allowed while `drive` admits a 2,000-thread plan
+/// into a fresh machine. Sized once for the plan, each of the machine's
+/// per-thread columns allocates once (about 40 events in all, with the
+/// live-population buffers); grown by doubling, each reallocates about
+/// nine times on the way to 2,000 rows (about 230).
+const OPEN_PLAN_ALLOCATIONS: u64 = 100;
+
+#[test]
+fn open_run_sizes_the_machine_once_for_its_plan() {
+    let _alone = measure_alone();
+    let programs = ProgramTable::new(1e-4);
+    let plan: Vec<TimedSpawn> = (0..2_000u32)
+        .map(|i| TimedSpawn {
+            at: SimTime::from_ms(u64::from(i)),
+            spec: programs.spec(AppKind::LavaMd, AppId(i), BarrierId(i)),
+        })
+        .collect();
+    let deadline = SimTime::from_secs_f64(60.0);
+    let open_run = |plan: Vec<TimedSpawn>| {
+        let mut machine = Machine::new(presets::small_machine(42));
+        let mut sched = StaticSpread::new();
+        let before = ALLOC.allocations();
+        let (totals, _) = drive(&mut machine, &mut sched, deadline, plan, |_| {});
+        let events = ALLOC.allocations() - before;
+        assert!(totals.completed);
+        assert_eq!(machine.num_threads(), 2_000);
+        events
+    };
+    // The first run warms this thread's driver scratch.
+    open_run(plan.clone());
+    let events = open_run(plan);
+    assert!(
+        events < OPEN_PLAN_ALLOCATIONS,
+        "admitting a 2,000-thread plan allocated {events} events \
+         (budget {OPEN_PLAN_ALLOCATIONS}): a per-thread column grows mid-run"
     );
 }
