@@ -20,7 +20,7 @@
 //! changes between cells.
 
 use crate::fleet;
-use dike_fleet::{FailoverConfig, FailoverResult, FleetRunner};
+use dike_fleet::{FailoverConfig, FleetResult, FleetRunner};
 use dike_machine::MachineFaultConfig;
 use dike_metrics::TextTable;
 use dike_util::{json_struct, Pool};
@@ -120,8 +120,8 @@ pub fn cell_config(crash: f64, brownout: f64, budget: u32, failover: bool) -> Fa
     }
 }
 
-/// Reduce a full [`FailoverResult`] to its recorded grid point.
-fn reduce(fo: &FailoverConfig, r: &FailoverResult) -> FailoverPoint {
+/// Reduce a full [`FleetResult`] to its recorded grid point.
+fn reduce(fo: &FailoverConfig, r: &FleetResult) -> FailoverPoint {
     FailoverPoint {
         crash_rate: fo.faults.crash_rate,
         brownout_rate: fo.faults.brownout_rate,

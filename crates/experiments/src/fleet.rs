@@ -99,8 +99,8 @@ pub fn run_fleet_pool(cfg: &FleetConfig, pool: &Pool) -> FleetResult {
 pub fn render_machines(r: &FleetResult) -> TextTable {
     let mut t = TextTable::new(vec![
         "machine".to_string(),
-        "arrivals".to_string(),
-        "departures".to_string(),
+        "admitted".to_string(),
+        "drained".to_string(),
         "makespan(s)".to_string(),
         "quanta".to_string(),
         "migrations".to_string(),
@@ -108,8 +108,8 @@ pub fn render_machines(r: &FleetResult) -> TextTable {
     for m in &r.machines {
         t.row(vec![
             m.machine.to_string(),
-            m.arrivals.to_string(),
-            m.departures.to_string(),
+            m.admitted.to_string(),
+            m.drained.to_string(),
             format!("{:.1}", m.makespan_s),
             m.quanta.to_string(),
             m.migrations.to_string(),
@@ -123,16 +123,16 @@ pub fn render_tenants(r: &FleetResult) -> TextTable {
     let mut t = TextTable::new(vec![
         "tenant".to_string(),
         "home".to_string(),
-        "arrivals".to_string(),
-        "departures".to_string(),
+        "admitted".to_string(),
+        "drained".to_string(),
         "sojourn(s)".to_string(),
     ]);
     for p in &r.tenants {
         t.row(vec![
             p.name.clone(),
             p.home.to_string(),
-            p.arrivals.to_string(),
-            p.departures.to_string(),
+            p.admitted.to_string(),
+            p.drained.to_string(),
             format!("{:.3}", p.mean_sojourn_s),
         ]);
     }
@@ -142,14 +142,14 @@ pub fn render_tenants(r: &FleetResult) -> TextTable {
 /// One-paragraph fleet summary for the binary's stdout.
 pub fn summary(r: &FleetResult) -> String {
     format!(
-        "fleet: {} machines, {} tenants | arrivals {} | departures {} | \
+        "fleet: {} machines, {} tenants | admitted {} | drained {} | \
          completed {} | makespan {:.1}s | sojourn {:.3}s | \
          fairness mean {:.3} min {:.3}",
         r.machines.len(),
         r.tenants.len(),
         r.total_arrivals,
         r.total_departures,
-        r.completed,
+        r.completed(),
         r.makespan_s,
         r.mean_sojourn_s,
         r.mean_windowed_fairness,

@@ -41,10 +41,6 @@ pub struct DispatchPlan {
     pub merged: Vec<MergedArrival>,
     /// Machine index chosen for each merged event, parallel to `merged`.
     pub assignment: Vec<u32>,
-    /// Owning tenant of each *global event index*. The fleet tags every
-    /// spawned thread's `AppId` with its global event index, so this is
-    /// the thread→tenant map for the roll-up.
-    pub tenant_of_event: Vec<u32>,
 }
 
 /// Materialise every tenant's arrival trace, in tenant order.
@@ -299,13 +295,7 @@ pub fn dispatch(cfg: &FleetConfig, traces: &[ArrivalTrace]) -> DispatchPlan {
         .iter()
         .map(|ev| router.route(ev.at_ms, homes[ev.tenant as usize], event_of(ev).nthreads) as u32)
         .collect();
-    let tenant_of_event = merged.iter().map(|ev| ev.tenant).collect();
-
-    DispatchPlan {
-        merged,
-        assignment,
-        tenant_of_event,
-    }
+    DispatchPlan { merged, assignment }
 }
 
 #[cfg(test)]
@@ -441,10 +431,9 @@ mod tests {
         let plan = dispatch(&cfg, &[]);
         assert!(plan.merged.is_empty());
         assert!(plan.assignment.is_empty());
-        assert!(plan.tenant_of_event.is_empty());
         let r = crate::FleetRunner::new(cfg).run(&dike_util::Pool::new(1));
         assert_eq!(r.total_arrivals, 0);
-        assert!(r.completed);
+        assert!(r.completed());
         assert!(r.machines.iter().all(|m| m.quanta == 0));
     }
 

@@ -235,119 +235,6 @@ impl OrphanBook {
     }
 }
 
-/// One machine's contribution to a failover run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailoverMachineSummary {
-    /// Machine index in the fleet.
-    pub machine: u32,
-    /// Threads ever admitted (spawned) on this machine.
-    pub admitted: u64,
-    /// Admitted threads that finished.
-    pub drained: u64,
-    /// Threads still queued (never spawned) at run end.
-    pub queued: u64,
-    /// Hard crashes suffered.
-    pub crashes: u64,
-    /// Brownout windows entered.
-    pub brownouts: u64,
-    /// Whether the machine ended the run down.
-    pub down_at_end: bool,
-    /// The machine's own clock at run end, seconds.
-    pub makespan_s: f64,
-}
-
-/// One tenant's roll-up, tolerant of partial-machine results: threads
-/// stranded on a dead machine still appear (unfinished, charged to the
-/// fleet wall), and lost threads are reported explicitly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailoverTenantPoint {
-    /// Tenant index.
-    pub tenant: u32,
-    /// Tenant name.
-    pub name: String,
-    /// Threads the tenant offered.
-    pub offered: u64,
-    /// Threads that finished somewhere in the fleet.
-    pub drained: u64,
-    /// Threads lost (budget exhausted or routed into a dead machine).
-    pub lost: u64,
-    /// Mean sojourn over the tenant's *admitted* threads, unfinished
-    /// charged to the fleet wall. Lost threads never ran and are excluded
-    /// (they are accounted in `lost`, not smeared into sojourn).
-    pub mean_sojourn_s: f64,
-}
-
-/// A whole epoch-driven fleet run, rolled up.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailoverResult {
-    /// Scheduler label.
-    pub scheduler: String,
-    /// Whether health-aware failover routing was on.
-    pub failover: bool,
-    /// Epochs actually executed (the loop exits early once drained).
-    pub epochs: u64,
-    /// Per-machine summaries, in machine order.
-    pub machines: Vec<FailoverMachineSummary>,
-    /// Per-tenant roll-ups, in tenant order.
-    pub tenants: Vec<FailoverTenantPoint>,
-    /// The conservation balance sheet:
-    /// `dispatched = drained + in_flight + lost`.
-    pub ledger: ConservationLedger,
-    /// Machines quarantined at a barrier (crash + brownout entries).
-    pub quarantines: u64,
-    /// Recovered machines re-admitted to routing.
-    pub readmissions: u64,
-    /// Events orphaned off crashed machines (or un-routable arrivals).
-    pub orphaned: u64,
-    /// Orphaned events successfully re-dispatched to a healthy peer.
-    pub redispatched: u64,
-    /// Mean of the per-window fleet fairness scores (Eqn 4 per window
-    /// over the merged span set, grouped by tenant).
-    pub mean_windowed_fairness: f64,
-    /// Worst window.
-    pub min_windowed_fairness: f64,
-    /// Latest machine clock — the fleet wall, seconds.
-    pub makespan_s: f64,
-    /// Mean sojourn over every admitted thread, unfinished charged to the
-    /// wall.
-    pub mean_sojourn_s: f64,
-}
-
-json_struct!(FailoverMachineSummary {
-    machine,
-    admitted,
-    drained,
-    queued,
-    crashes,
-    brownouts,
-    down_at_end,
-    makespan_s,
-});
-json_struct!(FailoverTenantPoint {
-    tenant,
-    name,
-    offered,
-    drained,
-    lost,
-    mean_sojourn_s,
-});
-json_struct!(FailoverResult {
-    scheduler,
-    failover,
-    epochs,
-    machines,
-    tenants,
-    ledger,
-    quarantines,
-    readmissions,
-    orphaned,
-    redispatched,
-    mean_windowed_fairness,
-    min_windowed_fairness,
-    makespan_s,
-    mean_sojourn_s,
-});
-
 /// One machine's lane through the epoch loop.
 #[derive(Default)]
 struct Lane {
@@ -365,15 +252,16 @@ struct Lane {
 impl FleetRunner {
     /// Run the epoch-driven fault-tolerant fleet under the default Dike
     /// policy. See [`FleetRunner::run_failover_with`].
-    pub fn run_failover(&self, pool: &Pool, fo: &FailoverConfig) -> FailoverResult {
+    pub fn run_failover(&self, pool: &Pool, fo: &FailoverConfig) -> FleetResult {
         self.run_failover_with(pool, fo, "dike", |_| {
             Box::new(Dike::fixed(SchedConfig::DEFAULT))
         })
     }
 
-    /// Run the epoch-driven loop: simulate an epoch on every up machine
-    /// (fanning over the pool in machine order), observe health at the
-    /// barrier, route the next epoch's arrivals, re-dispatch orphans.
+    /// The fleet's one loop (see the module docs): simulate an epoch on
+    /// every up machine (fanning over the pool in machine order), observe
+    /// health at the barrier, route the next epoch's arrivals, re-dispatch
+    /// orphans, and roll the machines up once at the end.
     /// Scheduler state persists across epochs (one policy instance per
     /// machine for the whole run). Deterministic at any worker count:
     /// all cross-machine decisions happen serially at barriers.
@@ -392,22 +280,7 @@ impl FleetRunner {
         fo: &FailoverConfig,
         label: &str,
         make: F,
-    ) -> FailoverResult
-    where
-        F: Fn(usize) -> Box<dyn Scheduler + Send> + Sync,
-    {
-        self.run_epochs(pool, fo, label, make).1
-    }
-
-    /// The fleet's one loop (see the module docs), rolled up once at the
-    /// end into both result schemas; each entry point returns its own.
-    pub(crate) fn run_epochs<F>(
-        &self,
-        pool: &Pool,
-        fo: &FailoverConfig,
-        label: &str,
-        make: F,
-    ) -> (FleetResult, FailoverResult)
+    ) -> FleetResult
     where
         F: Fn(usize) -> Box<dyn Scheduler + Send> + Sync,
     {
@@ -788,8 +661,7 @@ impl FleetRunner {
             .map(|m| m.lock().expect("fleet machine lock").num_threads())
             .sum();
         let mut spans: Vec<ThreadSpan> = Vec::with_capacity(admitted_total);
-        let mut summaries = Vec::with_capacity(n);
-        let mut fo_summaries = Vec::with_capacity(n);
+        let mut machines = Vec::with_capacity(n);
         for (i, lane) in lanes.iter().enumerate() {
             let machine = self.machines[i].lock().expect("fleet machine lock");
             let first = spans.len();
@@ -798,36 +670,24 @@ impl FleetRunner {
                 spawned_at: machine.spawn_time(id).as_secs_f64(),
                 finished_at: machine.finish_time(id).map(|f| f.as_secs_f64()),
             }));
-            let admitted = (spans.len() - first) as u64;
-            let drained = spans[first..]
-                .iter()
-                .filter(|s| s.finished_at.is_some())
-                .count() as u64;
-            let makespan_s = machine.now().as_secs_f64();
-            summaries.push(MachineSummary {
+            let own = &spans[first..];
+            machines.push(MachineSummary {
                 machine: i as u32,
-                arrivals: admitted,
-                departures: drained,
-                completed: machine.all_done() && lane.pending.is_empty(),
-                makespan_s,
-                quanta: lane.quanta,
-                migrations: machine.total_migrations(),
-            });
-            fo_summaries.push(FailoverMachineSummary {
-                machine: i as u32,
-                admitted,
-                drained,
+                admitted: own.len() as u64,
+                drained: own.iter().filter(|s| s.finished_at.is_some()).count() as u64,
                 queued: lane.pending.len() as u64,
                 crashes: health[i].crashes,
                 brownouts: health[i].brownouts,
                 down_at_end: health[i].is_down(),
-                makespan_s,
+                makespan_s: machine.now().as_secs_f64(),
+                quanta: lane.quanta,
+                migrations: machine.total_migrations(),
             });
         }
 
-        let admitted: u64 = summaries.iter().map(|m| m.arrivals).sum();
-        let drained: u64 = summaries.iter().map(|m| m.departures).sum();
-        let queued: u64 = fo_summaries.iter().map(|m| m.queued).sum();
+        let admitted: u64 = machines.iter().map(|m| m.admitted).sum();
+        let drained: u64 = machines.iter().map(|m| m.drained).sum();
+        let queued: u64 = machines.iter().map(|m| m.queued).sum();
         // Arrivals left unrouted: all of them in a run of zero epochs, and
         // those due after a health-aware run's end.
         let unrouted: u64 = threads_of[next_event..].iter().map(|&t| u64::from(t)).sum();
@@ -838,63 +698,41 @@ impl FleetRunner {
             lost: book.lost_threads,
         };
 
-        let wall = summaries.iter().map(|m| m.makespan_s).fold(0.0, f64::max);
+        let wall = machines.iter().map(|m| m.makespan_s).fold(0.0, f64::max);
         let (windows, mean_fair, min_fair) = window_series(&spans, wall);
-        let by_tenant = sojourn_by_app(&spans, n_tenants, wall);
-        let mean_sojourn_s = mean_sojourn(&spans, wall);
-
-        let failover = FailoverResult {
+        let tenants = sojourn_by_app(&spans, n_tenants, wall)
+            .iter()
+            .enumerate()
+            .map(|(t, totals)| TenantPoint {
+                tenant: t as u32,
+                name: cfg.tenants[t].name.clone(),
+                home: homes[t],
+                offered: traces[t].num_threads() as u64,
+                admitted: totals.threads,
+                drained: totals.departures,
+                lost: book.lost_by_tenant[t],
+                mean_sojourn_s: totals.mean_sojourn_s(),
+            })
+            .collect();
+        FleetResult {
             scheduler: label.to_string(),
             failover: fo.failover,
             epochs: epochs_run,
-            machines: fo_summaries,
-            tenants: by_tenant
-                .iter()
-                .enumerate()
-                .map(|(t, totals)| FailoverTenantPoint {
-                    tenant: t as u32,
-                    name: cfg.tenants[t].name.clone(),
-                    offered: traces[t].num_threads() as u64,
-                    drained: totals.departures,
-                    lost: book.lost_by_tenant[t],
-                    mean_sojourn_s: totals.mean_sojourn_s(),
-                })
-                .collect(),
+            machines,
+            tenants,
+            windows,
+            mean_windowed_fairness: mean_fair,
+            min_windowed_fairness: min_fair,
             ledger,
             quarantines,
             readmissions,
             orphaned: book.orphaned,
             redispatched: book.redispatched,
-            mean_windowed_fairness: mean_fair,
-            min_windowed_fairness: min_fair,
-            makespan_s: wall,
-            mean_sojourn_s,
-        };
-        let fleet = FleetResult {
-            scheduler: label.to_string(),
             total_arrivals: admitted,
             total_departures: drained,
-            completed: unrouted == 0 && summaries.iter().all(|m| m.completed),
             makespan_s: wall,
-            mean_sojourn_s,
-            machines: summaries,
-            tenants: by_tenant
-                .iter()
-                .enumerate()
-                .map(|(t, totals)| TenantPoint {
-                    tenant: t as u32,
-                    name: cfg.tenants[t].name.clone(),
-                    home: homes[t],
-                    arrivals: totals.threads,
-                    departures: totals.departures,
-                    mean_sojourn_s: totals.mean_sojourn_s(),
-                })
-                .collect(),
-            windows,
-            mean_windowed_fairness: mean_fair,
-            min_windowed_fairness: min_fair,
-        };
-        (fleet, failover)
+            mean_sojourn_s: mean_sojourn(&spans, wall),
+        }
     }
 }
 

@@ -19,7 +19,8 @@
 //! the fleet's one loop, epoch by epoch, routing each epoch's arrivals
 //! with the [`dispatch`] router (least-loaded, vcore-normalised,
 //! home-affinity bonus) or the health-aware one, and rolls the machines
-//! up. [`run`] is that loop's one-epoch, fault-free case.
+//! up into one [`FleetResult`]. [`run`] is that loop's one-epoch,
+//! fault-free case.
 //!
 //! [`dispatch`]: mod@dispatch
 //! [`run`]: mod@run
@@ -31,5 +32,5 @@ pub mod run;
 
 pub use config::{DispatchConfig, FleetConfig, TenantSpec};
 pub use dispatch::{dispatch, home_machine, tenant_traces, DispatchPlan};
-pub use failover::{FailoverConfig, FailoverMachineSummary, FailoverResult, FailoverTenantPoint};
-pub use run::{FleetResult, FleetRunner, MachineSummary, TenantPoint};
+pub use failover::FailoverConfig;
+pub use run::{FailoverResult, FleetResult, FleetRunner, MachineSummary, TenantPoint};

@@ -1,4 +1,4 @@
-//! The fleet runner, and the one-shot run's result schema.
+//! The fleet runner, and the fleet's one result schema.
 //!
 //! A one-shot run is the fleet's epoch loop ([`crate::failover`]) with
 //! one epoch that ends at the deadline, blind routing and no machine
@@ -9,12 +9,14 @@
 //! `2`, or `8`. The roll-up then re-tags every thread span with its
 //! owning *tenant* (through the event→tenant map) and scores fleet-wide
 //! windowed fairness over the merged span set, exactly the way a single
-//! machine's open run scores its own.
+//! machine's open run scores its own. Both entry points fill the same
+//! [`FleetResult`]: a one-shot run reports zero health counters and its
+//! real ledger.
 
 use crate::config::FleetConfig;
 use crate::failover::FailoverConfig;
 use dike_machine::Machine;
-use dike_metrics::WindowPoint;
+use dike_metrics::{ConservationLedger, WindowPoint};
 use dike_sched_core::Scheduler;
 use dike_scheduler::{Dike, SchedConfig};
 use dike_util::{json_struct, Pool};
@@ -25,13 +27,19 @@ use std::sync::Mutex;
 pub struct MachineSummary {
     /// Machine index in the fleet.
     pub machine: u32,
-    /// Threads dispatched to this machine.
-    pub arrivals: u64,
-    /// Threads that departed before the deadline.
-    pub departures: u64,
-    /// Whether every dispatched thread departed in time.
-    pub completed: bool,
-    /// Time of the machine's last departure (or the deadline).
+    /// Threads ever admitted (spawned) on this machine.
+    pub admitted: u64,
+    /// Admitted threads that finished.
+    pub drained: u64,
+    /// Threads routed here but still queued (never spawned) at run end.
+    pub queued: u64,
+    /// Hard crashes suffered.
+    pub crashes: u64,
+    /// Brownout windows entered.
+    pub brownouts: u64,
+    /// Whether the machine ended the run down.
+    pub down_at_end: bool,
+    /// The machine's own clock at run end, seconds.
     pub makespan_s: f64,
     /// Scheduling quanta executed.
     pub quanta: u64,
@@ -39,7 +47,17 @@ pub struct MachineSummary {
     pub migrations: u64,
 }
 
-/// One tenant's fleet-wide roll-up.
+impl MachineSummary {
+    /// Whether every thread routed here departed in time: every admitted
+    /// thread drained and none is still queued.
+    pub fn completed(&self) -> bool {
+        self.drained == self.admitted && self.queued == 0
+    }
+}
+
+/// One tenant's fleet-wide roll-up, tolerant of partial-machine results:
+/// threads stranded on a dead machine still appear (unfinished, charged
+/// to the fleet wall), and lost threads are reported explicitly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantPoint {
     /// Tenant index.
@@ -49,19 +67,29 @@ pub struct TenantPoint {
     /// The tenant's home machine under the dispatch hash.
     pub home: u32,
     /// Threads the tenant offered.
-    pub arrivals: u64,
-    /// Threads that departed.
-    pub departures: u64,
-    /// Mean sojourn across the tenant's threads, unfinished charged to
-    /// the fleet wall.
+    pub offered: u64,
+    /// Threads admitted on some machine.
+    pub admitted: u64,
+    /// Admitted threads that finished.
+    pub drained: u64,
+    /// Threads lost (budget exhausted or routed into a dead machine).
+    pub lost: u64,
+    /// Mean sojourn over the tenant's *admitted* threads, unfinished
+    /// charged to the fleet wall. Lost threads never ran and are excluded
+    /// (they are accounted in `lost`, not smeared into sojourn).
     pub mean_sojourn_s: f64,
 }
 
-/// A whole fleet run, rolled up.
+/// A whole fleet run, rolled up: what [`FleetRunner::run`] and
+/// [`FleetRunner::run_failover`] both return.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetResult {
     /// Scheduler label (every machine runs the same policy).
     pub scheduler: String,
+    /// Whether health-aware failover routing was on.
+    pub failover: bool,
+    /// Epochs actually executed (the loop exits early once drained).
+    pub epochs: u64,
     /// Per-machine summaries, in machine order.
     pub machines: Vec<MachineSummary>,
     /// Per-tenant roll-ups, in tenant order.
@@ -73,23 +101,52 @@ pub struct FleetResult {
     pub mean_windowed_fairness: f64,
     /// Worst window.
     pub min_windowed_fairness: f64,
-    /// Total threads dispatched across the fleet.
+    /// The conservation balance sheet:
+    /// `dispatched = drained + in_flight + lost`.
+    pub ledger: ConservationLedger,
+    /// Machines quarantined at a barrier (crash + brownout entries).
+    pub quarantines: u64,
+    /// Recovered machines re-admitted to routing.
+    pub readmissions: u64,
+    /// Events orphaned off crashed machines (or un-routable arrivals).
+    pub orphaned: u64,
+    /// Orphaned events successfully re-dispatched to a healthy peer.
+    pub redispatched: u64,
+    /// Threads admitted across the fleet: the sum of the machines'
+    /// `admitted`.
     pub total_arrivals: u64,
-    /// Total departures.
+    /// Threads that departed. Always `ledger.drained`; kept only because
+    /// the frozen benchmark (`benchmark/`) reads it, and to be removed
+    /// with the next benchmark change.
     pub total_departures: u64,
-    /// Whether every machine drained before its deadline.
-    pub completed: bool,
-    /// Latest machine makespan — the fleet wall clock.
+    /// Latest machine clock — the fleet wall, seconds.
     pub makespan_s: f64,
-    /// Mean sojourn over every thread in the fleet.
+    /// Mean sojourn over every admitted thread, unfinished charged to the
+    /// wall.
     pub mean_sojourn_s: f64,
 }
 
+impl FleetResult {
+    /// Whether every offered thread drained before the deadline.
+    pub fn completed(&self) -> bool {
+        self.ledger.drained == self.ledger.dispatched
+    }
+}
+
+/// Another name for [`FleetResult`], the result of
+/// [`FleetRunner::run_failover`]. Nothing in the workspace names it; it
+/// stays only because the frozen benchmark (`benchmark/`) does, and goes
+/// with the next benchmark change.
+pub type FailoverResult = FleetResult;
+
 json_struct!(MachineSummary {
     machine,
-    arrivals,
-    departures,
-    completed,
+    admitted,
+    drained,
+    queued,
+    crashes,
+    brownouts,
+    down_at_end,
     makespan_s,
     quanta,
     migrations,
@@ -98,20 +155,28 @@ json_struct!(TenantPoint {
     tenant,
     name,
     home,
-    arrivals,
-    departures,
+    offered,
+    admitted,
+    drained,
+    lost,
     mean_sojourn_s,
 });
 json_struct!(FleetResult {
     scheduler,
+    failover,
+    epochs,
     machines,
     tenants,
     windows,
     mean_windowed_fairness,
     min_windowed_fairness,
+    ledger,
+    quarantines,
+    readmissions,
+    orphaned,
+    redispatched,
     total_arrivals,
     total_departures,
-    completed,
     makespan_s,
     mean_sojourn_s,
 });
@@ -162,7 +227,7 @@ impl FleetRunner {
             failover: false,
             ..Default::default()
         };
-        self.run_epochs(pool, &fo, label, make).0
+        self.run_failover_with(pool, &fo, label, make)
     }
 }
 
@@ -198,11 +263,11 @@ mod tests {
         assert!(a.total_arrivals > 0);
         assert_eq!(
             a.total_arrivals,
-            a.machines.iter().map(|m| m.arrivals).sum::<u64>()
+            a.machines.iter().map(|m| m.admitted).sum::<u64>()
         );
         assert_eq!(
             a.total_arrivals,
-            a.tenants.iter().map(|t| t.arrivals).sum::<u64>()
+            a.tenants.iter().map(|t| t.admitted).sum::<u64>()
         );
     }
 
@@ -210,7 +275,7 @@ mod tests {
     fn fleet_drains_under_light_load() {
         let runner = FleetRunner::new(tiny_fleet());
         let r = runner.run(&Pool::new(1));
-        assert!(r.completed, "light load should drain: {r:?}");
+        assert!(r.completed(), "light load should drain: {r:?}");
         assert_eq!(r.total_arrivals, r.total_departures);
         assert!(r.makespan_s > 0.0);
         assert!(r.mean_windowed_fairness > 0.0);
@@ -236,7 +301,7 @@ mod tests {
         );
         cfg.scale = 0.01;
         let runner = FleetRunner::new(cfg);
-        assert!(runner.run(&Pool::new(1)).completed);
+        assert!(runner.run(&Pool::new(1)).completed());
         let traces = crate::tenant_traces(&runner.cfg);
         let plan = crate::dispatch(&runner.cfg, &traces);
         assert!(plan.assignment.iter().any(|&i| i != plan.assignment[0]));

@@ -30,12 +30,12 @@ fn idle_machines_are_done() {
     cfg.dispatch.affinity_bonus = 1e9;
     let r = FleetRunner::new(cfg).run(&Pool::new(1));
     let home = home_machine(0, 8) as usize;
-    assert!(r.completed, "{r:?}");
+    assert!(r.completed(), "{r:?}");
     assert_eq!(r.makespan_s, 4.5);
-    assert_eq!(r.machines[home].arrivals, r.total_arrivals);
+    assert_eq!(r.machines[home].admitted, r.total_arrivals);
     for m in r.machines.iter().filter(|m| m.machine as usize != home) {
-        assert_eq!((m.arrivals, m.quanta), (0, 0), "{m:?}");
-        assert!(m.completed);
+        assert_eq!((m.admitted, m.quanta), (0, 0), "{m:?}");
+        assert!(m.completed());
     }
     assert_eq!(r.mean_windowed_fairness, r.min_windowed_fairness);
 }
@@ -53,14 +53,14 @@ fn deadline_bounds_a_run_whose_arrivals_outlast_it() {
     let offered = cfg.offered_threads() as u64;
     let pool = Pool::new(1);
     let r = FleetRunner::new(cfg.clone()).run(&pool);
-    assert!(!r.completed);
+    assert!(!r.completed());
     assert!(r.total_arrivals < offered);
     assert!(r.machines.iter().all(|m| m.makespan_s == 5.0), "{r:?}");
 
     cfg.deadline_s = 0.0;
     let runner = FleetRunner::new(cfg);
     let r = runner.run(&pool);
-    assert!(!r.completed);
+    assert!(!r.completed());
     assert_eq!((r.total_arrivals, r.makespan_s), (0, 0.0));
     assert!(r.machines.iter().all(|m| m.quanta == 0));
     let f = runner.run_failover(&pool, &FailoverConfig::default());

@@ -1,10 +1,12 @@
 //! Dispatcher and roll-up properties the fleet layer is contractually
 //! bound to: routing is a pure function of the config, no arrival is
 //! lost or duplicated, the fleet loop routes exactly as [`dispatch`]
-//! does, and the M=1 fleet degenerates *exactly* to a single-machine
-//! open run.
+//! does, both entry points fill one result schema whose totals agree,
+//! and the M=1 fleet degenerates *exactly* to a single-machine open run.
 
-use dike_fleet::{dispatch, tenant_traces, FailoverConfig, FleetConfig, FleetRunner};
+use dike_fleet::{
+    dispatch, tenant_traces, FailoverConfig, FleetConfig, FleetResult, FleetRunner, MachineSummary,
+};
 use dike_machine::{AppId, BarrierId, FaultConfig, Machine, MachineFaultConfig, SimTime};
 use dike_metrics::{window_series, ThreadSpan};
 use dike_sched_core::{drive, RunResult, Scheduler, TimedSpawn};
@@ -20,6 +22,44 @@ fn arrivals(mean_ms: f64, horizon_ms: u64) -> ArrivalConfig {
         threads_min: 1,
         threads_max: 3,
     }
+}
+
+/// The identities of the one result schema, on any result of `run()` or
+/// `run_failover()` over a fleet that offers `offered` threads.
+fn assert_one_schema(r: &FleetResult, offered: u64) {
+    assert!(r.ledger.holds(), "ledger imbalance: {:?}", r.ledger);
+    assert_eq!(r.total_departures, r.ledger.drained);
+    let admitted: u64 = r.machines.iter().map(|m| m.admitted).sum();
+    assert_eq!(admitted, r.total_arrivals);
+    let t_offered: u64 = r.tenants.iter().map(|t| t.offered).sum();
+    assert_eq!(t_offered, r.ledger.dispatched);
+    assert_eq!(
+        r.ledger.dispatched, offered,
+        "the ledger covers all offered"
+    );
+    let t_lost: u64 = r.tenants.iter().map(|t| t.lost).sum();
+    assert_eq!(t_lost, r.ledger.lost);
+    let t_drained: u64 = r.tenants.iter().map(|t| t.drained).sum();
+    let m_drained: u64 = r.machines.iter().map(|m| m.drained).sum();
+    assert_eq!((t_drained, m_drained), (r.ledger.drained, r.ledger.drained));
+    if r.completed() {
+        assert!(r.machines.iter().all(MachineSummary::completed), "{r:?}");
+    }
+}
+
+/// `run()`, checked whole against the epoch loop it is the one-epoch,
+/// blind, fault-free case of: a one-shot path forked off the loop fails
+/// here.
+fn run_one_shot(runner: &FleetRunner, pool: &Pool) -> FleetResult {
+    let r = runner.run(pool);
+    let one_epoch = FailoverConfig {
+        epoch_ms: ((runner.config().deadline_s * 1_000.0).ceil() as u64).max(1),
+        failover: false,
+        ..FailoverConfig::default()
+    };
+    assert_eq!(r, runner.run_failover(pool, &one_epoch));
+    assert_one_schema(&r, runner.config().offered_threads() as u64);
+    r
 }
 
 #[test]
@@ -54,7 +94,6 @@ fn every_arrival_lands_on_exactly_one_machine() {
         let total_events: usize = traces.iter().map(|tr| tr.events.len()).sum();
         assert_eq!(plan.merged.len(), total_events);
         assert_eq!(plan.assignment.len(), total_events);
-        assert_eq!(plan.tenant_of_event.len(), total_events);
         assert!(plan.assignment.iter().all(|&i| (i as usize) < m));
     });
 }
@@ -62,8 +101,9 @@ fn every_arrival_lands_on_exactly_one_machine() {
 /// [`dispatch`] is the fleet loop's blind router as one pass: on random
 /// zero-fault fleets that drain, every machine admits exactly the
 /// threads `dispatch()` assigns it, both in a one-shot `run()` and in a
-/// blind epoch-by-epoch `run_failover`. Short arrival windows leave some
-/// machines idle, and an idle machine is done.
+/// blind epoch-by-epoch `run_failover`, and both results keep the one
+/// schema's identities. Short arrival windows leave some machines idle,
+/// and an idle machine is done.
 #[test]
 fn dispatch_is_the_fleet_loops_blind_router() {
     check("dispatch_is_the_fleet_loops_blind_router", 32, |rng| {
@@ -84,7 +124,7 @@ fn dispatch_is_the_fleet_loops_blind_router() {
 
         let runner = FleetRunner::new(cfg);
         let pool = Pool::new(1);
-        let one_shot = runner.run(&pool);
+        let one_shot = run_one_shot(&runner, &pool);
         let blind = runner.run_failover(
             &pool,
             &FailoverConfig {
@@ -92,12 +132,13 @@ fn dispatch_is_the_fleet_loops_blind_router() {
                 ..FailoverConfig::default()
             },
         );
-        assert!(one_shot.completed, "light load drains: {one_shot:?}");
-        let admitted: Vec<u64> = one_shot.machines.iter().map(|s| s.arrivals).collect();
+        assert_one_schema(&blind, runner.config().offered_threads() as u64);
+        assert!(one_shot.completed(), "light load drains: {one_shot:?}");
+        let admitted: Vec<u64> = one_shot.machines.iter().map(|s| s.admitted).collect();
         assert_eq!(admitted, assigned, "one-shot run");
         let admitted: Vec<u64> = blind.machines.iter().map(|s| s.admitted).collect();
         assert_eq!(admitted, assigned, "blind epochs");
-        assert_eq!(blind.ledger.drained, blind.ledger.dispatched);
+        assert!(blind.completed());
     });
 }
 
@@ -137,7 +178,7 @@ fn m1_rollup_equals_the_single_machine_value() {
         .threads
         .iter()
         .map(|t| ThreadSpan {
-            app: plan.tenant_of_event[t.app as usize],
+            app: plan.merged[t.app as usize].tenant,
             spawned_at: t.spawned_at.as_secs_f64(),
             finished_at: t.finished_at.map(|f| f.as_secs_f64()),
         })
@@ -150,8 +191,8 @@ fn m1_rollup_equals_the_single_machine_value() {
     assert_eq!(fleet.mean_windowed_fairness, mean_fair);
     assert_eq!(fleet.min_windowed_fairness, min_fair);
     assert_eq!(fleet.makespan_s, wall);
-    let tenant_arrivals: u64 = fleet.tenants.iter().map(|t| t.arrivals).sum();
-    assert_eq!(tenant_arrivals, fleet.total_arrivals);
+    let tenant_admitted: u64 = fleet.tenants.iter().map(|t| t.admitted).sum();
+    assert_eq!(tenant_admitted, fleet.total_arrivals);
 }
 
 /// A machine with an aggressive fault plan still drains its share: the
@@ -178,15 +219,16 @@ fn faulty_machines_still_drain_their_dispatch_share() {
     let a = runner.run(&pool);
     let b = runner.run(&pool);
     assert_eq!(a, b, "faulty fleet must still be deterministic");
-    assert!(a.completed, "light load should drain even under faults");
+    assert!(a.completed(), "light load should drain even under faults");
     assert_eq!(a.total_arrivals, a.total_departures);
 }
 
 /// The failover loop's contract under *arbitrary* machine-fault regimes:
 /// every offered thread is accounted for exactly once
-/// (`dispatched = drained + in_flight + lost`), the per-tenant roll-up
-/// partitions the same totals, and the whole run — blind or health-aware
-/// — is a pure function of its config.
+/// (`dispatched = drained + in_flight + lost`), the per-tenant and
+/// per-machine roll-ups partition the same totals, and the whole run —
+/// blind or health-aware — is a pure function of its config. The same
+/// fleet's fault-free `run()` keeps the same schema.
 #[test]
 fn failover_conserves_and_is_deterministic_under_random_faults() {
     check(
@@ -199,10 +241,7 @@ fn failover_conserves_and_is_deterministic_under_random_faults() {
             let mut cfg = FleetConfig::uniform(m, t, arrivals(800.0, 5_000), seed);
             cfg.scale = 0.01;
             cfg.deadline_s = 60.0;
-            let offered: u64 = tenant_traces(&cfg)
-                .iter()
-                .map(|tr| tr.num_threads() as u64)
-                .sum();
+            let offered = cfg.offered_threads() as u64;
             let runner = FleetRunner::new(cfg);
 
             let fo = FailoverConfig {
@@ -225,21 +264,10 @@ fn failover_conserves_and_is_deterministic_under_random_faults() {
             assert_eq!(a, b, "failover run must be deterministic");
 
             // Conservation: nothing silently dropped, nothing counted
-            // twice — at any fault level, with or without failover.
-            assert!(a.ledger.holds(), "ledger imbalance: {:?}", a.ledger);
-            assert_eq!(a.ledger.dispatched, offered, "ledger covers all offered");
-
-            // The tenant roll-up partitions the same balance sheet.
-            let t_offered: u64 = a.tenants.iter().map(|p| p.offered).sum();
-            let t_drained: u64 = a.tenants.iter().map(|p| p.drained).sum();
-            let t_lost: u64 = a.tenants.iter().map(|p| p.lost).sum();
-            assert_eq!(t_offered, a.ledger.dispatched);
-            assert_eq!(t_drained, a.ledger.drained);
-            assert_eq!(t_lost, a.ledger.lost);
-
-            // Machine summaries agree with the drained total.
-            let m_drained: u64 = a.machines.iter().map(|s| s.drained).sum();
-            assert_eq!(m_drained, a.ledger.drained);
+            // twice — at any fault level, with or without failover — and
+            // the tenant and machine roll-ups partition the same sheet.
+            assert_one_schema(&a, offered);
+            run_one_shot(&runner, &pool);
         },
     );
 }
@@ -271,8 +299,9 @@ fn zero_fault_failover_matches_blind_and_drains_everything() {
                     ..FailoverConfig::default()
                 },
             );
+            let offered = runner.config().offered_threads() as u64;
             for r in [&on, &off] {
-                assert!(r.ledger.holds());
+                assert_one_schema(r, offered);
                 assert_eq!(r.ledger.lost, 0, "no faults, nothing lost");
                 assert_eq!(r.ledger.in_flight, 0, "light load fully drains");
                 assert_eq!(r.ledger.drained, r.ledger.dispatched);

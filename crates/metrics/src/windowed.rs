@@ -98,7 +98,12 @@ fn windowed_fairness(
 ) -> Vec<WindowPoint> {
     assert!(window_s > 0.0, "window length must be > 0");
     assert!(step_s > 0.0, "window step must be > 0");
-    let mut points = Vec::new();
+    // Sized at its final count before the loop: a fleet result keeps the
+    // series, and one grown by doubling in between the windows' grouping
+    // scratch raised `failover_deep`'s peak RSS by 6.7%. Rounding in
+    // `end += step_s` may still push one point past the count.
+    let count = ((horizon_s - window_s) / step_s).ceil().max(0.0) as usize + 1;
+    let mut points = Vec::with_capacity(count);
     let mut end = window_s;
     loop {
         let start = end - window_s;

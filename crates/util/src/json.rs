@@ -481,37 +481,51 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// Consume a run of ASCII digits and return how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number in RFC 8259's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: no leading zero,
+    /// and no empty integer, fraction or exponent part.
     fn number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let int_start = self.pos;
+        match self.digits() {
+            0 => return Err(self.err("invalid number: no integer digits")),
+            n if n > 1 && self.bytes[int_start] == b'0' => {
+                return Err(self.err("invalid number: leading zero"))
+            }
+            _ => {}
         }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("invalid number: no fraction digits"));
             }
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+            if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("invalid number: no exponent digits"));
             }
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("number token is ASCII");
-        if text.is_empty() || text == "-" {
-            return Err(self.err("invalid number"));
-        }
         let num = if is_float {
             Num::F(self.finite(text)?)
         } else if text.starts_with('-') {
@@ -1010,8 +1024,29 @@ mod tests {
     }
 
     #[test]
+    fn numbers_outside_the_json_grammar_are_errors() {
+        // Leading zeros, and an empty integer or fraction part.
+        for text in ["01", "-01", "00", "-00", "1.", "-.5", "1.e5"] {
+            let e = parse(text).unwrap_err();
+            assert!(e.msg.starts_with("invalid number"), "{text}: {e}");
+            assert!(parse(&format!("[{text}]")).is_err(), "{text}");
+        }
+        for text in ["1e", "1e+", "-", "-e1", "0.e1"] {
+            assert!(parse(text).is_err(), "{text}");
+        }
+        // Their valid neighbours still parse.
+        assert_eq!(parse("0").unwrap(), Value::Num(Num::U(0)));
+        assert_eq!(parse("10").unwrap(), Value::Num(Num::U(10)));
+        assert_eq!(parse("0.5").unwrap(), Value::Num(Num::F(0.5)));
+        assert_eq!(parse("-0.5").unwrap(), Value::Num(Num::F(-0.5)));
+        assert_eq!(parse("1.0e5").unwrap(), Value::Num(Num::F(100_000.0)));
+        assert_eq!(parse("1E+2").unwrap(), Value::Num(Num::F(100.0)));
+        assert_eq!(parse("0e0").unwrap(), Value::Num(Num::F(0.0)));
+    }
+
+    #[test]
     fn minus_zero_is_a_float_and_round_trips() {
-        for text in ["-0", "-00", "-0.0", "-0e3"] {
+        for text in ["-0", "-0.0", "-0e3"] {
             let v = parse(text).unwrap();
             let Value::Num(Num::F(f)) = v else {
                 panic!("{text} parsed as {v:?}");

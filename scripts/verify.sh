@@ -50,8 +50,13 @@ step "engine-fast-vs-cold" env DIKE_CHECK_CASES=600 \
 # Fleet-loop properties, run hard: the fleet's one epoch loop against
 # the one-pass router (`dispatch()` assigns every machine exactly the
 # threads `run()` and a blind `run_failover` admit, on random fleets that
-# drain), conservation under random machine faults, and the M=1 roll-up.
-# Release, because 500 cases are slow in debug.
+# drain), conservation under random machine faults, the M=1 roll-up, and
+# the one result schema on every result of both entry points (the
+# ledger balances, `total_departures == ledger.drained`, Σ machine
+# `admitted` == `total_arrivals`, Σ tenant `offered` == `dispatched` ==
+# offered threads, Σ tenant `lost` == `ledger.lost`, a completed fleet
+# has only completed machines, and `run()` equals the one-epoch blind
+# `run_failover`). Release, because 500 cases are slow in debug.
 step "fleet-loop-properties" env DIKE_CHECK_CASES=500 \
     cargo test -q --release --offline -p dike-fleet --test properties
 

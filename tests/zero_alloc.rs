@@ -147,7 +147,7 @@ fn fleet_lap_allocates_per_machine_not_per_thread() {
     let before = ALLOC.allocations();
     let result = runner.run(&pool);
     let events = ALLOC.allocations() - before;
-    let admitted: u64 = result.machines.iter().map(|m| m.arrivals).sum();
+    let admitted: u64 = result.machines.iter().map(|m| m.admitted).sum();
     assert!(
         admitted > 1_000,
         "smoke fleet admitted only {admitted} threads"
