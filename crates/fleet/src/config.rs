@@ -10,6 +10,12 @@ use dike_machine::{presets, MachineConfig};
 use dike_util::rng::splitmix64;
 use dike_workloads::{paper, AppKind, ArrivalConfig};
 
+/// The longest deadline, epoch or arrival horizon a fleet run takes, in
+/// milliseconds. A run's last epoch ends before `deadline + epoch`, so
+/// with both at this bound every epoch end, in microseconds, still fits
+/// the `u64` of a [`dike_machine::SimTime`] (about 292,000 years).
+pub(crate) const MAX_SPAN_MS: u64 = u64::MAX / 2_000;
+
 /// Dispatcher knobs (see [`crate::dispatch`](mod@crate::dispatch)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DispatchConfig {
@@ -116,6 +122,68 @@ impl FleetConfig {
         }
     }
 
+    /// Check every field a run relies on. [`crate::FleetRunner::new`]
+    /// panics with this message, so a run never meets a fleet with no
+    /// machine, a machine that cannot be built, a deadline or arrival
+    /// horizon whose instants overflow a `SimTime`, or a tenant whose
+    /// trace cannot be drawn. A fleet with no tenant yet is legal: it
+    /// runs idle.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.machines.is_empty() {
+            return Err("a fleet needs at least one machine".into());
+        }
+        for (i, m) in self.machines.iter().enumerate() {
+            m.validate().map_err(|e| format!("machine {i}: {e}"))?;
+        }
+        // NaN fails every comparison, so each range check rejects it.
+        if !(self.deadline_s >= 0.0 && self.deadline_s.is_finite())
+            || self.deadline_ms() > MAX_SPAN_MS
+        {
+            return Err(format!(
+                "deadline_s must be finite, >= 0 and at most {} s, got {}",
+                MAX_SPAN_MS / 1_000,
+                self.deadline_s
+            ));
+        }
+        if !(self.scale > 0.0 && self.scale.is_finite()) {
+            return Err(format!("scale must be finite and > 0, got {}", self.scale));
+        }
+        for t in &self.tenants {
+            if t.apps.is_empty() {
+                return Err(format!("tenant {}: needs at least one app", t.name));
+            }
+            t.arrivals
+                .validate()
+                .map_err(|e| format!("tenant {}: {e}", t.name))?;
+            if t.arrivals.horizon_ms > MAX_SPAN_MS {
+                return Err(format!(
+                    "tenant {}: horizon_ms must be at most {MAX_SPAN_MS}, got {}",
+                    t.name, t.arrivals.horizon_ms
+                ));
+            }
+        }
+        let d = &self.dispatch;
+        if !(d.decay_tau_ms > 0.0 && d.decay_tau_ms.is_finite()) {
+            return Err(format!(
+                "decay_tau_ms must be finite and > 0, got {}",
+                d.decay_tau_ms
+            ));
+        }
+        if !d.affinity_bonus.is_finite() {
+            return Err(format!(
+                "affinity_bonus must be finite, got {}",
+                d.affinity_bonus
+            ));
+        }
+        Ok(())
+    }
+
+    /// The deadline in whole milliseconds, rounded up (saturating, so an
+    /// unchecked config reads past [`MAX_SPAN_MS`] rather than wrapping).
+    pub(crate) fn deadline_ms(&self) -> u64 {
+        (self.deadline_s * 1_000.0).ceil() as u64
+    }
+
     /// Total simulated thread arrivals this config offers (the sum over
     /// tenants of their traces' thread counts). Materialises the traces;
     /// intended for sizing reports, not hot paths.
@@ -148,5 +216,68 @@ mod tests {
         assert_eq!(a.machines[0].topology.num_domains(), 1);
         // A different fleet seed produces a different fleet.
         assert_ne!(a, FleetConfig::uniform(9, 3, cfg, 43));
+    }
+
+    /// Every field a run relies on is checked, and each rejection names
+    /// its field: NaN, infinite and out-of-range values alike.
+    #[test]
+    fn validation_rejects_each_bad_field() {
+        let good = FleetConfig::uniform(2, 2, ArrivalConfig::default(), 1);
+        assert_eq!(good.validate(), Ok(()));
+        let zero_deadline = FleetConfig {
+            deadline_s: 0.0,
+            ..good.clone()
+        };
+        assert_eq!(zero_deadline.validate(), Ok(()));
+        let at_bound = FleetConfig {
+            deadline_s: MAX_SPAN_MS as f64 / 1_000.0 * 0.999,
+            ..good.clone()
+        };
+        assert_eq!(at_bound.validate(), Ok(()));
+        let no_tenants = FleetConfig {
+            tenants: Vec::new(),
+            ..good.clone()
+        };
+        assert_eq!(no_tenants.validate(), Ok(()));
+
+        let reject = |edit: &dyn Fn(&mut FleetConfig), field: &str| {
+            let mut cfg = good.clone();
+            edit(&mut cfg);
+            let err = cfg.validate().expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+        };
+        reject(&|c| c.machines.clear(), "machine");
+        reject(&|c| c.machines[1].tick_us = 0, "machine 1");
+        for bad in [f64::NAN, -1.0, f64::INFINITY, 1e300] {
+            reject(&|c| c.deadline_s = bad, "deadline_s");
+        }
+        for bad in [f64::NAN, 0.0, -0.5, f64::INFINITY] {
+            reject(&|c| c.scale = bad, "scale");
+        }
+        reject(&|c| c.tenants[0].apps.clear(), "tenant-0");
+        for bad in [f64::NAN, 0.0, -3.0, f64::INFINITY] {
+            reject(
+                &|c| c.tenants[1].arrivals.mean_interarrival_ms = bad,
+                "mean_interarrival_ms",
+            );
+        }
+        reject(&|c| c.tenants[0].arrivals.threads_min = 0, "threads_min");
+        reject(
+            &|c| {
+                c.tenants[0].arrivals.threads_min = 5;
+                c.tenants[0].arrivals.threads_max = 4;
+            },
+            "threads_min",
+        );
+        reject(
+            &|c| c.tenants[0].arrivals.horizon_ms = MAX_SPAN_MS + 1,
+            "horizon_ms",
+        );
+        for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            reject(&|c| c.dispatch.decay_tau_ms = bad, "decay_tau_ms");
+        }
+        for bad in [f64::NAN, f64::NEG_INFINITY] {
+            reject(&|c| c.dispatch.affinity_bonus = bad, "affinity_bonus");
+        }
     }
 }

@@ -21,6 +21,17 @@
 //! (health is only ever observed at barriers; machines never communicate
 //! inside an epoch).
 //!
+//! Each machine lives in its lane, with its policy: the worker that
+//! first runs it builds both at its first epoch, and after the run's last
+//! epoch drops the policy and *retires* the machine — reads it once into
+//! a record of each thread's global event index, spawn and finish time,
+//! plus its alive count, clock and migrations, and drops it with its
+//! per-thread columns. A loop that settles early leaves its machines
+//! running, and the roll-up reads them straight into the merged span
+//! list. The barrier reads a lane's machine, or its record, for the
+//! ledger check's admitted count, the running count and crash
+//! orphaning; the runner itself holds only its config.
+//!
 //! ## Failure semantics
 //!
 //! * **Crash**: the machine freezes at the barrier — it stops accepting
@@ -45,9 +56,10 @@
 //! lost, nothing is re-dispatched — the baseline the failover experiment
 //! compares against.
 
+use crate::config::{FleetConfig, MAX_SPAN_MS};
 use crate::dispatch::{fleet_vcores, home_machine, tenant_traces, LoadRouter};
 use crate::run::{FleetResult, FleetRunner, MachineSummary, TenantPoint};
-use dike_machine::{AppId, BarrierId, MachineFaultConfig, SimTime, ThreadId};
+use dike_machine::{AppId, BarrierId, Machine, MachineFaultConfig, SimTime, ThreadId};
 use dike_metrics::{mean_sojourn, sojourn_by_app, window_series, ConservationLedger, ThreadSpan};
 use dike_sched_core::{drive, Scheduler, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
@@ -104,8 +116,13 @@ impl Default for FailoverConfig {
 impl FailoverConfig {
     /// Validate knobs and the embedded fault config.
     pub fn validate(&self) -> Result<(), String> {
-        if self.epoch_ms == 0 {
-            return Err("epoch_ms must be > 0".into());
+        // Like the fleet's deadline, an epoch is bounded so that every
+        // epoch end, `(e + 1) * epoch_ms` in microseconds, fits a `SimTime`.
+        if !(1..=MAX_SPAN_MS).contains(&self.epoch_ms) {
+            return Err(format!(
+                "epoch_ms must be in 1..={MAX_SPAN_MS}, got {}",
+                self.epoch_ms
+            ));
         }
         if !(self.readmit_trust > 0.0 && self.readmit_trust <= 1.0) {
             return Err(format!(
@@ -235,12 +252,60 @@ impl OrphanBook {
     }
 }
 
-/// One machine's lane through the epoch loop.
+/// A machine's totals, read once when it retires.
+#[derive(Clone, Copy, Default)]
+struct MachineEnd {
+    /// Threads not yet finished.
+    alive: u64,
+    /// The machine's own clock.
+    clock: SimTime,
+    /// Migrations applied by the policy.
+    migrations: u64,
+}
+
+/// What is left of a machine after its last epoch: the three numbers the
+/// roll-up reads per thread, and the machine's totals. A machine that
+/// never ran leaves the empty record, which reads as a fresh machine.
 #[derive(Default)]
-struct Lane {
-    /// The machine's policy, made on the worker at the machine's first
-    /// epoch and dropped after the run's last: in a one-epoch run,
-    /// `make(i)` and the drop bracket machine `i`'s simulation.
+pub(crate) struct Retired {
+    /// One span per admitted thread, in thread id order. Its `app` is the
+    /// thread's global event index until the roll-up tags it with the
+    /// event's tenant.
+    pub(crate) spans: Vec<ThreadSpan>,
+    end: MachineEnd,
+}
+
+/// The one read of a machine, on its worker or in the roll-up: append
+/// its threads to `spans`, each tagged with its global event index (its
+/// `AppId`), and return its totals.
+fn read_machine(machine: &Machine, spans: &mut Vec<ThreadSpan>) -> MachineEnd {
+    spans.extend(machine.thread_ids().map(|id| ThreadSpan {
+        app: machine.app_of(id).0,
+        spawned_at: machine.spawn_time(id).as_secs_f64(),
+        finished_at: machine.finish_time(id).map(|f| f.as_secs_f64()),
+    }));
+    MachineEnd {
+        alive: machine.alive_ids().count() as u64,
+        clock: machine.now(),
+        migrations: machine.total_migrations(),
+    }
+}
+
+/// One machine's lane through the epoch loop. The machine and its policy
+/// live from the machine's first epoch to the run's last: the worker
+/// that first runs the machine builds both, and after the run's last
+/// epoch it drops the policy and retires the machine. In a one-epoch
+/// run, `make(i)` and the policy's drop bracket machine `i`'s
+/// simulation, and at most one machine per worker holds its per-thread
+/// columns at a time.
+#[derive(Default)]
+pub(crate) struct Lane {
+    /// The machine, from its first epoch until it retires. A loop that
+    /// settles before its last epoch leaves it to the roll-up.
+    machine: Option<Machine>,
+    /// The machine's record once it has retired.
+    pub(crate) retired: Retired,
+    /// The machine's policy, over the same lifetime.
     sched: Option<Box<dyn Scheduler + Send>>,
     /// Work waiting for the machine: its last epoch's leftovers, then the
     /// arrivals routed to it since.
@@ -249,13 +314,64 @@ struct Lane {
     quanta: u64,
 }
 
+impl Lane {
+    /// Threads the lane's machine has admitted.
+    fn admitted(&self) -> usize {
+        self.machine
+            .as_ref()
+            .map_or(self.retired.spans.len(), Machine::num_threads)
+    }
+
+    /// Threads alive on the lane's machine.
+    fn alive(&self) -> u64 {
+        self.machine
+            .as_ref()
+            .map_or(self.retired.end.alive, |m| m.alive_ids().count() as u64)
+    }
+
+    /// Read the machine into its record and drop it, with its per-thread
+    /// columns.
+    fn retire(&mut self) {
+        if let Some(machine) = self.machine.take() {
+            let mut spans = Vec::with_capacity(machine.num_threads());
+            let end = read_machine(&machine, &mut spans);
+            self.retired = Retired { spans, end };
+        }
+    }
+}
+
+/// A run after its last epoch: every lane, and the loop's bookkeeping the
+/// roll-up reads. Tests read each lane's retired record here, as the
+/// roll-up does.
+pub(crate) struct Epochs {
+    traces: Vec<ArrivalTrace>,
+    /// Per global merged event: its tenant and its thread count.
+    tenant_of: Vec<u32>,
+    threads_of: Vec<u32>,
+    /// Each tenant's home machine.
+    homes: Vec<u32>,
+    pub(crate) lanes: Vec<Lane>,
+    health: Vec<MachineHealth>,
+    book: OrphanBook,
+    quarantines: u64,
+    readmissions: u64,
+    /// Epochs executed.
+    epochs: u64,
+    /// The first merged event the loop never routed.
+    next_event: usize,
+}
+
+/// The default per-machine policy: Dike at its fixed default
+/// configuration.
+pub(crate) fn default_policy(_machine: usize) -> Box<dyn Scheduler + Send> {
+    Box::new(Dike::fixed(SchedConfig::DEFAULT))
+}
+
 impl FleetRunner {
     /// Run the epoch-driven fault-tolerant fleet under the default Dike
     /// policy. See [`FleetRunner::run_failover_with`].
     pub fn run_failover(&self, pool: &Pool, fo: &FailoverConfig) -> FleetResult {
-        self.run_failover_with(pool, fo, "dike", |_| {
-            Box::new(Dike::fixed(SchedConfig::DEFAULT))
-        })
+        self.run_failover_with(pool, fo, "dike", default_policy)
     }
 
     /// The fleet's one loop (see the module docs): simulate an epoch on
@@ -273,7 +389,7 @@ impl FleetRunner {
     /// the epoch that reaches the fleet deadline.
     ///
     /// # Panics
-    /// Panics on an invalid [`FailoverConfig`] or an empty fleet.
+    /// Panics on an invalid [`FailoverConfig`].
     pub fn run_failover_with<F>(
         &self,
         pool: &Pool,
@@ -284,10 +400,18 @@ impl FleetRunner {
     where
         F: Fn(usize) -> Box<dyn Scheduler + Send> + Sync,
     {
+        self.epochs(pool, fo, make)
+            .roll_up(&self.cfg, label, fo.failover)
+    }
+
+    /// The epoch loop itself, up to the roll-up.
+    pub(crate) fn epochs<F>(&self, pool: &Pool, fo: &FailoverConfig, make: F) -> Epochs
+    where
+        F: Fn(usize) -> Box<dyn Scheduler + Send> + Sync,
+    {
         fo.validate().expect("invalid failover config");
         let cfg = &self.cfg;
-        let n = self.machines.len();
-        assert!(n > 0, "cannot run a fleet with no machines");
+        let n = cfg.machines.len();
         let n_tenants = cfg.tenants.len();
 
         let traces = tenant_traces(cfg);
@@ -297,7 +421,6 @@ impl FleetRunner {
             .iter()
             .map(|m| traces[m.tenant as usize].events[m.event as usize].nthreads)
             .collect();
-        let total_offered: u64 = threads_of.iter().map(|&t| u64::from(t)).sum();
         // Every thread of global merged event `g` spawns as `AppId(g)` and
         // `BarrierId(g)`: two tenants' arrivals stay distinct applications
         // on a shared machine, and barrier groups never span machines.
@@ -310,15 +433,11 @@ impl FleetRunner {
         };
 
         let epoch_ms = fo.epoch_ms;
-        let deadline_ms = (cfg.deadline_s * 1_000.0).ceil() as u64;
         // Faults are drawn over the arrival window; drain epochs past it
         // only recover, re-dispatch and finish work.
         let fault_epochs = merged.last().map_or(0, |m| m.at_ms) / epoch_ms + 1;
-        let total_epochs = deadline_ms.div_ceil(epoch_ms);
+        let total_epochs = cfg.deadline_ms().div_ceil(epoch_ms);
 
-        for m in &self.machines {
-            m.lock().expect("fleet machine lock").reset();
-        }
         let mut lanes: Vec<Lane> = (0..n).map(|_| Lane::default()).collect();
 
         let vcores = fleet_vcores(cfg);
@@ -351,13 +470,11 @@ impl FleetRunner {
         // admitted on a machine, queued in a lane, waiting as an orphan,
         // or lost. O(machines + pending orphans), no per-thread scan.
         let accounted = |book: &OrphanBook, lanes: &[Lane]| -> u64 {
-            let admitted: u64 = self
-                .machines
+            let held: u64 = lanes
                 .iter()
-                .map(|m| m.lock().expect("fleet machine lock").num_threads() as u64)
+                .map(|l| (l.admitted() + l.pending.len()) as u64)
                 .sum();
-            let queued: u64 = lanes.iter().map(|l| l.pending.len() as u64).sum();
-            admitted + queued + book.pending_threads(&threads_of) + book.lost_threads
+            held + book.pending_threads(&threads_of) + book.lost_threads
         };
 
         for e in 0..total_epochs {
@@ -391,8 +508,8 @@ impl FleetRunner {
                         e + u64::from(fo.faults.recovery_epochs)
                     });
                     h.needs_catchup = false; // re-set at the next recovery
-                    let pending = &mut lanes[i].pending;
-                    let stranded = std::mem::take(pending);
+                    let lane = &mut lanes[i];
+                    let stranded = std::mem::take(&mut lane.pending);
                     if stranded.is_empty() {
                         continue;
                     }
@@ -400,13 +517,14 @@ impl FleetRunner {
                         // Orphan whole events only: an event with threads
                         // already admitted here keeps its queued remainder
                         // (barrier siblings never split across machines);
-                        // it resumes if the machine recovers.
+                        // it resumes if the machine recovers. A machine
+                        // that never ran has admitted nothing.
                         crash_stamp += 1;
-                        let machine = self.machines[i].lock().expect("fleet machine lock");
-                        for t in machine.thread_ids() {
-                            admitted_stamp[machine.app_of(t).0 as usize] = crash_stamp;
+                        if let Some(machine) = &lane.machine {
+                            for t in machine.thread_ids() {
+                                admitted_stamp[machine.app_of(t).0 as usize] = crash_stamp;
+                            }
                         }
-                        drop(machine);
                         let mut j = 0;
                         while j < stranded.len() {
                             let g = stranded[j].spec.app.0;
@@ -415,7 +533,7 @@ impl FleetRunner {
                                 k += 1;
                             }
                             if admitted_stamp[g as usize] == crash_stamp {
-                                pending.extend_from_slice(&stranded[j..k]);
+                                lane.pending.extend_from_slice(&stranded[j..k]);
                             } else {
                                 book.orphan_or_lose(
                                     g,
@@ -585,7 +703,9 @@ impl FleetRunner {
                 let Some((catchup, brown)) = plan[i] else {
                     return lane;
                 };
-                let mut machine = self.machines[i].lock().expect("fleet machine lock");
+                let machine = lane
+                    .machine
+                    .get_or_insert_with(|| Machine::new(cfg.machines[i].clone()));
                 if catchup {
                     // Freeze semantics: alive threads made no progress
                     // while the box was down, so stall them by exactly
@@ -612,12 +732,12 @@ impl FleetRunner {
                 }
                 let sched = lane.sched.get_or_insert_with(|| make(i));
                 let arrivals = std::mem::take(&mut lane.pending);
-                let (totals, leftovers) =
-                    drive(&mut machine, sched.as_mut(), e_end, arrivals, |_| {});
+                let (totals, leftovers) = drive(machine, sched.as_mut(), e_end, arrivals, |_| {});
                 lane.pending = leftovers;
                 lane.quanta += totals.quanta;
                 if last {
                     lane.sched = None;
+                    lane.retire();
                 }
                 lane
             });
@@ -629,13 +749,9 @@ impl FleetRunner {
                 "ledger imbalance after simulating epoch {e}"
             );
             epochs_run = e + 1;
-            for i in 0..n {
+            for (i, lane) in lanes.iter().enumerate() {
                 if !health[i].is_down() {
-                    running[i] = self.machines[i]
-                        .lock()
-                        .expect("fleet machine lock")
-                        .alive_ids()
-                        .count() as u64;
+                    running[i] = lane.alive();
                 }
             }
             if next_event >= merged.len() && book.orphans.is_empty() {
@@ -651,25 +767,58 @@ impl FleetRunner {
             }
         }
 
-        // ---- roll-up: read every machine once, in machine order,
-        // tolerating partial results (a frozen machine's threads count as
-        // unfinished); tag each thread span with its tenant through its
-        // global event index ----
-        let admitted_total: usize = self
-            .machines
-            .iter()
-            .map(|m| m.lock().expect("fleet machine lock").num_threads())
-            .sum();
+        Epochs {
+            traces,
+            tenant_of,
+            threads_of,
+            homes,
+            lanes,
+            health,
+            book,
+            quarantines,
+            readmissions,
+            epochs: epochs_run,
+            next_event,
+        }
+    }
+}
+
+impl Epochs {
+    /// Read every machine once, in machine order, into one span list and
+    /// the one [`FleetResult`], tolerating partial results (a frozen
+    /// machine's threads count as unfinished). A retired machine is read
+    /// from its record; one the loop left running (it settled early) is
+    /// read straight into the span list and dropped. Each span is tagged
+    /// with its tenant through its global event index.
+    pub(crate) fn roll_up(self, cfg: &FleetConfig, label: &str, failover: bool) -> FleetResult {
+        let Epochs {
+            traces,
+            tenant_of,
+            threads_of,
+            homes,
+            lanes,
+            health,
+            book,
+            quarantines,
+            readmissions,
+            epochs,
+            next_event,
+        } = self;
+        let admitted_total: usize = lanes.iter().map(Lane::admitted).sum();
         let mut spans: Vec<ThreadSpan> = Vec::with_capacity(admitted_total);
-        let mut machines = Vec::with_capacity(n);
-        for (i, lane) in lanes.iter().enumerate() {
-            let machine = self.machines[i].lock().expect("fleet machine lock");
+        let mut machines = Vec::with_capacity(lanes.len());
+        for (i, lane) in lanes.into_iter().enumerate() {
             let first = spans.len();
-            spans.extend(machine.thread_ids().map(|id| ThreadSpan {
-                app: tenant_of[machine.app_of(id).0 as usize],
-                spawned_at: machine.spawn_time(id).as_secs_f64(),
-                finished_at: machine.finish_time(id).map(|f| f.as_secs_f64()),
-            }));
+            let end = match &lane.machine {
+                Some(machine) => read_machine(machine, &mut spans),
+                None => {
+                    spans.extend_from_slice(&lane.retired.spans);
+                    lane.retired.end
+                }
+            };
+            for s in &mut spans[first..] {
+                s.app = tenant_of[s.app as usize];
+            }
             let own = &spans[first..];
             machines.push(MachineSummary {
                 machine: i as u32,
@@ -679,9 +828,9 @@ impl FleetRunner {
                 crashes: health[i].crashes,
                 brownouts: health[i].brownouts,
                 down_at_end: health[i].is_down(),
-                makespan_s: machine.now().as_secs_f64(),
+                makespan_s: end.clock.as_secs_f64(),
                 quanta: lane.quanta,
-                migrations: machine.total_migrations(),
+                migrations: end.migrations,
             });
         }
 
@@ -692,7 +841,7 @@ impl FleetRunner {
         // those due after a health-aware run's end.
         let unrouted: u64 = threads_of[next_event..].iter().map(|&t| u64::from(t)).sum();
         let ledger = ConservationLedger {
-            dispatched: total_offered,
+            dispatched: threads_of.iter().map(|&t| u64::from(t)).sum(),
             drained,
             in_flight: (admitted - drained) + queued + book.pending_threads(&threads_of) + unrouted,
             lost: book.lost_threads,
@@ -700,7 +849,7 @@ impl FleetRunner {
 
         let wall = machines.iter().map(|m| m.makespan_s).fold(0.0, f64::max);
         let (windows, mean_fair, min_fair) = window_series(&spans, wall);
-        let tenants = sojourn_by_app(&spans, n_tenants, wall)
+        let tenants = sojourn_by_app(&spans, cfg.tenants.len(), wall)
             .iter()
             .enumerate()
             .map(|(t, totals)| TenantPoint {
@@ -716,8 +865,8 @@ impl FleetRunner {
             .collect();
         FleetResult {
             scheduler: label.to_string(),
-            failover: fo.failover,
-            epochs: epochs_run,
+            failover,
+            epochs,
             machines,
             tenants,
             windows,
@@ -739,7 +888,6 @@ impl FleetRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FleetConfig;
     use dike_util::json;
     use dike_workloads::ArrivalConfig;
 
@@ -763,11 +911,18 @@ mod tests {
     #[test]
     fn failover_config_validation() {
         assert!(FailoverConfig::default().validate().is_ok());
-        let bad = FailoverConfig {
-            epoch_ms: 0,
+        for epoch_ms in [0, MAX_SPAN_MS + 1, u64::MAX] {
+            let bad = FailoverConfig {
+                epoch_ms,
+                ..Default::default()
+            };
+            assert!(bad.validate().is_err(), "epoch_ms {epoch_ms}");
+        }
+        let longest = FailoverConfig {
+            epoch_ms: MAX_SPAN_MS,
             ..Default::default()
         };
-        assert!(bad.validate().is_err());
+        assert_eq!(longest.validate(), Ok(()));
         let bad = FailoverConfig {
             readmit_trust: 0.0,
             ..Default::default()
@@ -793,7 +948,7 @@ mod tests {
         let fo = FailoverConfig::default();
         let a = runner.run_failover(&pool, &fo);
         let b = runner.run_failover(&pool, &fo);
-        assert_eq!(a, b, "machines reset per run: identical laps");
+        assert_eq!(a, b, "two laps of one runner are identical");
         a.ledger.assert_holds("zero-fault");
         assert_eq!(a.ledger.lost, 0);
         assert_eq!(a.ledger.in_flight, 0, "light load drains fully");

@@ -6,21 +6,21 @@
 //! open-system runs fan out over [`dike_util::Pool`]'s workers with
 //! `map_indexed`, which returns in machine order regardless of worker
 //! count — what makes the fleet JSON byte-identical at `DIKE_THREADS=1`,
-//! `2`, or `8`. The roll-up then re-tags every thread span with its
-//! owning *tenant* (through the event→tenant map) and scores fleet-wide
-//! windowed fairness over the merged span set, exactly the way a single
-//! machine's open run scores its own. Both entry points fill the same
+//! `2`, or `8`. Each worker builds its machine, runs it to the deadline
+//! and retires it into a record of its thread spans, so a worker holds
+//! one machine's per-thread columns at a time and the runner holds none.
+//! The roll-up then re-tags every thread span with its owning *tenant*
+//! (through the event→tenant map) and scores fleet-wide windowed
+//! fairness over the merged span set, exactly the way a single machine's
+//! open run scores its own. Both entry points fill the same
 //! [`FleetResult`]: a one-shot run reports zero health counters and its
 //! real ledger.
 
 use crate::config::FleetConfig;
-use crate::failover::FailoverConfig;
-use dike_machine::Machine;
+use crate::failover::{default_policy, FailoverConfig};
 use dike_metrics::{ConservationLedger, WindowPoint};
 use dike_sched_core::Scheduler;
-use dike_scheduler::{Dike, SchedConfig};
 use dike_util::{json_struct, Pool};
-use std::sync::Mutex;
 
 /// One machine's contribution to a fleet run.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,22 +181,23 @@ json_struct!(FleetResult {
     mean_sojourn_s,
 });
 
-/// A reusable fleet: machines are built once and reset per run, so bench
-/// iterations pay construction cost only on the first lap.
+/// A fleet ready to run: its validated config, and nothing else. Each
+/// run builds every machine on the worker that first runs it and retires
+/// it after the run's last epoch, so a lap builds each machine once and
+/// the runner holds no machine between runs.
 pub struct FleetRunner {
     pub(crate) cfg: FleetConfig,
-    pub(crate) machines: Vec<Mutex<Machine>>,
 }
 
 impl FleetRunner {
-    /// Build every machine in the fleet.
+    /// A runner for `cfg`.
+    ///
+    /// # Panics
+    /// Panics with [`FleetConfig::validate`]'s message on an invalid
+    /// config.
     pub fn new(cfg: FleetConfig) -> FleetRunner {
-        let machines = cfg
-            .machines
-            .iter()
-            .map(|mc| Mutex::new(Machine::new(mc.clone())))
-            .collect();
-        FleetRunner { cfg, machines }
+        cfg.validate().expect("invalid fleet config");
+        FleetRunner { cfg }
     }
 
     /// The fleet's configuration.
@@ -206,9 +207,7 @@ impl FleetRunner {
 
     /// Run the whole fleet under the default Dike policy.
     pub fn run(&self, pool: &Pool) -> FleetResult {
-        self.run_with(pool, "dike", |_| {
-            Box::new(Dike::fixed(SchedConfig::DEFAULT))
-        })
+        self.run_with(pool, "dike", default_policy)
     }
 
     /// Run the whole fleet, constructing one scheduler per machine with
@@ -221,13 +220,18 @@ impl FleetRunner {
     where
         F: Fn(usize) -> Box<dyn Scheduler + Send> + Sync,
     {
-        // A zero deadline runs zero epochs; the epoch itself must be > 0.
-        let fo = FailoverConfig {
-            epoch_ms: ((self.cfg.deadline_s * 1_000.0).ceil() as u64).max(1),
+        self.run_failover_with(pool, &self.one_shot(), label, make)
+    }
+
+    /// The one-epoch loop config `run_with` runs: one epoch that ends at
+    /// the deadline, blind routing, no machine faults. A zero deadline
+    /// runs zero epochs; the epoch itself must be > 0.
+    pub(crate) fn one_shot(&self) -> FailoverConfig {
+        FailoverConfig {
+            epoch_ms: self.cfg.deadline_ms().max(1),
             failover: false,
             ..Default::default()
-        };
-        self.run_failover_with(pool, &fo, label, make)
+        }
     }
 }
 
@@ -257,7 +261,7 @@ mod tests {
         let runner = FleetRunner::new(tiny_fleet());
         let pool = Pool::new(1);
         let a = runner.run(&pool);
-        // Second lap on the *same* runner: machines reset, identical out.
+        // Second lap on the *same* runner: identical out.
         let b = runner.run(&pool);
         assert_eq!(a, b);
         assert!(a.total_arrivals > 0);
@@ -285,7 +289,9 @@ mod tests {
     /// The one-shot run places events exactly as `dispatch()` does, event
     /// by event: every thread runs on the machine its event was assigned,
     /// and every event is admitted whole. Per-machine totals alone would
-    /// not catch two equal-sized events swapped between machines.
+    /// not catch two equal-sized events swapped between machines. The
+    /// placements are read from each machine's retired record, which
+    /// keeps every thread's global event index for the roll-up.
     #[test]
     fn every_event_runs_whole_where_dispatch_sends_it() {
         let mut cfg = FleetConfig::uniform(
@@ -301,15 +307,14 @@ mod tests {
         );
         cfg.scale = 0.01;
         let runner = FleetRunner::new(cfg);
-        assert!(runner.run(&Pool::new(1)).completed());
         let traces = crate::tenant_traces(&runner.cfg);
         let plan = crate::dispatch(&runner.cfg, &traces);
         assert!(plan.assignment.iter().any(|&i| i != plan.assignment[0]));
+        let epochs = runner.epochs(&Pool::new(1), &runner.one_shot(), default_policy);
         let mut admitted = vec![0u32; plan.merged.len()];
-        for (i, m) in runner.machines.iter().enumerate() {
-            let machine = m.lock().expect("fleet machine lock");
-            for t in machine.thread_ids() {
-                let g = machine.app_of(t).0 as usize;
+        for (i, lane) in epochs.lanes.iter().enumerate() {
+            for span in &lane.retired.spans {
+                let g = span.app as usize;
                 assert_eq!(plan.assignment[g] as usize, i, "event {g}");
                 admitted[g] += 1;
             }
@@ -318,5 +323,18 @@ mod tests {
             let nthreads = traces[ev.tenant as usize].events[ev.event as usize].nthreads;
             assert_eq!(admitted[g], nthreads, "event {g}");
         }
+        let r = epochs.roll_up(&runner.cfg, "dike", false);
+        assert!(r.completed());
+        assert_eq!(r, runner.run(&Pool::new(1)));
+    }
+
+    /// A runner validates its config up front: a fleet the loop cannot
+    /// run panics here, with the field that failed, not mid-run.
+    #[test]
+    #[should_panic(expected = "deadline_s")]
+    fn an_invalid_config_is_refused_at_construction() {
+        let mut cfg = tiny_fleet();
+        cfg.deadline_s = f64::INFINITY;
+        FleetRunner::new(cfg);
     }
 }

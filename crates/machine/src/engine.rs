@@ -425,8 +425,8 @@ impl Machine {
     /// machine keeps per spawned thread: the slab (spec, placement,
     /// progress, counters), the engine's per-thread tick caches, the LLC
     /// cluster column and the event log (a `Spawned` and a `Finished`
-    /// entry per thread). These columns hold every thread spawned since
-    /// the last reset, so a caller that knows its spawn count up front —
+    /// entry per thread). These columns hold every thread the machine has
+    /// spawned, so a caller that knows its spawn count up front —
     /// the driver, for its arrival plan — sizes each one once instead of
     /// growing it by doubling. Capacity only: nothing simulated changes.
     pub fn reserve_threads(&mut self, additional: usize) {
@@ -1651,26 +1651,6 @@ impl Machine {
         }
         self.all_done()
     }
-
-    /// Return the machine to its just-constructed state: simulated time
-    /// zero, no threads, cleared counters/events, burstiness noise
-    /// re-derived from the configured seed. A reset machine is
-    /// behaviourally indistinguishable from `Machine::new(config)` — the
-    /// fleet layer relies on this to reuse machine slots across runs
-    /// without re-validating or re-plumbing configurations.
-    pub fn reset(&mut self) {
-        let cfg = self.cfg.clone();
-        *self = Machine::new(cfg);
-    }
-
-    /// [`Machine::reset`] under a different seed: the fleet constructs
-    /// every machine from one template configuration and gives each slot
-    /// its own deterministic noise/fault stream.
-    pub fn reset_with_seed(&mut self, seed: u64) {
-        let mut cfg = self.cfg.clone();
-        cfg.seed = seed;
-        *self = Machine::new(cfg);
-    }
 }
 
 /// Deterministic burstiness unit draw for `(seed, thread, window)` — a
@@ -2252,11 +2232,6 @@ mod tests {
         assert_eq!(m.threads.dead_until[t.index()], SimTime::ZERO);
         m.clear_partition();
         assert_eq!(m.partition_epoch(), 2);
-        assert!(!m.partition_active());
-        // Reset returns to the unpartitioned epoch-zero state.
-        m.apply_partition(&plan).unwrap();
-        m.reset();
-        assert_eq!(m.partition_epoch(), 0);
         assert!(!m.partition_active());
     }
 

@@ -478,53 +478,3 @@ fn simulation_is_deterministic() {
         assert_eq!(run_once(), run_once());
     });
 }
-
-/// The fleet-facing reset contract: a machine that already ran a workload
-/// and was then `reset()` is behaviourally indistinguishable from a fresh
-/// `Machine::new` — same counters, same finish times, same event stream —
-/// and `reset_with_seed` is likewise indistinguishable from constructing
-/// with that seed.
-#[test]
-fn reset_machine_is_indistinguishable_from_fresh() {
-    check("reset_machine_is_indistinguishable_from_fresh", 16, |rng| {
-        let n_programs = rng.gen_range(1usize..4);
-        let programs: Vec<PhaseProgram> = (0..n_programs).map(|_| gen_program(rng)).collect();
-        let seed = rng.gen_range(0u64..50);
-        let reseed = rng.gen_range(50u64..100);
-        let ms = rng.gen_range(10u64..200);
-
-        let drive = |machine: &mut Machine| {
-            for (i, p) in programs.iter().enumerate() {
-                machine.spawn(
-                    ThreadSpec {
-                        app: AppId(i as u32),
-                        program: p.clone().into(),
-                        barrier: None,
-                    },
-                    VCoreId((i % 8) as u32),
-                );
-            }
-            machine.run_for(SimTime::from_ms(ms));
-            let counters: Vec<_> = (0..machine.num_threads())
-                .map(|i| machine.counters(dike_machine::ThreadId(i as u32)))
-                .collect();
-            (counters, machine.now(), machine.events().to_vec())
-        };
-
-        let fresh = drive(&mut Machine::new(presets::small_machine(seed)));
-        let fresh_reseeded = drive(&mut Machine::new(presets::small_machine(reseed)));
-
-        // Dirty the machine with a run, then reset and re-drive.
-        let mut m = Machine::new(presets::small_machine(seed));
-        drive(&mut m);
-        m.reset();
-        assert_eq!(m.now(), SimTime::from_ms(0));
-        assert_eq!(m.num_threads(), 0);
-        assert_eq!(drive(&mut m), fresh);
-
-        // Reseeding matches a fresh machine built with the new seed.
-        m.reset_with_seed(reseed);
-        assert_eq!(m.config().seed, reseed);
-        assert_eq!(drive(&mut m), fresh_reseeded);
-    });
-}

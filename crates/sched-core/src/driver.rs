@@ -133,8 +133,8 @@ pub struct RunTotals {
 
 impl RunResult {
     /// Assemble a run's result from the totals [`drive`] returned and the
-    /// machine's per-thread state: one [`ThreadResult`] per thread spawned
-    /// since the machine's last reset, in id order.
+    /// machine's per-thread state: one [`ThreadResult`] per thread the
+    /// machine has spawned, in id order.
     pub fn collect(scheduler: &str, totals: RunTotals, machine: &Machine) -> Self {
         RunResult {
             scheduler: scheduler.to_string(),
@@ -234,7 +234,7 @@ struct DriverScratch {
     /// The threads live at the last view plus those admitted since,
     /// ascending by id. The observe step walks only this list, so its
     /// cost follows the live population, not every thread the machine
-    /// has run since its reset.
+    /// has run.
     watch: Vec<Watched>,
     prev_core: Vec<CoreCounters>,
     arrived: Vec<ThreadId>,
@@ -388,7 +388,7 @@ pub fn drive(
         // arrivals and departures never grow a buffer: departures start
         // quanta after warmup, and a doubling there would break the
         // steady-state zero-allocation guarantee (see `tests/zero_alloc.rs`).
-        // The machine keeps every admitted thread until its reset, so a
+        // The machine keeps every thread it ever admitted, so a
         // fresh machine's per-thread columns are sized for the whole plan
         // once, not doubled as admissions arrive. A machine already
         // running threads grows as it admits: an epoch caller's later

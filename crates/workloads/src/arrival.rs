@@ -79,6 +79,27 @@ impl Default for ArrivalConfig {
     }
 }
 
+impl ArrivalConfig {
+    /// Check the config draws a well-formed trace: a finite mean
+    /// inter-arrival above zero, and `1 <= threads_min <= threads_max`.
+    pub fn validate(&self) -> Result<(), String> {
+        // NaN fails the comparison, so the check rejects it.
+        if !(self.mean_interarrival_ms > 0.0 && self.mean_interarrival_ms.is_finite()) {
+            return Err(format!(
+                "mean_interarrival_ms must be finite and > 0, got {}",
+                self.mean_interarrival_ms
+            ));
+        }
+        if !(self.threads_min >= 1 && self.threads_min <= self.threads_max) {
+            return Err(format!(
+                "thread range must satisfy 1 <= threads_min <= threads_max, got {}..={}",
+                self.threads_min, self.threads_max
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl ArrivalTrace {
     /// Draw a trace with exponential inter-arrival times of the configured
     /// mean (a Poisson arrival process sampled on the millisecond grid),
@@ -86,7 +107,8 @@ impl ArrivalTrace {
     /// Deterministic in `(apps, cfg, seed)`.
     ///
     /// # Panics
-    /// Panics if `apps` is empty or the config is degenerate.
+    /// Panics if `apps` is empty or the config fails
+    /// [`ArrivalConfig::validate`].
     pub fn poisson(
         name: impl Into<String>,
         apps: &[AppKind],
@@ -94,14 +116,7 @@ impl ArrivalTrace {
         seed: u64,
     ) -> ArrivalTrace {
         assert!(!apps.is_empty(), "need at least one app to draw from");
-        assert!(
-            cfg.mean_interarrival_ms > 0.0,
-            "mean inter-arrival must be > 0"
-        );
-        assert!(
-            cfg.threads_min >= 1 && cfg.threads_min <= cfg.threads_max,
-            "thread range must be non-empty and start at >= 1"
-        );
+        cfg.validate().expect("invalid arrival config");
         let mut rng = Pcg32::seed_from_u64(seed);
         let mut events = Vec::new();
         let mut t = 0.0f64;

@@ -82,9 +82,13 @@ step "parallel-determinism (DIKE_THREADS=2)" \
 # budget, so a per-thread allocation creeping back into the spawn path
 # (a spec owning its program) fails here; and `drive` admitting a
 # 2,000-thread plan into a fresh machine must stay under 100 events, so a
-# per-thread machine column grown by doubling fails too. The workspace
-# test run above already covers this; the named re-run makes a
-# regression fail loudly as its own step.
+# per-thread machine column grown by doubling fails too. The fleet heap
+# gate reads live bytes: the same smoke-fleet lap on one worker must
+# peak under 256 live bytes per admitted thread above its start, and
+# hold under 4 per thread once its result is dropped, so a machine that
+# outlives its last epoch (326 B per thread of per-thread columns) fails.
+# The workspace test run above already covers this; the named re-run
+# makes a regression fail loudly as its own step.
 step "zero-alloc" cargo test -q --offline -p dike-repro --test zero_alloc
 
 # Robustness smoke: the fault-injection degradation sweep end to end at a

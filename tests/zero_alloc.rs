@@ -25,6 +25,11 @@
 //!   one allocation event per eight admitted threads;
 //! * `drive` sizes a machine's per-thread columns once for its arrival
 //!   plan, so admitting a long plan reallocates none of them.
+//!
+//! One gate reads live bytes rather than allocation events: a fleet lap
+//! holds one machine's per-thread columns per worker at a time, retiring
+//! each machine into a compact record after its last epoch, and the
+//! runner holds nothing once the lap's result is dropped.
 
 use dike_fleet::FleetRunner;
 use dike_repro::baselines::StaticSpread;
@@ -197,4 +202,53 @@ fn open_run_sizes_the_machine_once_for_its_plan() {
         "admitting a 2,000-thread plan allocated {events} events \
          (budget {OPEN_PLAN_ALLOCATIONS}): a per-thread column grows mid-run"
     );
+}
+
+/// Live heap a smoke-fleet lap may peak at, per admitted thread, above
+/// where it started. A retired machine leaves a 32-B span per thread, and
+/// the barrier's specs (48 B each) and the roll-up's merged span list
+/// (32 B) come and go; a machine that outlives its last epoch keeps a
+/// 326-B row per thread in its per-thread columns and fails here.
+const FLEET_PEAK_BYTES_PER_THREAD: u64 = 256;
+
+/// Live heap a runner may still hold per admitted thread once its lap's
+/// result is dropped: nothing but rounding.
+const FLEET_HELD_BYTES_PER_THREAD: u64 = 4;
+
+#[test]
+fn fleet_lap_heap_follows_the_running_machines() {
+    let _alone = measure_alone();
+    let cfg = fleet::smoke_config(42);
+    // One worker runs every machine on this thread; a warm-up lap on a
+    // throwaway runner grows the thread-local driver scratch, so the
+    // measured lap starts warm.
+    let pool = Pool::new(1);
+    FleetRunner::new(cfg.clone()).run(&pool);
+
+    let runner = FleetRunner::new(cfg);
+    let start = ALLOC.live();
+    ALLOC.reset_peak();
+    let result = runner.run(&pool);
+    let peak = ALLOC.peak() - start;
+    let admitted = result.total_arrivals;
+    drop(result);
+    let held = ALLOC.live().saturating_sub(start);
+    assert!(
+        admitted > 1_000,
+        "smoke fleet admitted only {admitted} threads"
+    );
+    assert!(
+        peak < FLEET_PEAK_BYTES_PER_THREAD * admitted,
+        "fleet lap peaked at {peak} live bytes above its start for {admitted} admitted \
+         threads ({:.0} per thread; budget {FLEET_PEAK_BYTES_PER_THREAD})",
+        peak as f64 / admitted as f64
+    );
+    assert!(
+        held < FLEET_HELD_BYTES_PER_THREAD * admitted,
+        "the runner holds {held} live bytes after its lap for {admitted} admitted \
+         threads ({:.1} per thread; budget {FLEET_HELD_BYTES_PER_THREAD}): a machine \
+         outlives its run",
+        held as f64 / admitted as f64
+    );
+    drop(runner);
 }
