@@ -4,8 +4,7 @@
 //! updated every quanta" (`CoreBW`), and per thread the access rate of the
 //! last quantum. Different estimators trade responsiveness against noise
 //! rejection; the Dike predictor's accuracy depends directly on this choice,
-//! so the estimator is pluggable and benchmarked as an ablation
-//! (`bench/estimator_ablation`).
+//! so the estimator is pluggable.
 
 use dike_util::{json_enum, json_struct};
 use std::collections::VecDeque;

@@ -12,7 +12,7 @@ use dike_sched_core::{Actions, Scheduler, SwapPlanner, SystemView};
 use std::collections::HashMap;
 
 /// Counters describing what Dike did during a run (for tests, the swap
-/// accounting of Table III, and the ablation benches).
+/// accounting of Table III, and the ablations).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DikeStats {
     /// Quanta observed.

@@ -16,9 +16,9 @@
 //! Each cell reports whole-run fairness (Eqn 4), the windowed-fairness
 //! summary, and the count of partition plans the machine actually applied
 //! (after the actuation fault channel). The headline claim this
-//! experiment pins — see `results/BENCH_cachepart.json` and the golden
-//! suite — is that the hybrid's windowed fairness matches or beats plain
-//! Dike's on both mixes: jailing streamers cannot slow threads already at
+//! experiment pins — see the golden suite (`golden_cachepart.json`) — is
+//! that the hybrid's windowed fairness matches or beats plain Dike's on
+//! both mixes: jailing streamers cannot slow threads already at
 //! the contention cap, while everyone else gets cleaner cache.
 //!
 //! Cells fan out over the [`dike_util::pool`] workers and come back in
@@ -258,8 +258,8 @@ mod tests {
         // The ISSUE's headline acceptance: with partitioning enabled the
         // Dike+LFOC hybrid's windowed fairness matches or beats plain
         // Dike's on at least two workload mixes. Deterministic, so this
-        // cannot flake; `results/BENCH_cachepart.json` archives the same
-        // comparison at full scale.
+        // cannot flake; `golden_cachepart.json` pins the same cells byte
+        // for byte, clean and faulted.
         let opts = small_opts();
         for wl in CACHEPART_WORKLOADS {
             let base = presets::paper_machine(opts.seed);

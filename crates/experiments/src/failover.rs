@@ -178,7 +178,7 @@ pub fn run_grid_pool(seed: u64, pool: &Pool) -> Vec<FailoverPoint> {
     points
 }
 
-/// The quick pair for smoke laps and the bench: the harshest cell
+/// The quick pair for smoke runs and the golden: the harshest cell
 /// (maximum swept crash + brownout, full budget) under both dispatchers.
 pub fn run_quick_pool(seed: u64, pool: &Pool) -> Vec<FailoverPoint> {
     let runner = FleetRunner::new(fleet::smoke_config(seed));

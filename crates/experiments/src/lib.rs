@@ -1,9 +1,8 @@
 //! # dike-experiments — drivers reproducing every table and figure
 //!
 //! One module per experiment; each produces the same rows/series the paper
-//! reports and is exercised both by a binary (`cargo run -p
-//! dike-experiments --release --bin figN`) and by a Criterion bench
-//! target. See `DESIGN.md` §3 for the experiment index and
+//! reports and is exercised by a binary (`cargo run -p dike-experiments
+//! --release --bin figN`). See `DESIGN.md` §3 for the experiment index and
 //! `EXPERIMENTS.md` for paper-vs-measured values.
 //!
 //! | module | paper artefact |

@@ -238,49 +238,77 @@ json_struct!(MachineConfig {
 });
 
 impl MachineConfig {
-    /// Validate parameter sanity.
+    /// Validate parameter sanity. Every float must be finite and in its
+    /// range, and each error names its field (`memory.base_latency_s`).
     pub fn validate(&self) -> Result<(), String> {
         if self.tick_us == 0 {
             return Err("tick_us must be > 0".into());
         }
-        if !(self.memory.bandwidth_accesses_per_sec > 0.0) {
-            return Err("memory bandwidth must be > 0".into());
+        let (mem, llc, mig) = (&self.memory, &self.llc, &self.migration);
+        // `is_finite` is false for NaN and ±∞ alike.
+        let positive = [
+            (
+                "memory.bandwidth_accesses_per_sec",
+                mem.bandwidth_accesses_per_sec,
+            ),
+            ("memory.base_latency_s", mem.base_latency_s),
+            ("llc.capacity_mib", llc.capacity_mib),
+        ];
+        for (field, x) in positive {
+            if !(x.is_finite() && x > 0.0) {
+                return Err(format!("{field} must be finite and > 0, got {x}"));
+            }
         }
-        if !(self.memory.base_latency_s > 0.0) {
-            return Err("memory latency must be > 0".into());
+        let at_least = [
+            ("memory.queue_gain", mem.queue_gain, 0.0),
+            ("llc.sensitivity", llc.sensitivity, 0.0),
+            ("memory.prefetch_factor", mem.prefetch_factor, 1.0),
+            (
+                "memory.remote_latency_factor",
+                mem.remote_latency_factor,
+                1.0,
+            ),
+            ("llc.max_inflation", llc.max_inflation, 1.0),
+            (
+                "migration.warmup_miss_multiplier",
+                mig.warmup_miss_multiplier,
+                1.0,
+            ),
+            (
+                "migration.warmup_cpi_multiplier",
+                mig.warmup_cpi_multiplier,
+                1.0,
+            ),
+            (
+                "migration.cross_domain_warmup_factor",
+                mig.cross_domain_warmup_factor,
+                1.0,
+            ),
+        ];
+        for (field, x, lo) in at_least {
+            if !(x.is_finite() && x >= lo) {
+                return Err(format!("{field} must be finite and >= {lo}, got {x}"));
+            }
         }
-        if !(0.0..1.0).contains(&self.memory.max_utilisation) {
-            return Err("max_utilisation must be in [0,1)".into());
-        }
-        if !(self.memory.prefetch_factor >= 1.0) {
-            return Err("prefetch_factor must be >= 1".into());
-        }
-        if !(self.llc.capacity_mib > 0.0) {
-            return Err("LLC capacity must be > 0".into());
-        }
-        if !(self.llc.max_inflation >= 1.0) {
-            return Err("LLC max_inflation must be >= 1".into());
-        }
-        if self.llc.ways == 0 {
-            return Err("LLC ways must be >= 1".into());
+        // The two fractions are bounded on both sides, which rejects NaN
+        // and ±∞ alike.
+        if !(0.0..1.0).contains(&mem.max_utilisation) {
+            return Err(format!(
+                "memory.max_utilisation must be in [0, 1), got {}",
+                mem.max_utilisation
+            ));
         }
         if !(0.0 < self.smt.busy_share && self.smt.busy_share <= 1.0) {
-            return Err("SMT busy_share must be in (0,1]".into());
+            return Err(format!(
+                "smt.busy_share must be in (0, 1], got {}",
+                self.smt.busy_share
+            ));
         }
-        if !(self.migration.warmup_miss_multiplier >= 1.0) {
-            return Err("warmup_miss_multiplier must be >= 1".into());
-        }
-        if !(self.migration.warmup_cpi_multiplier >= 1.0) {
-            return Err("warmup_cpi_multiplier must be >= 1".into());
-        }
-        if !(self.migration.cross_domain_warmup_factor >= 1.0) {
-            return Err("cross_domain_warmup_factor must be >= 1".into());
-        }
-        if !(self.memory.remote_latency_factor >= 1.0) {
-            return Err("remote_latency_factor must be >= 1".into());
+        if llc.ways == 0 {
+            return Err("llc.ways must be >= 1".into());
         }
         if self.balance.enabled && self.balance.interval_us == 0 {
-            return Err("balance interval must be > 0 when enabled".into());
+            return Err("balance.interval_us must be > 0 when balance.enabled".into());
         }
         self.faults.validate()?;
         Ok(())
@@ -423,5 +451,49 @@ mod tests {
         let mut m = presets::small_machine(0);
         m.migration.cross_domain_warmup_factor = 0.0;
         assert!(m.validate().is_err());
+        let mut m = presets::small_machine(0);
+        m.memory.queue_gain = -0.1;
+        assert!(m.validate().unwrap_err().contains("memory.queue_gain"));
+        let mut m = presets::small_machine(0);
+        m.llc.sensitivity = -0.1;
+        assert!(m.validate().unwrap_err().contains("llc.sensitivity"));
+
+        // NaN and ±∞ in every float field, each error naming its field.
+        // A paper machine with an infinite `memory.base_latency_s` would
+        // otherwise run to its deadline with no thread finished.
+        type Field = fn(&mut MachineConfig) -> &mut f64;
+        let fields: [(&str, Field); 13] = [
+            ("memory.bandwidth_accesses_per_sec", |m| {
+                &mut m.memory.bandwidth_accesses_per_sec
+            }),
+            ("memory.base_latency_s", |m| &mut m.memory.base_latency_s),
+            ("memory.queue_gain", |m| &mut m.memory.queue_gain),
+            ("memory.max_utilisation", |m| &mut m.memory.max_utilisation),
+            ("memory.prefetch_factor", |m| &mut m.memory.prefetch_factor),
+            ("memory.remote_latency_factor", |m| {
+                &mut m.memory.remote_latency_factor
+            }),
+            ("llc.capacity_mib", |m| &mut m.llc.capacity_mib),
+            ("llc.sensitivity", |m| &mut m.llc.sensitivity),
+            ("llc.max_inflation", |m| &mut m.llc.max_inflation),
+            ("migration.warmup_miss_multiplier", |m| {
+                &mut m.migration.warmup_miss_multiplier
+            }),
+            ("migration.warmup_cpi_multiplier", |m| {
+                &mut m.migration.warmup_cpi_multiplier
+            }),
+            ("migration.cross_domain_warmup_factor", |m| {
+                &mut m.migration.cross_domain_warmup_factor
+            }),
+            ("smt.busy_share", |m| &mut m.smt.busy_share),
+        ];
+        for (name, field) in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut m = presets::paper_machine(0);
+                *field(&mut m) = bad;
+                let err = m.validate().expect_err(name);
+                assert!(err.contains(name), "{name} = {bad}: {err}");
+            }
+        }
     }
 }

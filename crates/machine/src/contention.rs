@@ -338,7 +338,7 @@ pub fn solve_memory_numa(
 }
 
 /// [`solve_memory_numa`] writing into a caller-provided solution, reusing
-/// its allocations. A cold, whole-machine reference for tests and benches;
+/// its allocations. A cold, whole-machine reference for tests;
 /// the engine solves each controller through [`NumaWarmSolver`].
 pub fn solve_memory_numa_into(
     demands: &[NumaDemand],

@@ -15,8 +15,6 @@
 //! * [`check`] — a seeded property-testing harness, shrinking-free but
 //!   with the failing seed reported for exact reproduction (replaces
 //!   `proptest`);
-//! * [`bench`] — a monotonic-clock micro-bench runner with warmup and
-//!   iteration control (replaces `criterion`);
 //! * [`alloc`] — a counting `GlobalAlloc` wrapper for tests that assert
 //!   allocation behaviour (e.g. the zero-allocation steady-state claim of
 //!   the driver's scratch-buffer core);
@@ -24,14 +22,11 @@
 //!   result ordering and a `DIKE_THREADS` environment override (replaces
 //!   `rayon` for the experiment drivers' embarrassingly parallel maps).
 //!
-//! [`bench`]: mod@bench
-//!
 //! The RNG stream and the JSON output shape are frozen by golden tests in
 //! `tests/`: any change to either is a breaking change for recorded
 //! experiment fixtures and seeded test expectations.
 
 pub mod alloc;
-pub mod bench;
 pub mod check;
 pub mod json;
 pub mod pool;

@@ -127,24 +127,6 @@ step "golden-check" scripts/golden_check.sh
 step "benchmark-tests" \
     cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-# Bench smoke: the bench targets must run end to end (tiny samples, writes
-# to target/, never touches the recorded results/BENCH_*.json).
-step "bench-smoke" bash -c 'DIKE_BENCH_FAST=1 scripts/bench.sh'
-
-# The smoke must include the largest NUMA scale cell (26 controllers, 1040
-# vcores): its presence proves the hierarchical selection and warm-started
-# contention-solve pipeline drives the full-size machine end to end.
-step "scale-smoke-coverage" grep -q '"scale/dike_26dom_1040c"' target/BENCH_scale_smoke.json
-
-# …and the hybrid cache-partitioning cell, proving the second actuator
-# (plan build → fault channel → partitioned contention solve) runs under
-# the bench harness too.
-step "cachepart-smoke-coverage" grep -q '"cachepart/wl1_dike_lfoc"' target/BENCH_cachepart_smoke.json
-
-# …and the failover pair, proving the fault-tolerant loop runs under the
-# bench harness with both dispatchers.
-step "failover-smoke-coverage" grep -q '"failover/quick_fail"' target/BENCH_failover_smoke.json
-
 # Long-churn soak: the fleet under worst-case per-machine faults plus
 # heavy machine-scope crash/brownout churn, both dispatchers, a 30 s
 # arrival window. The run is a pure function of its seeds and bounded by

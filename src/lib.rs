@@ -13,8 +13,8 @@
 //! * `baselines` — CFS stand-in, DIO, random, oracle.
 //! * `metrics` — fairness/performance/prediction-error metrics.
 //! * `experiments` — per-figure/table experiment drivers.
-//! * `util` — in-tree RNG, JSON, property-check and bench support
-//!   (keeps the build offline and dependency-free).
+//! * `util` — in-tree RNG, JSON, property-check, allocation-counting and
+//!   thread-pool support (keeps the build offline and dependency-free).
 
 pub use dike_baselines as baselines;
 pub use dike_counters as counters;
