@@ -100,9 +100,8 @@ mod tests {
         // thread.
         assert!(r.migrations <= 8, "migrations {}", r.migrations);
         // After placement, jacobi (memory) threads sat on fast cores
-        // (vcores 0..4 on the small machine). Check final cores via the
-        // machine's event log: the last migration target of each jacobi
-        // thread must be a fast vcore.
+        // (vcores 0..4 on the small machine): each jacobi thread's final
+        // vcore must be a fast one.
         let jacobi: Vec<_> = spawned.threads_of(dike_machine::AppId(0));
         for t in jacobi {
             let final_core = machine.vcore_of(t);

@@ -317,7 +317,7 @@ impl Scheduler for Dike {
 mod tests {
     use super::*;
     use dike_machine::{presets, Machine, SimTime};
-    use dike_sched_core::run;
+    use dike_sched_core::{run, run_with};
     use dike_workloads::apps::AppKind;
     use dike_workloads::{Placement, Workload};
 
@@ -401,8 +401,10 @@ mod tests {
     #[test]
     fn cooldown_prevents_consecutive_swaps_of_same_thread() {
         // With prediction disabled every selector pair is accepted except
-        // for the cooldown, so consecutive quanta cannot move one thread
-        // twice. Verify via the machine event log.
+        // for the cooldown, so a thread moved after one quantum is not
+        // moved after the next. Verify from the driver's per-quantum
+        // views: no thread moved twice between two views, and none shows
+        // a move in two consecutive views.
         let cfg = DikeConfig {
             use_prediction: false,
             ..DikeConfig::default()
@@ -410,20 +412,29 @@ mod tests {
         let mut machine = Machine::new(presets::small_machine(3));
         small_workload().spawn(&mut machine, Placement::Interleaved, 0.2);
         let mut dike = Dike::with_config(cfg);
-        let _ = run(&mut machine, &mut dike, SimTime::from_secs_f64(120.0));
-        use dike_machine::MachineEvent;
-        let mut last_move: std::collections::HashMap<u32, u64> = Default::default();
-        for e in machine.events() {
-            if let MachineEvent::Migrated { thread, at, .. } = e {
-                if let Some(&prev) = last_move.get(&thread.0) {
-                    assert!(
-                        at.as_ms_f64() as u64 - prev >= 500,
-                        "thread {thread} moved twice within a quantum"
-                    );
+        // Per thread, at its last view: quantum index, cumulative
+        // migrations, and whether it had just moved.
+        let mut last: HashMap<u32, (u64, u64, bool)> = HashMap::new();
+        let result = run_with(
+            &mut machine,
+            &mut dike,
+            SimTime::from_secs_f64(120.0),
+            |view| {
+                for t in &view.threads {
+                    let (q, moves) = (view.quantum_index, t.cumulative.migrations);
+                    if let Some(&(prev_q, prev_moves, moved)) = last.get(&t.id.0) {
+                        assert!(moves - prev_moves <= 1, "thread {} moved twice", t.id);
+                        assert!(
+                            !(moved && t.migrated_last_quantum && prev_q + 1 == q),
+                            "thread {} moved in consecutive quanta",
+                            t.id
+                        );
+                    }
+                    last.insert(t.id.0, (q, moves, t.migrated_last_quantum));
                 }
-                last_move.insert(thread.0, at.as_ms_f64() as u64);
-            }
-        }
+            },
+        );
+        assert!(result.swaps > 0, "the run must swap for the check to bite");
     }
 
     #[test]

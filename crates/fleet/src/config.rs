@@ -6,15 +6,9 @@
 //! dispatch, simulation, roll-up — is a pure function of this struct, so
 //! two fleets built from equal configs produce byte-identical results.
 
-use dike_machine::{presets, MachineConfig};
+use dike_machine::{presets, MachineConfig, MAX_SPAN_MS};
 use dike_util::rng::splitmix64;
 use dike_workloads::{paper, AppKind, ArrivalConfig};
-
-/// The longest deadline, epoch or arrival horizon a fleet run takes, in
-/// milliseconds. A run's last epoch ends before `deadline + epoch`, so
-/// with both at this bound every epoch end, in microseconds, still fits
-/// the `u64` of a [`dike_machine::SimTime`] (about 292,000 years).
-pub(crate) const MAX_SPAN_MS: u64 = u64::MAX / 2_000;
 
 /// Dispatcher knobs (see [`crate::dispatch`](mod@crate::dispatch)).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -22,15 +22,19 @@
 //! inside an epoch).
 //!
 //! Each machine lives in its lane, with its policy: the worker that
-//! first runs it builds both at its first epoch, and after the run's last
-//! epoch drops the policy and *retires* the machine — reads it once into
-//! a record of each thread's global event index, spawn and finish time,
-//! plus its alive count, clock and migrations, and drops it with its
-//! per-thread columns. A loop that settles early leaves its machines
-//! running, and the roll-up reads them straight into the merged span
-//! list. The barrier reads a lane's machine, or its record, for the
-//! ledger check's admitted count, the running count and crash
-//! orphaning; the runner itself holds only its config.
+//! first runs it builds both at its first epoch. After every epoch but
+//! the last the lane retires the machine's finished threads
+//! (`Machine::retire_finished`), so the machine keeps hot per-thread rows
+//! only for the threads still running and a 24-B history row for each
+//! one that left. After the run's last epoch the lane drops the policy
+//! and *retires* the machine — reads it once into a record of each
+//! thread's global event index, spawn and finish time, plus its alive
+//! count, clock and migrations, and drops it with its per-thread columns.
+//! A loop that settles early leaves its machines running, and the
+//! roll-up retires them the same way, one at a time. The barrier reads a
+//! lane's machine, or its record, for the ledger check's admitted count,
+//! the running count and crash orphaning; the runner itself holds only
+//! its config.
 //!
 //! ## Failure semantics
 //!
@@ -56,10 +60,10 @@
 //! lost, nothing is re-dispatched — the baseline the failover experiment
 //! compares against.
 
-use crate::config::{FleetConfig, MAX_SPAN_MS};
+use crate::config::FleetConfig;
 use crate::dispatch::{fleet_vcores, home_machine, tenant_traces, LoadRouter};
 use crate::run::{FleetResult, FleetRunner, MachineSummary, TenantPoint};
-use dike_machine::{AppId, BarrierId, Machine, MachineFaultConfig, SimTime, ThreadId};
+use dike_machine::{AppId, BarrierId, Machine, MachineFaultConfig, SimTime, ThreadId, MAX_SPAN_MS};
 use dike_metrics::{mean_sojourn, sojourn_by_app, window_series, ConservationLedger, ThreadSpan};
 use dike_sched_core::{drive, Scheduler, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
@@ -738,6 +742,11 @@ impl FleetRunner {
                 if last {
                     lane.sched = None;
                     lane.retire();
+                } else {
+                    // The driver has reported this epoch's departures: keep
+                    // only their history, so the machine's hot rows follow
+                    // the threads still running.
+                    machine.retire_finished();
                 }
                 lane
             });
@@ -784,12 +793,14 @@ impl FleetRunner {
 }
 
 impl Epochs {
-    /// Read every machine once, in machine order, into one span list and
-    /// the one [`FleetResult`], tolerating partial results (a frozen
-    /// machine's threads count as unfinished). A retired machine is read
-    /// from its record; one the loop left running (it settled early) is
-    /// read straight into the span list and dropped. Each span is tagged
-    /// with its tenant through its global event index.
+    /// Read every machine once, in machine order, into the one
+    /// [`FleetResult`], tolerating partial results (a frozen machine's
+    /// threads count as unfinished). A machine the loop left running (it
+    /// settled early) retires here, one at a time, into the record every
+    /// other machine retired into after its last epoch. Each record's
+    /// spans are tagged with their tenant through their global event
+    /// index, in place, and scored where they lie: the records chained in
+    /// machine order are the fleet's span list, with no merged copy.
     pub(crate) fn roll_up(self, cfg: &FleetConfig, label: &str, failover: bool) -> FleetResult {
         let Epochs {
             traces,
@@ -804,26 +815,18 @@ impl Epochs {
             epochs,
             next_event,
         } = self;
-        let admitted_total: usize = lanes.iter().map(Lane::admitted).sum();
-        let mut spans: Vec<ThreadSpan> = Vec::with_capacity(admitted_total);
+        let mut records: Vec<Vec<ThreadSpan>> = Vec::with_capacity(lanes.len());
         let mut machines = Vec::with_capacity(lanes.len());
-        for (i, lane) in lanes.into_iter().enumerate() {
-            let first = spans.len();
-            let end = match &lane.machine {
-                Some(machine) => read_machine(machine, &mut spans),
-                None => {
-                    spans.extend_from_slice(&lane.retired.spans);
-                    lane.retired.end
-                }
-            };
-            for s in &mut spans[first..] {
+        for (i, mut lane) in lanes.into_iter().enumerate() {
+            lane.retire();
+            let Retired { mut spans, end } = lane.retired;
+            for s in &mut spans {
                 s.app = tenant_of[s.app as usize];
             }
-            let own = &spans[first..];
             machines.push(MachineSummary {
                 machine: i as u32,
-                admitted: own.len() as u64,
-                drained: own.iter().filter(|s| s.finished_at.is_some()).count() as u64,
+                admitted: spans.len() as u64,
+                drained: spans.iter().filter(|s| s.finished_at.is_some()).count() as u64,
                 queued: lane.pending.len() as u64,
                 crashes: health[i].crashes,
                 brownouts: health[i].brownouts,
@@ -832,7 +835,9 @@ impl Epochs {
                 quanta: lane.quanta,
                 migrations: end.migrations,
             });
+            records.push(spans);
         }
+        let spans = || records.iter().flatten();
 
         let admitted: u64 = machines.iter().map(|m| m.admitted).sum();
         let drained: u64 = machines.iter().map(|m| m.drained).sum();
@@ -848,8 +853,8 @@ impl Epochs {
         };
 
         let wall = machines.iter().map(|m| m.makespan_s).fold(0.0, f64::max);
-        let (windows, mean_fair, min_fair) = window_series(&spans, wall);
-        let tenants = sojourn_by_app(&spans, cfg.tenants.len(), wall)
+        let (windows, mean_fair, min_fair) = window_series(spans(), wall);
+        let tenants = sojourn_by_app(spans(), cfg.tenants.len(), wall)
             .iter()
             .enumerate()
             .map(|(t, totals)| TenantPoint {
@@ -880,7 +885,7 @@ impl Epochs {
             total_arrivals: admitted,
             total_departures: drained,
             makespan_s: wall,
-            mean_sojourn_s: mean_sojourn(&spans, wall),
+            mean_sojourn_s: mean_sojourn(spans(), wall),
         }
     }
 }
@@ -936,6 +941,44 @@ mod tests {
             ..Default::default()
         };
         assert!(bad.validate().is_err());
+        // A brownout stall past the span bound overflowed `SimTime::from_ms`
+        // at the brownout barrier (debug) or wrapped to a short stall
+        // (release); it is rejected, naming the field and the value.
+        let brownout = |brownout_stall_ms| FailoverConfig {
+            faults: MachineFaultConfig {
+                brownout_rate: 1.0,
+                brownout_stall_ms,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        for stall in [MAX_SPAN_MS + 1, u64::MAX] {
+            let err = brownout(stall).validate().unwrap_err();
+            assert!(
+                err.contains("brownout_stall_ms") && err.contains(&stall.to_string()),
+                "{err}"
+            );
+        }
+        // At the bound, a 2-machine fleet browned out at every barrier
+        // stalls its threads for good, and every stall end fits.
+        let mut cfg = FleetConfig::uniform(
+            2,
+            2,
+            ArrivalConfig {
+                mean_interarrival_ms: 800.0,
+                horizon_ms: 4_000,
+                threads_min: 1,
+                threads_max: 2,
+            },
+            5,
+        );
+        cfg.scale = 0.01;
+        cfg.deadline_s = 10.0;
+        let fo = brownout(MAX_SPAN_MS);
+        assert_eq!(fo.validate(), Ok(()));
+        let r = FleetRunner::new(cfg).run_failover(&Pool::new(1), &fo);
+        r.ledger.assert_holds("stall at the span bound");
+        assert!(r.machines.iter().all(|m| m.brownouts > 0));
         let s = json::to_string(&FailoverConfig::default());
         let back: FailoverConfig = json::from_str(&s).expect("parse");
         assert_eq!(back, FailoverConfig::default());

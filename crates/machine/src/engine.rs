@@ -32,38 +32,11 @@ use crate::contention::{llc_inflation, llc_inflation_scaled, MemDemand, NumaWarm
 use crate::ids::{AppId, BarrierId, DomainId, SimTime, ThreadId, VCoreId};
 use crate::partition::PartitionPlan;
 use crate::phase::Phase;
-use crate::thread::{CoreCounters, ThreadCounters, ThreadSlab, ThreadSpec};
+use crate::thread::{
+    compact_column, CoreCounters, ThreadCounters, ThreadHistory, ThreadSlab, ThreadSpec, RETIRED,
+};
 use std::collections::BTreeMap;
-
-/// Notable events, for logs and tests.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MachineEvent {
-    /// A thread was spawned on a core.
-    Spawned { thread: ThreadId, vcore: VCoreId },
-    /// A thread migrated between cores.
-    Migrated {
-        thread: ThreadId,
-        from: VCoreId,
-        to: VCoreId,
-        at: SimTime,
-    },
-    /// A thread retired all its instructions.
-    Finished { thread: ThreadId, at: SimTime },
-    /// The substrate load balancer moved a thread to an idle context.
-    Balanced {
-        thread: ThreadId,
-        from: VCoreId,
-        to: VCoreId,
-        at: SimTime,
-    },
-    /// A transient stall was injected: the thread makes no progress until
-    /// `until` (fault injection, see [`crate::faults`]).
-    Stalled {
-        thread: ThreadId,
-        at: SimTime,
-        until: SimTime,
-    },
-}
+use std::num::NonZeroU64;
 
 /// Coarseness of the burstiness noise: the pseudo-random miss-ratio
 /// fluctuation is held constant for this many consecutive ticks, giving
@@ -76,12 +49,15 @@ pub struct Machine {
     cfg: MachineConfig,
     now: SimTime,
     tick_index: u64,
-    /// Per-thread state, as structure-of-arrays slabs indexed by dense id.
+    /// What outlives a thread's hot row, for every thread ever spawned,
+    /// indexed by dense id.
+    history: Vec<ThreadHistory>,
+    /// Hot per-thread state of the threads not yet retired, as
+    /// structure-of-arrays slabs indexed by row. Rows ascend with ids.
     threads: ThreadSlab,
     vcore_counters: Vec<CoreCounters>,
-    events: Vec<MachineEvent>,
-    /// Barrier bookkeeping: group -> member thread ids.
-    barrier_groups: BTreeMap<BarrierId, Vec<ThreadId>>,
+    /// Barrier bookkeeping: group -> member rows, retired members dropped.
+    barrier_groups: BTreeMap<BarrierId, Vec<u32>>,
     /// Moves performed by the substrate balancer (not counted as policy
     /// migrations).
     balancer_moves: u64,
@@ -98,12 +74,12 @@ pub struct Machine {
     /// (homogeneous machine): the balancer then only spreads doubled-up
     /// contexts.
     balance_homogeneous: bool,
-    /// Per-thread burstiness-noise cache: the hashed unit draw is constant
+    /// Per-row burstiness-noise cache: the hashed unit draw is constant
     /// within a noise window (`tick_index / NOISE_WINDOW_TICKS`), so it is
     /// recomputed only when the window changes.
     noise_window: Vec<u64>,
     noise_unit: Vec<f64>,
-    /// Dense ids of unfinished threads, ascending. Spawns append (ids are
+    /// Rows of unfinished threads, ascending. Spawns append (rows are
     /// monotone), completions remove — so every per-tick sweep walks only
     /// the live population instead of everything ever spawned.
     alive: Vec<u32>,
@@ -116,10 +92,10 @@ pub struct Machine {
     /// Cycles each vcore clocks per tick (`freq · dt`), the per-tick
     /// `cycles` step of every thread running on it.
     vcore_cycles: Vec<f64>,
-    // Per-thread cached tick state, indexed by dense thread id. Written
-    // by the rebuild stages, read by the advance stage; between rebuilds
-    // of a thread's domain the entries stay exact (the boundary entry is
-    // a decayed lower bound, re-walked exactly in the advance slow path).
+    // Per-row cached tick state. Written by the rebuild stages, read by
+    // the advance stage; between rebuilds of a thread's domain the entries
+    // stay exact (the boundary entry is a decayed lower bound, re-walked
+    // exactly in the advance slow path).
     thread_phase: Vec<Phase>,
     thread_boundary: Vec<f64>,
     thread_demand: Vec<MemDemand>,
@@ -164,9 +140,9 @@ pub struct Machine {
     scratch_vcore_load: Vec<u32>,
     scratch_pcore_load: Vec<u32>,
     scratch_vcore_busy: Vec<bool>,
-    scratch_finished: Vec<ThreadId>,
     scratch_occupancy: Vec<u32>,
-    scratch_moves: Vec<(ThreadId, VCoreId)>,
+    /// A balancer pass's moves: row and target vcore.
+    scratch_moves: Vec<(u32, VCoreId)>,
     /// The runnable threads of a span, in alive order.
     scratch_span: Vec<u32>,
     // Incremental-rebuild state, per NUMA domain (a single domain on the
@@ -181,12 +157,13 @@ pub struct Machine {
     /// be re-presented to the warm solver (which skips bitwise-unchanged
     /// inputs outright).
     stale_ctrls: Vec<bool>,
-    /// Alive thread ids currently *running* in each domain, ascending —
-    /// the per-domain walk list of the incremental rebuild. Ascending
-    /// order keeps every float accumulation in global thread order, which
-    /// is what makes the partial rebuild bit-identical to a full one.
+    /// Rows of alive threads currently *running* in each domain,
+    /// ascending — the per-domain walk list of the incremental rebuild.
+    /// Rows ascend with ids, so ascending order keeps every float
+    /// accumulation in global thread order, which is what makes the
+    /// partial rebuild bit-identical to a full one.
     run_members: Vec<Vec<u32>>,
-    /// Alive thread ids *homed* to each controller, ascending — the
+    /// Rows of alive threads *homed* to each controller, ascending — the
     /// presentation order of each controller's demand sub-vector.
     home_members: Vec<Vec<u32>>,
     /// Alive threads running outside their home domain. While zero (always
@@ -222,9 +199,9 @@ pub struct Machine {
     /// actuation layer verifies against this, the way migration actuation
     /// verifies against placement.
     partition_epoch: u64,
-    /// Per-thread cluster id (`u32::MAX` = shared pool), dense thread
-    /// index. Threads spawned after an application land in the shared
-    /// pool until the next plan names them.
+    /// Per-row cluster id (`u32::MAX` = shared pool). Threads spawned
+    /// after an application land in the shared pool until the next plan
+    /// names them.
     thread_cluster: Vec<u32>,
     /// Capacity (MiB) of each cluster's slice; last slot = shared pool.
     cluster_capacity_mib: Vec<f64>,
@@ -275,13 +252,9 @@ impl Machine {
             cfg,
             now: SimTime::ZERO,
             tick_index: 0,
+            history: Vec::new(),
             threads: ThreadSlab::default(),
             vcore_counters: vec![CoreCounters::default(); n_vcores],
-            // The event log accumulates for the whole run. Pre-size it so
-            // a Finished/Migrated push in steady state never pays an
-            // amortised doubling (`tests/zero_alloc.rs`); unusually
-            // migration-heavy runs fall back to O(log n) growth.
-            events: Vec::with_capacity(1024),
             barrier_groups: BTreeMap::new(),
             balancer_moves: 0,
             policy_migrations: 0,
@@ -309,7 +282,6 @@ impl Machine {
             scratch_vcore_load: vec![0; n_vcores],
             scratch_pcore_load: vec![0; n_pcores],
             scratch_vcore_busy: Vec::new(),
-            scratch_finished: Vec::new(),
             scratch_occupancy: Vec::new(),
             scratch_moves: Vec::new(),
             scratch_span: Vec::new(),
@@ -350,7 +322,8 @@ impl Machine {
     /// for life: later migrations change where the thread *runs*, not where
     /// its misses are serviced. Thread ids are dense and stable: the `n`-th
     /// spawn — whether at `t = 0` or mid-run — is `ThreadId(n)`, and ids
-    /// are never reused after retirement.
+    /// are never reused, not even once [`Machine::retire_finished`] has
+    /// dropped the thread's hot row.
     ///
     /// # Panics
     /// Panics if the spec is invalid or the core id is out of range.
@@ -360,9 +333,10 @@ impl Machine {
             vcore.index() < self.cfg.topology.num_vcores(),
             "vcore {vcore} out of range"
         );
-        let id = ThreadId(self.threads.len() as u32);
+        let id = ThreadId(self.history.len() as u32);
+        let row = self.threads.len() as u32;
         if let Some(b) = &spec.barrier {
-            self.barrier_groups.entry(b.group).or_default().push(id);
+            self.barrier_groups.entry(b.group).or_default().push(row);
         }
         let home = self.cfg.topology.domain_of(vcore);
         // Placeholder cached state: the spawn dirties the thread's domain,
@@ -372,7 +346,13 @@ impl Machine {
             .program
             .phase_at(0.0)
             .expect("validated program has a first phase");
-        self.threads.push(spec, vcore, home, self.now);
+        self.history.push(ThreadHistory {
+            spawned_at: self.now,
+            finished_us: None,
+            app: spec.app,
+            row,
+        });
+        self.threads.push(id.0, spec, vcore, home);
         self.noise_window.push(u64::MAX);
         self.noise_unit.push(0.0);
         self.thread_phase.push(phase0);
@@ -386,12 +366,12 @@ impl Machine {
         self.thread_step_access.push(0.0);
         self.phase_fresh.push(false);
         self.thread_cluster.push(u32::MAX);
-        // Ids are monotone, so appending keeps the alive list ascending.
-        self.alive.push(id.0);
+        // Rows are monotone, so appending keeps the alive list ascending.
+        self.alive.push(row);
         self.state_dirty = true;
         let d = self.vcore_domain[vcore.index()] as usize;
-        self.run_members[d].push(id.0);
-        self.home_members[home.index()].push(id.0);
+        self.run_members[d].push(row);
+        self.home_members[home.index()].push(row);
         self.dirty_domains[d] = true;
         self.stale_ctrls[home.index()] = true;
         // Migrations shuffle membership lists mid-run: keep every list
@@ -409,27 +389,25 @@ impl Machine {
         self.ctrl_scratch_demands.reserve(n);
         self.ctrl_scratch_factors.reserve(n);
         self.ctrl_scratch_members.reserve(n);
-        // Every live thread can finish in the same tick, and the balancer
-        // can move every live thread at once: keep those scratches sized
-        // for the worst case now, so the first completion (which is also
-        // what first wakes the balancer) never allocates mid-run.
-        self.scratch_finished.reserve(n);
+        // The balancer can move every live thread at once, and a span can
+        // run every live thread: keep those scratches sized for the worst
+        // case now, so the first completion (which is also what first
+        // wakes the balancer) never allocates mid-run.
         self.scratch_moves.reserve(n);
         self.scratch_span.reserve(n);
-        self.events
-            .push(MachineEvent::Spawned { thread: id, vcore });
         id
     }
 
     /// Reserve room for `additional` more spawns in every column the
-    /// machine keeps per spawned thread: the slab (spec, placement,
-    /// progress, counters), the engine's per-thread tick caches, the LLC
-    /// cluster column and the event log (a `Spawned` and a `Finished`
-    /// entry per thread). These columns hold every thread the machine has
-    /// spawned, so a caller that knows its spawn count up front —
-    /// the driver, for its arrival plan — sizes each one once instead of
-    /// growing it by doubling. Capacity only: nothing simulated changes.
+    /// machine keeps per thread: the history, the hot slab (spec,
+    /// placement, progress, counters), the engine's per-thread tick caches
+    /// and the LLC cluster column. Until [`Machine::retire_finished`] runs,
+    /// these columns hold every thread the machine has spawned, so a
+    /// caller that knows its spawn count up front — the driver, for its
+    /// arrival plan — sizes each one once instead of growing it by
+    /// doubling. Capacity only: nothing simulated changes.
     pub fn reserve_threads(&mut self, additional: usize) {
+        self.history.reserve(additional);
         self.threads.reserve(additional);
         self.noise_window.reserve(additional);
         self.noise_unit.reserve(additional);
@@ -441,7 +419,101 @@ impl Machine {
         self.thread_step_access.reserve(additional);
         self.phase_fresh.reserve(additional);
         self.thread_cluster.reserve(additional);
-        self.events.reserve(2 * additional);
+    }
+
+    /// Compact away the hot rows of every finished thread: the slab, the
+    /// engine's per-thread tick caches and the LLC cluster column keep
+    /// only the threads still alive, and each finished thread keeps only
+    /// its 24-B history (app, spawn and finish time). Stable and in place:
+    /// the surviving rows keep their ascending id order, each column keeps
+    /// its capacity, nothing allocates, and the walk lists and barrier
+    /// groups are renumbered (a group left without members is dropped).
+    /// Nothing simulated changes: the next tick rebuilds the cached state
+    /// in full, which is bit-identical to reusing it.
+    ///
+    /// A retired thread's id stays valid. `app_of`, `spawn_time`,
+    /// `finish_time`, `is_alive`, `progress_of`, `thread_ids` and
+    /// `num_threads` answer from the history as for any finished thread;
+    /// `migrate`, `stall` and partition assignments stay no-ops on it and
+    /// [`Machine::llc_occupancy_mib`] stays 0; `counters`, `vcore_of` and
+    /// `home_domain_of` panic. A caller that reads a thread's final
+    /// counters (a closed run's `RunResult`) therefore never retires; an
+    /// epoch caller retires between epochs, once the driver has reported
+    /// the departures.
+    pub fn retire_finished(&mut self) {
+        if self.alive.len() == self.threads.len() {
+            return;
+        }
+        // New rows: the alive list is exactly the rows kept, ascending.
+        let mut kept = 0;
+        for r in 0..self.threads.len() {
+            let h = &mut self.history[self.threads.ids[r] as usize];
+            if self.threads.finished[r] {
+                h.row = RETIRED;
+            } else {
+                h.row = kept;
+                kept += 1;
+            }
+        }
+        let (history, ids) = (&self.history, &self.threads.ids);
+        let new_row = |r: u32| history[ids[r as usize] as usize].row;
+        for list in self.run_members.iter_mut().chain(&mut self.home_members) {
+            for r in list.iter_mut() {
+                *r = new_row(*r);
+            }
+        }
+        // A finished member counts as arrived at every barrier, so
+        // dropping it changes no release.
+        self.barrier_groups.retain(|_, members| {
+            members.retain_mut(|r| {
+                *r = new_row(*r);
+                *r != RETIRED
+            });
+            !members.is_empty()
+        });
+        let keep = &self.alive;
+        self.threads.compact(keep);
+        compact_column(&mut self.noise_window, keep);
+        compact_column(&mut self.noise_unit, keep);
+        compact_column(&mut self.thread_phase, keep);
+        compact_column(&mut self.thread_boundary, keep);
+        compact_column(&mut self.thread_demand, keep);
+        compact_column(&mut self.thread_rate, keep);
+        compact_column(&mut self.thread_step_miss, keep);
+        compact_column(&mut self.thread_step_access, keep);
+        compact_column(&mut self.phase_fresh, keep);
+        compact_column(&mut self.thread_cluster, keep);
+        for (k, r) in self.alive.iter_mut().enumerate() {
+            *r = k as u32;
+        }
+        self.state_dirty = true;
+        self.dirty_domains.iter_mut().for_each(|f| *f = true);
+        self.stale_ctrls.iter_mut().for_each(|f| *f = true);
+    }
+
+    /// The hot row of `thread`, unless it has been retired.
+    #[inline]
+    fn hot_row(&self, thread: ThreadId) -> Option<usize> {
+        let row = self.history[thread.index()].row;
+        (row != RETIRED).then_some(row as usize)
+    }
+
+    /// The hot row of `thread` while it is alive; `None` once it has
+    /// finished, retired or not.
+    #[inline]
+    fn live_row(&self, thread: ThreadId) -> Option<usize> {
+        self.hot_row(thread).filter(|&i| !self.threads.finished(i))
+    }
+
+    /// The hot row of `thread`, for an accessor that has no answer for a
+    /// retired thread.
+    ///
+    /// # Panics
+    /// Panics, naming the thread, if it has been retired.
+    #[inline]
+    fn row_of(&self, thread: ThreadId) -> usize {
+        self.hot_row(thread)
+            .unwrap_or_else(|| panic!("thread {thread} is retired: its hot row is gone"))
     }
 
     /// Mark thread `i`'s current run domain dirty and its home controller
@@ -488,8 +560,10 @@ impl Machine {
             to.index() < self.cfg.topology.num_vcores(),
             "vcore {to} out of range"
         );
-        let i = thread.index();
-        if self.threads.finished(i) || self.threads.vcore[i] == to {
+        let Some(i) = self.live_row(thread) else {
+            return;
+        };
+        if self.threads.vcore[i] == to {
             return;
         }
         let from = self.threads.vcore[i];
@@ -500,7 +574,7 @@ impl Machine {
         self.threads.vcore[i] = to;
         self.mark_thread_dirty(i);
         self.move_run_member(
-            thread.0,
+            i as u32,
             self.vcore_domain[from.index()] as usize,
             self.vcore_domain[to.index()] as usize,
         );
@@ -524,24 +598,19 @@ impl Machine {
         self.threads.counters[i].migrations += 1;
         self.policy_migrations += 1;
         self.state_dirty = true;
-        self.events.push(MachineEvent::Migrated {
-            thread,
-            from,
-            to,
-            at: self.now,
-        });
     }
 
     /// Inject a transient stall: the thread makes no progress for `dur`
     /// from now (fault injection; extends, never shortens, any dead time
     /// already pending from a migration). No-op on finished threads.
     pub fn stall(&mut self, thread: ThreadId, dur: SimTime) {
-        let now = self.now;
-        let i = thread.index();
-        if self.threads.finished(i) || dur == SimTime::ZERO {
+        let Some(i) = self.live_row(thread) else {
+            return;
+        };
+        if dur == SimTime::ZERO {
             return;
         }
-        let until = now + dur;
+        let until = self.now + dur;
         if until <= self.threads.dead_until[i] {
             return;
         }
@@ -549,11 +618,6 @@ impl Machine {
         self.note_expiry(until);
         self.mark_thread_dirty(i);
         self.state_dirty = true;
-        self.events.push(MachineEvent::Stalled {
-            thread,
-            at: now,
-            until,
-        });
     }
 
     /// Apply an LLC way-partitioning plan (the second actuator; see
@@ -566,20 +630,20 @@ impl Machine {
     /// cache warm-up (but no dead time — reprogramming CAT does not
     /// unschedule anyone) exactly when its slice moves or shrinks, while
     /// a pure capacity grow keeps its lines resident. Assignments naming
-    /// finished or never-spawned threads are skipped. An empty plan lifts
-    /// the partition (see [`Machine::clear_partition`]).
+    /// finished (retired or not) or never-spawned threads are skipped. An
+    /// empty plan lifts the partition (see [`Machine::clear_partition`]).
     ///
     /// Every successful application bumps [`Machine::partition_epoch`],
     /// which the actuation layer uses to verify the request landed.
     pub fn apply_partition(&mut self, plan: &PartitionPlan) -> Result<(), String> {
         let total_ways = self.cfg.llc.ways;
         plan.validate(total_ways)?;
-        let n = self.threads.len();
-        let mut new_cluster = vec![u32::MAX; n];
+        let mut new_cluster = vec![u32::MAX; self.threads.len()];
         for &(t, c) in &plan.assignments {
-            let i = t.index();
-            if i < n && !self.threads.finished(i) {
-                new_cluster[i] = c;
+            if t.index() < self.history.len() {
+                if let Some(i) = self.live_row(t) {
+                    new_cluster[i] = c;
+                }
             }
         }
         let now_active = !plan.is_empty();
@@ -686,10 +750,9 @@ impl Machine {
     /// schedulers): the thread's current-phase working set, capped at the
     /// capacity its partition slot lets it occupy. Zero once finished.
     pub fn llc_occupancy_mib(&self, thread: ThreadId) -> f64 {
-        let i = thread.index();
-        if self.threads.finished(i) {
+        let Some(i) = self.live_row(thread) else {
             return 0.0;
-        }
+        };
         let ws = self.threads.specs[i]
             .program
             .phase_at(self.threads.retired[i])
@@ -703,7 +766,7 @@ impl Machine {
         ws.min(cap)
     }
 
-    /// Slot index of thread `i` under the current plan: its cluster, or
+    /// Slot index of row `i` under the current plan: its cluster, or
     /// the shared pool (last slot) when unassigned.
     #[inline]
     fn cluster_slot(&self, i: usize) -> usize {
@@ -729,21 +792,23 @@ impl Machine {
         }
     }
 
-    /// All thread ids ever spawned.
+    /// All thread ids ever spawned, retired or not.
     pub fn thread_ids(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        (0..self.threads.len() as u32).map(ThreadId)
+        (0..self.history.len() as u32).map(ThreadId)
     }
 
     /// Thread ids that have not yet finished, ascending, without
     /// allocating.
     pub fn alive_ids(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        self.alive.iter().map(|&i| ThreadId(i))
+        self.alive
+            .iter()
+            .map(|&i| ThreadId(self.threads.ids[i as usize]))
     }
 
     /// True if the thread has not yet finished (the per-thread form of
     /// [`Machine::alive_ids`]).
     pub fn is_alive(&self, thread: ThreadId) -> bool {
-        !self.threads.finished(thread.index())
+        self.history[thread.index()].finished_us.is_none()
     }
 
     /// True when no thread is alive: every spawned thread has finished, or
@@ -752,29 +817,38 @@ impl Machine {
         self.alive.is_empty()
     }
 
-    /// Number of spawned threads.
+    /// Number of spawned threads, retired or not.
     pub fn num_threads(&self) -> usize {
-        self.threads.len()
+        self.history.len()
     }
 
     /// The virtual core a thread is currently pinned to.
+    ///
+    /// # Panics
+    /// Panics if the thread has been retired.
     pub fn vcore_of(&self, thread: ThreadId) -> VCoreId {
-        self.threads.vcore[thread.index()]
+        self.threads.vcore[self.row_of(thread)]
     }
 
     /// The application a thread belongs to.
     pub fn app_of(&self, thread: ThreadId) -> AppId {
-        self.threads.specs[thread.index()].app
+        self.history[thread.index()].app
     }
 
     /// The NUMA domain a thread's memory is homed to (fixed at spawn).
+    ///
+    /// # Panics
+    /// Panics if the thread has been retired.
     pub fn home_domain_of(&self, thread: ThreadId) -> DomainId {
-        self.threads.home_domain[thread.index()]
+        self.threads.home_domain[self.row_of(thread)]
     }
 
     /// Cumulative hardware counters of a thread.
+    ///
+    /// # Panics
+    /// Panics if the thread has been retired.
     pub fn counters(&self, thread: ThreadId) -> ThreadCounters {
-        self.threads.counters[thread.index()]
+        self.threads.counters[self.row_of(thread)]
     }
 
     /// Cumulative counters of a virtual core.
@@ -784,13 +858,15 @@ impl Machine {
 
     /// Completion time of a thread, if finished.
     pub fn finish_time(&self, thread: ThreadId) -> Option<SimTime> {
-        self.threads.finished_at[thread.index()]
+        self.history[thread.index()]
+            .finished_us
+            .map(|us| SimTime::from_us(us.get()))
     }
 
     /// Machine time at which a thread was spawned (zero for threads spawned
     /// before the run started).
     pub fn spawn_time(&self, thread: ThreadId) -> SimTime {
-        self.threads.spawned_at[thread.index()]
+        self.history[thread.index()].spawned_at
     }
 
     /// Virtual cores with no unfinished occupant, in id order — the free
@@ -819,15 +895,13 @@ impl Machine {
         }
     }
 
-    /// Fraction of a thread's instructions retired so far, in `[0, 1]`.
+    /// Fraction of a thread's instructions retired so far, in `[0, 1]`
+    /// (1 once retired, as for any finished thread).
     pub fn progress_of(&self, thread: ThreadId) -> f64 {
-        let i = thread.index();
+        let Some(i) = self.hot_row(thread) else {
+            return 1.0;
+        };
         (self.threads.retired[i] / self.threads.specs[i].program.total_instructions).min(1.0)
-    }
-
-    /// Event log (spawns, migrations, completions).
-    pub fn events(&self) -> &[MachineEvent] {
-        &self.events
     }
 
     /// Total policy migrations across all threads (balancer moves are
@@ -878,8 +952,8 @@ impl Machine {
             let Some(target) = target else { break };
             // Candidate: a thread on the heavier half, preferring doubled-up
             // contexts, then the highest-occupancy context (deterministic
-            // lowest thread id).
-            let mut source: Option<(u32, u32, ThreadId)> = None;
+            // lowest thread id: rows ascend with ids).
+            let mut source: Option<(u32, u32, u32)> = None;
             for &i in &self.alive {
                 let v = self.threads.vcore[i as usize].index();
                 if self.balance_fast[v] == move_to_fast {
@@ -887,11 +961,11 @@ impl Machine {
                 }
                 let key = (self.scratch_occupancy[v], u32::MAX - i);
                 if source.is_none_or(|(o, r, _)| key > (o, r)) {
-                    source = Some((key.0, key.1, ThreadId(i)));
+                    source = Some((key.0, key.1, i));
                 }
             }
-            let Some((_, _, thread)) = source else { break };
-            self.scratch_occupancy[self.threads.vcore[thread.index()].index()] -= 1;
+            let Some((_, _, row)) = source else { break };
+            self.scratch_occupancy[self.threads.vcore[row as usize].index()] -= 1;
             self.scratch_occupancy[target.index()] += 1;
             if move_to_fast {
                 fast_load += 1;
@@ -900,11 +974,11 @@ impl Machine {
                 fast_load -= 1;
                 slow_load += 1;
             }
-            self.scratch_moves.push((thread, target));
+            self.scratch_moves.push((row, target));
         }
         for k in 0..self.scratch_moves.len() {
-            let (thread, target) = self.scratch_moves[k];
-            self.balancer_move(thread, target);
+            let (row, target) = self.scratch_moves[k];
+            self.balancer_move(row as usize, target);
         }
         self.spread_shared_vcores();
     }
@@ -925,22 +999,20 @@ impl Machine {
                 if let Some(empty) = (0..n).find(|&c| self.scratch_occupancy[c] == 0) {
                     self.scratch_occupancy[v] -= 1;
                     self.scratch_occupancy[empty] += 1;
-                    self.scratch_moves
-                        .push((ThreadId(i), VCoreId(empty as u32)));
+                    self.scratch_moves.push((i, VCoreId(empty as u32)));
                 }
             }
         }
         for k in 0..self.scratch_moves.len() {
-            let (thread, target) = self.scratch_moves[k];
-            self.balancer_move(thread, target);
+            let (row, target) = self.scratch_moves[k];
+            self.balancer_move(row as usize, target);
         }
     }
 
-    /// Apply one balancer move: re-home the thread with cache warm-up but
-    /// no affinity dead time, and without touching the policy migration
-    /// counter.
-    fn balancer_move(&mut self, thread: ThreadId, to: VCoreId) {
-        let i = thread.index();
+    /// Apply one balancer move to row `i`: re-home the thread with cache
+    /// warm-up but no affinity dead time, and without touching the policy
+    /// migration counter.
+    fn balancer_move(&mut self, i: usize, to: VCoreId) {
         if self.threads.finished(i) || self.threads.vcore[i] == to {
             return;
         }
@@ -949,7 +1021,7 @@ impl Machine {
         self.threads.vcore[i] = to;
         self.mark_thread_dirty(i);
         self.move_run_member(
-            thread.0,
+            i as u32,
             self.vcore_domain[from.index()] as usize,
             self.vcore_domain[to.index()] as usize,
         );
@@ -967,12 +1039,6 @@ impl Machine {
         self.note_expiry(self.threads.warmup_until[i]);
         self.state_dirty = true;
         self.balancer_moves += 1;
-        self.events.push(MachineEvent::Balanced {
-            thread,
-            from,
-            to,
-            at: self.now,
-        });
     }
 
     /// Rebuild the per-tick scratch state — stages 1–4 of the tick: the
@@ -1102,7 +1168,8 @@ impl Machine {
                     // window instead of every tick.
                     if self.noise_window[i] != window {
                         self.noise_window[i] = window;
-                        self.noise_unit[i] = noise_unit(self.cfg.seed, i, window);
+                        self.noise_unit[i] =
+                            noise_unit(self.cfg.seed, self.threads.ids[i] as usize, window);
                     }
                     mr *= 1.0 + phase.burstiness * (2.0 * self.noise_unit[i] - 1.0);
                 }
@@ -1242,13 +1309,13 @@ impl Machine {
     /// a tick whose advance dirtied the state runs the release scan.
     fn barrier_releasable(&self) -> bool {
         self.barrier_groups.values().any(|members| {
-            let waiting = |t: &ThreadId| {
-                !self.threads.finished(t.index()) && self.threads.at_barrier[t.index()]
+            let waiting = |&r: &u32| {
+                !self.threads.finished(r as usize) && self.threads.at_barrier[r as usize]
             };
             members.iter().any(waiting)
                 && members
                     .iter()
-                    .all(|t| self.threads.finished(t.index()) || waiting(t))
+                    .all(|&r| self.threads.finished(r as usize) || waiting(&r))
         })
     }
 
@@ -1446,7 +1513,7 @@ impl Machine {
         self.scratch_vcore_busy.clear();
         self.scratch_vcore_busy
             .resize(self.cfg.topology.num_vcores(), false);
-        self.scratch_finished.clear();
+        let mut any_finished = false;
         // 5. Advance threads (the alive list is ascending and the runnable
         // set cannot have changed since the last rebuild, so this meets
         // exactly the rebuilt threads, in rebuild order).
@@ -1481,7 +1548,9 @@ impl Machine {
             self.apply_ticks(i, 1, advance, misses, accesses);
             self.vcore_counters[v].accesses += misses * pf;
             if self.threads.retired[i] >= self.threads.specs[i].program.total_instructions {
-                self.threads.finished_at[i] = Some(tick_end);
+                self.threads.finished[i] = true;
+                self.history[self.threads.ids[i] as usize].finished_us =
+                    Some(NonZeroU64::new(tick_end.as_us()).expect("a tick ends after time zero"));
                 self.threads.at_barrier[i] = false;
                 self.state_dirty = true;
                 // The departure changes its domain's loads and its
@@ -1497,9 +1566,7 @@ impl Machine {
                     self.home_members[h].remove(pos);
                 }
                 self.n_remote -= usize::from(d != h);
-                // The alive walk is ascending, so completions are recorded
-                // in id order.
-                self.scratch_finished.push(ThreadId(i as u32));
+                any_finished = true;
             } else if hit_barrier {
                 self.threads.at_barrier[i] = true;
                 self.state_dirty = true;
@@ -1514,13 +1581,13 @@ impl Machine {
         // the state clean has nothing to release.
         if self.state_dirty {
             for members in self.barrier_groups.values() {
-                let all_arrived = members.iter().all(|t| {
-                    let i = t.index();
+                let all_arrived = members.iter().all(|&r| {
+                    let i = r as usize;
                     self.threads.finished(i) || self.threads.at_barrier[i]
                 });
                 if all_arrived {
-                    for t in members {
-                        let i = t.index();
+                    for &r in members {
+                        let i = r as usize;
                         if !self.threads.finished(i) && self.threads.at_barrier[i] {
                             self.threads.at_barrier[i] = false;
                             let interval = self.threads.specs[i]
@@ -1540,17 +1607,10 @@ impl Machine {
             }
         }
 
-        // Record completions after the fact (events carry the finish tick).
         self.now = tick_end;
         self.tick_index += 1;
-        if !self.scratch_finished.is_empty() {
+        if any_finished {
             self.alive.retain(|&i| !self.threads.finished(i as usize));
-        }
-        for k in 0..self.scratch_finished.len() {
-            self.events.push(MachineEvent::Finished {
-                thread: self.scratch_finished[k],
-                at: self.now,
-            });
         }
     }
 
@@ -1883,36 +1943,106 @@ mod tests {
     }
 
     #[test]
-    fn events_are_recorded() {
+    fn spawn_migration_and_finish_are_counted() {
         let mut m = Machine::new(presets::small_machine(1));
         let t = m.spawn(compute_spec(0, 1e6), VCoreId(0));
         m.migrate(t, VCoreId(1));
-        m.run_until_done(SimTime::from_secs_f64(5.0));
-        let kinds: Vec<&'static str> = m
-            .events()
-            .iter()
-            .map(|e| match e {
-                MachineEvent::Spawned { .. } => "spawn",
-                MachineEvent::Migrated { .. } => "migrate",
-                MachineEvent::Finished { .. } => "finish",
-                MachineEvent::Balanced { .. } => "balance",
-                MachineEvent::Stalled { .. } => "stall",
-            })
-            .collect();
-        assert_eq!(kinds, vec!["spawn", "migrate", "finish"]);
+        assert!(m.run_until_done(SimTime::from_secs_f64(5.0)));
+        assert_eq!(m.num_threads(), 1);
+        assert_eq!(m.spawn_time(t), SimTime::ZERO);
+        assert!(m.finish_time(t).is_some());
+        assert_eq!(m.vcore_of(t), VCoreId(1));
+        assert_eq!(m.counters(t).migrations, 1);
         assert_eq!(m.total_migrations(), 1);
+        assert_eq!(m.balancer_moves(), 0);
+    }
+
+    #[test]
+    fn retired_threads_answer_from_their_history() {
+        let mut m = Machine::new(small_machine_pinned(1));
+        let barrier = Some(BarrierSpec {
+            group: BarrierId(0),
+            interval_instructions: 1e5,
+        });
+        let short = m.spawn(
+            ThreadSpec {
+                barrier,
+                ..compute_spec(3, 1e6)
+            },
+            VCoreId(0),
+        );
+        m.run_for(SimTime::from_ms(5));
+        let long = m.spawn(
+            ThreadSpec {
+                barrier,
+                ..compute_spec(4, 1e9)
+            },
+            VCoreId(2),
+        );
+        while m.is_alive(short) {
+            m.tick();
+        }
+        let finished_at = m.finish_time(short);
+        let counters = m.counters(long);
+        m.retire_finished();
+        assert_eq!((m.threads.len(), m.alive.clone()), (1, vec![0]));
+        assert_eq!(m.barrier_groups[&BarrierId(0)], vec![0]);
+        // The retired thread keeps its history and every finished answer.
+        assert_eq!(m.num_threads(), 2);
+        assert_eq!(m.thread_ids().collect::<Vec<_>>(), vec![short, long]);
+        assert_eq!(m.app_of(short), AppId(3));
+        assert_eq!(m.spawn_time(short), SimTime::ZERO);
+        assert_eq!(m.finish_time(short), finished_at);
+        assert!(!m.is_alive(short));
+        assert_eq!(m.progress_of(short), 1.0);
+        assert_eq!(m.llc_occupancy_mib(short), 0.0);
+        m.migrate(short, VCoreId(4));
+        m.stall(short, SimTime::from_ms(1));
+        let plan = PartitionPlan {
+            cluster_ways: vec![2],
+            assignments: vec![(short, 0), (ThreadId(99), 0)],
+        };
+        m.apply_partition(&plan).unwrap();
+        assert_eq!(m.thread_cluster, vec![u32::MAX]);
+        // The live thread moved down a row and kept its state.
+        assert_eq!(m.alive_ids().collect::<Vec<_>>(), vec![long]);
+        assert_eq!(m.spawn_time(long), SimTime::from_ms(5));
+        assert_eq!(m.counters(long), counters);
+        assert_eq!(m.total_migrations(), 0);
+        // A barrier group left empty is dropped; a later member starts it
+        // anew.
+        m.clear_partition();
+        assert!(m.run_until_done(SimTime::from_secs_f64(60.0)));
+        m.retire_finished();
+        assert!(m.threads.is_empty() && m.barrier_groups.is_empty());
+        let late = m.spawn(compute_spec(5, 1e6), VCoreId(1));
+        assert_eq!(late, ThreadId(2));
+        assert_eq!(m.alive.clone(), vec![0]);
+        assert!(m.run_until_done(SimTime::from_secs_f64(120.0)));
+        assert!(m.counters(late).instructions >= 1e6 - 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread t0 is retired")]
+    fn counters_of_a_retired_thread_panic_naming_it() {
+        let mut m = Machine::new(presets::small_machine(1));
+        let t = m.spawn(compute_spec(0, 1e6), VCoreId(0));
+        assert!(m.run_until_done(SimTime::from_secs_f64(5.0)));
+        m.retire_finished();
+        m.counters(t);
     }
 
     /// Capacity of every column the machine keeps per spawned thread.
     fn per_thread_capacities(m: &Machine) -> Vec<usize> {
         let t = &m.threads;
         vec![
+            m.history.capacity(),
+            t.ids.capacity(),
             t.specs.capacity(),
             t.vcore.capacity(),
             t.home_domain.capacity(),
-            t.spawned_at.capacity(),
             t.retired.capacity(),
-            t.finished_at.capacity(),
+            t.finished.capacity(),
             t.dead_until.capacity(),
             t.warmup_until.capacity(),
             t.next_barrier_at.capacity(),
@@ -1928,14 +2058,13 @@ mod tests {
             m.thread_step_access.capacity(),
             m.phase_fresh.capacity(),
             m.thread_cluster.capacity(),
-            m.events.capacity() / 2,
         ]
     }
 
     #[test]
     fn reserved_threads_grow_no_column_and_change_nothing() {
-        // More threads than the event log's initial capacity, each
-        // logging a spawn and a finish (no balancer, no migrations).
+        // Enough threads that each column would reallocate several times
+        // on the way (no balancer, no migrations).
         let n = 1_500;
         let run = |reserve: bool| {
             let mut m = Machine::new(small_machine_pinned(3));
@@ -1947,8 +2076,11 @@ mod tests {
                 m.spawn(compute_spec(i % 4, 2e5), VCoreId(i % 8));
             }
             assert!(m.run_until_done(SimTime::from_secs_f64(60.0)));
-            assert_eq!(m.events().len(), 2 * n);
-            (reserved, per_thread_capacities(&m), state_lines(&m))
+            (
+                reserved,
+                per_thread_capacities(&m),
+                state_lines(&m, |_| true),
+            )
         };
         let (reserved, after, lines) = run(true);
         assert!(reserved.iter().all(|&c| c >= n), "{reserved:?}");
@@ -1970,14 +2102,12 @@ mod tests {
         // Progress resumes after the stall window.
         m.run_for(SimTime::from_ms(10));
         assert!(m.counters(t).instructions > before);
-        assert!(m
-            .events()
-            .iter()
-            .any(|e| matches!(e, MachineEvent::Stalled { thread, .. } if *thread == t)));
-        // A zero-length stall is a no-op and records nothing.
-        let n_events = m.events().len();
-        m.stall(t, SimTime::ZERO);
-        assert_eq!(m.events().len(), n_events);
+        // A zero-length stall is a no-op.
+        let mut twin = m.clone();
+        twin.stall(t, SimTime::ZERO);
+        m.run_for(SimTime::from_ms(10));
+        twin.run_for(SimTime::from_ms(10));
+        assert_eq!(state_lines(&twin, |_| true), state_lines(&m, |_| true));
     }
 
     #[test]
@@ -2006,10 +2136,7 @@ mod tests {
         assert!(m.balancer_moves() >= 1);
         // Policy migration counters untouched.
         assert_eq!(m.total_migrations(), 0);
-        assert!(m
-            .events()
-            .iter()
-            .any(|e| matches!(e, MachineEvent::Balanced { .. })));
+        assert_eq!(m.counters(a).migrations + m.counters(b).migrations, 0);
     }
 
     #[test]
@@ -2279,6 +2406,24 @@ mod tests {
             self.n_remote -= PRETEND_REMOTE;
         }
 
+        /// Check the shape `retire_finished` leaves: one hot row per alive
+        /// thread, each thread's history pointing at its row, and barrier
+        /// groups of live members only.
+        fn assert_retired(&self) {
+            assert_eq!(self.threads.len(), self.alive.len());
+            for (k, t) in self.alive_ids().enumerate() {
+                assert_eq!(self.alive[k], k as u32);
+                assert_eq!(self.hot_row(t), Some(k));
+            }
+            for t in self.thread_ids() {
+                assert_eq!(self.hot_row(t).is_some(), self.is_alive(t), "{t}");
+            }
+            for members in self.barrier_groups.values() {
+                assert!(!members.is_empty());
+                assert!(members.iter().all(|&r| !self.threads.finished(r as usize)));
+            }
+        }
+
         /// Alive threads running outside their home domain, counted from
         /// scratch.
         fn count_remote(&self) -> usize {
@@ -2322,27 +2467,39 @@ mod tests {
     }
 
     /// Everything a tick can change, one line per item, with floats in
-    /// shortest round-trip form (so equal lines mean equal bits).
-    fn state_lines(m: &Machine) -> Vec<String> {
-        let mut lines = vec![format!("now {:?} alive {:?}", m.now(), m.alive)];
+    /// shortest round-trip form (so equal lines mean equal bits), keyed by
+    /// thread id: every thread's history and finished-or-not answers, and
+    /// the placement and counters of each thread `hot` names.
+    fn state_lines(m: &Machine, hot: impl Fn(ThreadId) -> bool) -> Vec<String> {
+        let alive: Vec<ThreadId> = m.alive_ids().collect();
+        let mut lines = vec![format!("now {:?} alive {alive:?}", m.now())];
         for t in m.thread_ids() {
-            lines.push(format!(
-                "{t:?} on {:?} finished {:?} {:?}",
-                m.vcore_of(t),
+            let mut line = format!(
+                "{t:?} app {:?} spawned {:?} finished {:?} alive {} progress {:?} llc {:?}",
+                m.app_of(t),
+                m.spawn_time(t),
                 m.finish_time(t),
-                m.counters(t)
-            ));
+                m.is_alive(t),
+                m.progress_of(t),
+                m.llc_occupancy_mib(t),
+            );
+            if hot(t) {
+                line += &format!(" on {:?} {:?}", m.vcore_of(t), m.counters(t));
+            }
+            lines.push(line);
         }
         for v in 0..m.config().topology.num_vcores() {
             lines.push(format!("{:?}", m.core_counters(VCoreId(v as u32))));
         }
-        lines.extend(m.events().iter().map(|e| format!("{e:?}")));
         lines
     }
 
-    /// Require the twins' `state_lines` to be equal, line by line.
+    /// Require the twins' `state_lines` to be equal, line by line, with
+    /// placement and counters compared for every thread the fast twin has
+    /// not retired.
     fn assert_same_state(fast: &Machine, cold: &Machine, what: &str) {
-        let (f, c) = (state_lines(fast), state_lines(cold));
+        let hot = |t| fast.hot_row(t).is_some();
+        let (f, c) = (state_lines(fast, hot), state_lines(cold, hot));
         assert_eq!(f.len(), c.len(), "{what}: state shapes differ");
         for (a, b) in f.iter().zip(&c) {
             assert_eq!(a, b, "{what}: fast ticks diverged from cold ticks");
@@ -2353,13 +2510,18 @@ mod tests {
     fn fast_ticks_match_cold_ticks_on_random_machines() {
         // The quiescent skip, spans, the step cache, phase freshness, the
         // cached next expiry, the per-domain incremental rebuild, the
-        // solver memo and the no-remote shortcut must each be a pure
-        // speedup: a machine running stretches of 1-20 ticks through
-        // `run_for` (so spans form wherever they may) and its twin
+        // solver memo, the no-remote shortcut and retirement must each be
+        // a pure speedup: a machine running stretches of 1-20 ticks
+        // through `run_for` (so spans form wherever they may) and retiring
+        // its finished threads after random stretches, and its twin
         // rebuilding, walking, scanning, gathering and solving everything
-        // cold every single tick must stay bit-identical through random
-        // placements, barriers, migrations, stalls, partition plans and
-        // mid-run spawns, on one- and two-domain machines alike.
+        // cold every single tick and never retiring, must stay
+        // bit-identical through random placements, barriers, migrations,
+        // stalls, partition plans and mid-run spawns, on one- and
+        // two-domain machines alike. Threads are compared by id: every
+        // thread's history, and the counters of every thread the fast
+        // twin still holds — so each thread's final counters are compared
+        // once, after the stretch it finished in and before it retires.
         check(
             "fast_ticks_match_cold_ticks_on_random_machines",
             48,
@@ -2399,6 +2561,10 @@ mod tests {
                     }
                     assert_same_state(&fast, &cold, &format!("batch {batch}"));
                     assert_eq!(fast.n_remote, fast.count_remote(), "batch {batch}");
+                    if rng.gen_range(0u32..2) == 0 {
+                        fast.retire_finished();
+                        fast.assert_retired();
+                    }
                     let n = fast.num_threads() as u32;
                     let thread = ThreadId(rng.gen_range(0..n));
                     let vcore = VCoreId(rng.gen_range(0..n_vcores) as u32);
@@ -2453,6 +2619,9 @@ mod tests {
                 }
                 assert_eq!(done, cold.all_done());
                 assert_same_state(&fast, &cold, "run_until_done");
+                fast.retire_finished();
+                fast.assert_retired();
+                assert_same_state(&fast, &cold, "retired");
             },
         );
     }

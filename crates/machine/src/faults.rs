@@ -23,6 +23,7 @@
 //! be archived with an experiment's results (mirroring
 //! `ArrivalTrace` in `dike-workloads`).
 
+use crate::ids::MAX_SPAN_MS;
 use dike_util::rng::splitmix64;
 use dike_util::{json_enum, json_struct};
 
@@ -179,19 +180,41 @@ impl FaultConfig {
             }
         }
         if !(0.0..1.0).contains(&self.noise_amplitude) {
-            return Err("noise_amplitude must be in [0,1)".into());
+            return Err(format!(
+                "noise_amplitude must be in [0,1), got {}",
+                self.noise_amplitude
+            ));
         }
-        if self.dropout_rate + self.corruption_rate + self.stale_rate > 1.0 {
-            return Err("telemetry rates (dropout+corruption+stale) must sum to <= 1".into());
+        let telemetry = self.dropout_rate + self.corruption_rate + self.stale_rate;
+        if telemetry > 1.0 {
+            return Err(format!(
+                "telemetry rates dropout_rate + corruption_rate + stale_rate must sum to <= 1, \
+                 got {telemetry}"
+            ));
         }
-        if self.migration_fail_rate + self.migration_delay_rate > 1.0 {
-            return Err("migration rates (fail+delay) must sum to <= 1".into());
+        let migration = self.migration_fail_rate + self.migration_delay_rate;
+        if migration > 1.0 {
+            return Err(format!(
+                "migration rates migration_fail_rate + migration_delay_rate must sum to <= 1, \
+                 got {migration}"
+            ));
         }
         if self.migration_delay_rate > 0.0 && self.migration_delay_quanta == 0 {
-            return Err("migration_delay_quanta must be >= 1 when delays are enabled".into());
+            return Err(
+                "migration_delay_quanta must be >= 1 when delays are enabled, got 0".into(),
+            );
         }
         if self.stall_rate > 0.0 && self.stall_us == 0 {
-            return Err("stall_us must be > 0 when stalls are enabled".into());
+            return Err("stall_us must be > 0 when stalls are enabled, got 0".into());
+        }
+        // A stall ends at `now + stall_us`: bounded like every span, it
+        // ends inside a `SimTime` whenever it starts inside the span bound.
+        if self.stall_us > MAX_SPAN_MS * 1_000 {
+            return Err(format!(
+                "stall_us must be at most {}, got {}",
+                MAX_SPAN_MS * 1_000,
+                self.stall_us
+            ));
         }
         Ok(())
     }
@@ -482,10 +505,19 @@ impl MachineFaultConfig {
             }
         }
         if self.brownout_rate > 0.0 && self.brownout_epochs == 0 {
-            return Err("brownout_epochs must be >= 1 when brownouts are enabled".into());
+            return Err("brownout_epochs must be >= 1 when brownouts are enabled, got 0".into());
         }
         if self.brownout_rate > 0.0 && self.brownout_stall_ms == 0 {
-            return Err("brownout_stall_ms must be > 0 when brownouts are enabled".into());
+            return Err("brownout_stall_ms must be > 0 when brownouts are enabled, got 0".into());
+        }
+        // Bounded like the fleet's epochs, so the stall fits a `SimTime`
+        // in milliseconds and ends inside one when it starts inside the
+        // run's deadline.
+        if self.brownout_stall_ms > MAX_SPAN_MS {
+            return Err(format!(
+                "brownout_stall_ms must be at most {MAX_SPAN_MS}, got {}",
+                self.brownout_stall_ms
+            ));
         }
         Ok(())
     }
@@ -724,6 +756,41 @@ mod tests {
             ..FaultConfig::default()
         };
         assert!(c.validate().is_err());
+        // Every stall end must fit a `SimTime`; the bound itself passes.
+        for (stall_us, ok) in [
+            (MAX_SPAN_MS * 1_000, true),
+            (MAX_SPAN_MS * 1_000 + 1, false),
+            (u64::MAX, false),
+        ] {
+            let c = FaultConfig {
+                stall_rate: 0.1,
+                stall_us,
+                ..FaultConfig::default()
+            };
+            assert_eq!(c.validate().is_ok(), ok, "stall_us {stall_us}");
+        }
+        // Each error names its field and the offending value.
+        let err = FaultConfig {
+            noise_amplitude: 1.5,
+            ..FaultConfig::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(
+            err.contains("noise_amplitude") && err.contains("1.5"),
+            "{err}"
+        );
+        let err = FaultConfig {
+            stall_rate: 0.1,
+            stall_us: u64::MAX,
+            ..FaultConfig::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(
+            err.contains("stall_us") && err.contains(&u64::MAX.to_string()),
+            "{err}"
+        );
         assert!(FaultConfig::telemetry_axis(0.3, 1).validate().is_ok());
         assert!(FaultConfig::actuation_axis(0.1, 1).validate().is_ok());
         assert!(FaultConfig::combined_worst(1).validate().is_ok());
@@ -918,6 +985,27 @@ mod tests {
             ..MachineFaultConfig::default()
         };
         assert!(c.validate().is_err());
+        // `SimTime::from_ms` of the stall must not overflow, and neither
+        // may the stall's end; the bound itself passes.
+        for (brownout_stall_ms, ok) in [
+            (MAX_SPAN_MS, true),
+            (MAX_SPAN_MS + 1, false),
+            (u64::MAX, false),
+        ] {
+            let c = MachineFaultConfig {
+                brownout_rate: 1.0,
+                brownout_stall_ms,
+                ..MachineFaultConfig::default()
+            };
+            let verdict = c.validate();
+            assert_eq!(verdict.is_ok(), ok, "brownout_stall_ms {brownout_stall_ms}");
+            if let Err(e) = verdict {
+                assert!(
+                    e.contains("brownout_stall_ms") && e.contains(&brownout_stall_ms.to_string()),
+                    "{e}"
+                );
+            }
+        }
         assert!(MachineFaultConfig::axis(0.1, 0.2, 7).validate().is_ok());
     }
 

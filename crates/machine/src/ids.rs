@@ -110,6 +110,15 @@ impl fmt::Display for DomainId {
     }
 }
 
+/// The longest span, in milliseconds, that any bounded duration a run is
+/// configured with may name: a fleet's deadline, epoch and arrival
+/// horizon, a brownout stall, a per-thread stall. Two such spans end
+/// before `2 · MAX_SPAN_MS` milliseconds, which in microseconds still fits
+/// the `u64` of a [`SimTime`] (about 292,000 years): an epoch that starts
+/// inside the deadline ends inside a `SimTime`, and so does a stall that
+/// starts inside it.
+pub const MAX_SPAN_MS: u64 = u64::MAX / 2_000;
+
 /// Simulated time, kept in integer microseconds for exact quantum arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);

@@ -56,9 +56,9 @@ pub use contention::{
     solve_memory_numa_into, solve_memory_reference, DomainSolution, MemDemand, MemSolution,
     NumaDemand, NumaSolution, NumaWarmSolver,
 };
-pub use engine::{Machine, MachineEvent};
+pub use engine::Machine;
 pub use faults::{FaultConfig, FaultEvent, FaultHasher, FaultKind, FaultPlan, MachineFaultConfig};
-pub use ids::{AppId, BarrierId, DomainId, PCoreId, SimTime, ThreadId, VCoreId};
+pub use ids::{AppId, BarrierId, DomainId, PCoreId, SimTime, ThreadId, VCoreId, MAX_SPAN_MS};
 pub use partition::PartitionPlan;
 pub use phase::{Phase, PhaseProgram, PhaseRepeat};
 pub use thread::{BarrierSpec, CoreCounters, ThreadCounters, ThreadSpec};

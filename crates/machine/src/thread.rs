@@ -3,6 +3,7 @@
 use crate::ids::{AppId, BarrierId, DomainId, SimTime, VCoreId};
 use crate::phase::PhaseProgram;
 use dike_util::json_struct;
+use std::num::NonZeroU64;
 use std::sync::Arc;
 
 /// Barrier-synchronisation behaviour of a thread (the paper's KMEANS
@@ -155,17 +156,44 @@ impl CoreCounters {
     }
 }
 
-/// Internal runtime state of all spawned threads, laid out as
-/// structure-of-arrays slabs indexed by dense thread id (crate-private).
+/// Marks a [`ThreadHistory`] whose thread has no hot row any more.
+pub(crate) const RETIRED: u32 = u32::MAX;
+
+/// What a machine keeps of every thread it has ever spawned, 24 B each:
+/// the answers that outlive the thread's hot row (crate-private). Indexed
+/// by `ThreadId`, which stays the thread's public identity for life.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ThreadHistory {
+    /// Machine time at which the thread was spawned. Zero for a closed
+    /// workload; mid-run arrivals record their actual arrival instant so
+    /// fairness can normalise by sojourn time.
+    pub spawned_at: SimTime,
+    /// Completion time in microseconds, once finished. A thread finishes
+    /// at the end of a tick, never at time zero, so the zero niche holds
+    /// "not yet" and the field takes 8 B instead of an `Option`'s 16.
+    pub finished_us: Option<NonZeroU64>,
+    /// Application the thread belongs to.
+    pub app: AppId,
+    /// The thread's row in the hot slab, or [`RETIRED`] once
+    /// `Machine::retire_finished` has compacted it away.
+    pub row: u32,
+}
+
+/// Internal runtime state of the threads that have not been retired, laid
+/// out as structure-of-arrays slabs indexed by *row* (crate-private).
 ///
 /// The engine's tick loop touches a handful of fields for every runnable
 /// thread every millisecond of simulated time; keeping each field in its
 /// own contiguous slab means those sweeps walk dense cache lines instead
 /// of striding over one large per-thread struct (most of which — the spec,
-/// the counters — a given pass never reads). Ids are dense and never
-/// reused, so `ThreadId(i)` is always row `i` across every slab.
+/// the counters — a given pass never reads). A spawn appends a row and
+/// compaction removes finished rows in place without reordering the rest,
+/// so rows stay in ascending thread-id order; `ids` maps a row back to
+/// its thread.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ThreadSlab {
+    /// The thread id of each row, ascending.
+    pub ids: Vec<u32>,
     /// Immutable per-thread specification (app, phase program, barrier).
     pub specs: Vec<ThreadSpec>,
     /// Core each thread is currently pinned to.
@@ -173,14 +201,11 @@ pub(crate) struct ThreadSlab {
     /// NUMA domain the thread's memory is homed to (first touch: the domain
     /// of the core it was spawned on). Misses always queue there.
     pub home_domain: Vec<DomainId>,
-    /// Machine time at which the thread was spawned. Zero for a closed
-    /// workload; mid-run arrivals record their actual arrival instant so
-    /// fairness can normalise by sojourn time.
-    pub spawned_at: Vec<SimTime>,
     /// Instructions retired so far.
     pub retired: Vec<f64>,
-    /// Completion time, once finished.
-    pub finished_at: Vec<Option<SimTime>>,
+    /// True once the thread has retired all its instructions (its finish
+    /// time is in its history).
+    pub finished: Vec<bool>,
     /// The thread makes no progress before this time (migration dead time).
     pub dead_until: Vec<SimTime>,
     /// Elevated miss ratio until this time (cache warm-up after migration).
@@ -193,27 +218,38 @@ pub(crate) struct ThreadSlab {
     pub counters: Vec<ThreadCounters>,
 }
 
+/// Keep only the rows `keep` names (ascending), in order, at the front of
+/// `column`, and drop the rest — in place, without allocating. Each kept
+/// row moves down to its index in `keep`: row `keep[k] >= k`, and every
+/// slot a later step reads is still untouched.
+pub(crate) fn compact_column<T>(column: &mut Vec<T>, keep: &[u32]) {
+    for (k, &row) in keep.iter().enumerate() {
+        column.swap(k, row as usize);
+    }
+    column.truncate(keep.len());
+}
+
 impl ThreadSlab {
-    /// Number of threads ever spawned.
+    /// Number of hot rows.
     #[inline]
     pub fn len(&self) -> usize {
         self.specs.len()
     }
 
-    /// True when no thread has been spawned yet.
+    /// True when the slab holds no row.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }
 
-    /// Reserve room for `additional` more threads in every column.
+    /// Reserve room for `additional` more rows in every column.
     pub fn reserve(&mut self, additional: usize) {
+        self.ids.reserve(additional);
         self.specs.reserve(additional);
         self.vcore.reserve(additional);
         self.home_domain.reserve(additional);
-        self.spawned_at.reserve(additional);
         self.retired.reserve(additional);
-        self.finished_at.reserve(additional);
+        self.finished.reserve(additional);
         self.dead_until.reserve(additional);
         self.warmup_until.reserve(additional);
         self.next_barrier_at.reserve(additional);
@@ -221,24 +257,18 @@ impl ThreadSlab {
         self.counters.reserve(additional);
     }
 
-    /// Append a freshly spawned thread; its row index is the new dense id.
-    pub fn push(
-        &mut self,
-        spec: ThreadSpec,
-        vcore: VCoreId,
-        home_domain: DomainId,
-        spawned_at: SimTime,
-    ) {
+    /// Append a row for freshly spawned thread `id`.
+    pub fn push(&mut self, id: u32, spec: ThreadSpec, vcore: VCoreId, home_domain: DomainId) {
         let next_barrier_at = spec
             .barrier
             .map(|b| b.interval_instructions)
             .unwrap_or(f64::INFINITY);
+        self.ids.push(id);
         self.specs.push(spec);
         self.vcore.push(vcore);
         self.home_domain.push(home_domain);
-        self.spawned_at.push(spawned_at);
         self.retired.push(0.0);
-        self.finished_at.push(None);
+        self.finished.push(false);
         self.dead_until.push(SimTime::ZERO);
         self.warmup_until.push(SimTime::ZERO);
         self.next_barrier_at.push(next_barrier_at);
@@ -246,14 +276,29 @@ impl ThreadSlab {
         self.counters.push(ThreadCounters::default());
     }
 
-    /// True once thread `i` has retired all its instructions.
-    #[inline]
-    pub fn finished(&self, i: usize) -> bool {
-        self.finished_at[i].is_some()
+    /// Keep only the rows `keep` names, in order (see [`compact_column`]).
+    pub fn compact(&mut self, keep: &[u32]) {
+        compact_column(&mut self.ids, keep);
+        compact_column(&mut self.specs, keep);
+        compact_column(&mut self.vcore, keep);
+        compact_column(&mut self.home_domain, keep);
+        compact_column(&mut self.retired, keep);
+        compact_column(&mut self.finished, keep);
+        compact_column(&mut self.dead_until, keep);
+        compact_column(&mut self.warmup_until, keep);
+        compact_column(&mut self.next_barrier_at, keep);
+        compact_column(&mut self.at_barrier, keep);
+        compact_column(&mut self.counters, keep);
     }
 
-    /// True if thread `i` can execute at time `now`: alive, not parked at
-    /// a barrier, and not inside migration dead time.
+    /// True once row `i`'s thread has retired all its instructions.
+    #[inline]
+    pub fn finished(&self, i: usize) -> bool {
+        self.finished[i]
+    }
+
+    /// True if row `i`'s thread can execute at time `now`: alive, not
+    /// parked at a barrier, and not inside migration dead time.
     #[inline]
     pub fn runnable(&self, i: usize, now: SimTime) -> bool {
         !self.finished(i) && !self.at_barrier[i] && now >= self.dead_until[i]
@@ -323,22 +368,40 @@ mod tests {
     }
 
     #[test]
+    fn history_rows_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<ThreadHistory>(), 24);
+    }
+
+    #[test]
+    fn compaction_keeps_the_named_rows_in_order() {
+        let mut column: Vec<u32> = (10..20).collect();
+        compact_column(&mut column, &[0, 3, 4, 8]);
+        assert_eq!(column, vec![10, 13, 14, 18]);
+        let capacity = column.capacity();
+        compact_column(&mut column, &[]);
+        assert!(column.is_empty());
+        assert_eq!(column.capacity(), capacity, "compaction keeps capacity");
+        let mut column: Vec<u32> = (0..4).collect();
+        compact_column(&mut column, &[0, 1, 2, 3]);
+        assert_eq!(column, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
     fn new_thread_state_is_runnable() {
         let mut s = ThreadSlab::default();
         assert!(s.is_empty());
-        s.push(spec(), VCoreId(0), DomainId(0), SimTime::ZERO);
+        s.push(0, spec(), VCoreId(0), DomainId(0));
         assert_eq!(s.len(), 1);
         assert!(s.runnable(0, SimTime::ZERO));
         assert!(!s.finished(0));
         assert_eq!(s.next_barrier_at[0], f64::INFINITY);
-        assert_eq!(s.spawned_at[0], SimTime::ZERO);
         assert_eq!(s.retired[0], 0.0);
     }
 
     #[test]
     fn dead_time_blocks_execution() {
         let mut s = ThreadSlab::default();
-        s.push(spec(), VCoreId(0), DomainId(0), SimTime::ZERO);
+        s.push(0, spec(), VCoreId(0), DomainId(0));
         s.dead_until[0] = SimTime::from_ms(5);
         assert!(!s.runnable(0, SimTime::from_ms(4)));
         assert!(s.runnable(0, SimTime::from_ms(5)));
@@ -353,7 +416,7 @@ mod tests {
         });
         assert!(sp.validate().is_ok());
         let mut s = ThreadSlab::default();
-        s.push(sp, VCoreId(1), DomainId(0), SimTime::ZERO);
+        s.push(0, sp, VCoreId(1), DomainId(0));
         assert_eq!(s.next_barrier_at[0], 5000.0);
     }
 

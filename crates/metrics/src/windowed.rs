@@ -73,7 +73,14 @@ const WINDOW_STEP_S: f64 = 2.5;
 /// `wall` seconds, with the mean and the minimum of their fairness. A run
 /// shorter than one window still gets the one window `[0, 5)`, so the
 /// series is never empty.
-pub fn window_series(spans: &[ThreadSpan], wall: f64) -> (Vec<WindowPoint>, f64, f64) {
+///
+/// `spans` is any span sequence that can be walked more than once: a
+/// slice, or a fleet's per-machine records chained in machine order,
+/// which scores exactly as the same spans merged into one slice.
+pub fn window_series<'a, S>(spans: S, wall: f64) -> (Vec<WindowPoint>, f64, f64)
+where
+    S: IntoIterator<Item = &'a ThreadSpan> + Clone,
+{
     let windows = windowed_fairness(spans, WINDOW_S, WINDOW_STEP_S, wall.max(WINDOW_S));
     let fair: Vec<f64> = windows.iter().map(|w| w.fairness).collect();
     let min = fair.iter().copied().fold(f64::INFINITY, f64::min);
@@ -90,12 +97,15 @@ pub fn window_series(spans: &[ThreadSpan], wall: f64) -> (Vec<WindowPoint>, f64,
 ///
 /// # Panics
 /// Panics if `window_s` or `step_s` is not positive.
-fn windowed_fairness(
-    spans: &[ThreadSpan],
+fn windowed_fairness<'a, S>(
+    spans: S,
     window_s: f64,
     step_s: f64,
     horizon_s: f64,
-) -> Vec<WindowPoint> {
+) -> Vec<WindowPoint>
+where
+    S: IntoIterator<Item = &'a ThreadSpan> + Clone,
+{
     assert!(window_s > 0.0, "window length must be > 0");
     assert!(step_s > 0.0, "window step must be > 0");
     // Sized at its final count before the loop: a fleet result keeps the
@@ -110,7 +120,7 @@ fn windowed_fairness(
         // Group the window's departures by app. BTreeMap keeps app order
         // deterministic regardless of span order.
         let mut per_app: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-        for s in spans {
+        for s in spans.clone() {
             if let Some(f) = s.finished_at {
                 if f >= start && f < end {
                     per_app.entry(s.app).or_default().push(f - s.spawned_at);
@@ -139,13 +149,18 @@ fn windowed_fairness(
 
 /// Mean sojourn time over all spans, charging unfinished threads up to
 /// `wall` — the open-system headline performance number (lower is
-/// better). Returns 0 for an empty span set.
-pub fn mean_sojourn(spans: &[ThreadSpan], wall: f64) -> f64 {
-    if spans.is_empty() {
+/// better). Returns 0 for an empty span set. `spans` as in
+/// [`window_series`].
+pub fn mean_sojourn<'a, S>(spans: S, wall: f64) -> f64
+where
+    S: IntoIterator<Item = &'a ThreadSpan> + Clone,
+{
+    let n = spans.clone().into_iter().count();
+    if n == 0 {
         return 0.0;
     }
-    let total: f64 = spans.iter().map(|s| s.sojourn(wall)).sum();
-    total / spans.len() as f64
+    let total: f64 = spans.into_iter().map(|s| s.sojourn(wall)).sum();
+    total / n as f64
 }
 
 /// One app's share of a span set: threads, departures, and the sum of
@@ -183,8 +198,13 @@ impl SojournTotals {
 /// Each app's sojourns are added in span order, so its mean is
 /// bit-identical to [`mean_sojourn`] over that app's spans alone, at
 /// O(spans + apps) rather than a pass over the whole set per app. Spans
-/// of apps at or beyond `n_apps` are ignored.
-pub fn sojourn_by_app(spans: &[ThreadSpan], n_apps: usize, wall: f64) -> Vec<SojournTotals> {
+/// of apps at or beyond `n_apps` are ignored. `spans` is any span
+/// sequence, walked once.
+pub fn sojourn_by_app<'a>(
+    spans: impl IntoIterator<Item = &'a ThreadSpan>,
+    n_apps: usize,
+    wall: f64,
+) -> Vec<SojournTotals> {
     let mut totals = vec![SojournTotals::EMPTY; n_apps];
     for s in spans {
         if let Some(t) = totals.get_mut(s.app as usize) {

@@ -332,7 +332,9 @@ std::thread_local! {
 /// the plan entries not yet due, at their original instants. The
 /// per-thread outcomes stay on the machine; [`RunResult::collect`] reads
 /// them, and an epoch caller reads them once at the end of its run
-/// rather than at every barrier.
+/// rather than at every barrier. The caller may retire the threads this
+/// call reported departed (`Machine::retire_finished`) once it returns:
+/// their spans stay in the machine's history, their counters go.
 ///
 /// Per call and per quantum the loop costs O(live threads): it walks the
 /// watch list (threads alive at the call's start plus those it admits),
@@ -388,13 +390,14 @@ pub fn drive(
         // arrivals and departures never grow a buffer: departures start
         // quanta after warmup, and a doubling there would break the
         // steady-state zero-allocation guarantee (see `tests/zero_alloc.rs`).
-        // The machine keeps every thread it ever admitted, so a
-        // fresh machine's per-thread columns are sized for the whole plan
-        // once, not doubled as admissions arrive. A machine already
-        // running threads grows as it admits: an epoch caller's later
-        // plans carry queued backlog that may be admitted epochs later,
-        // or re-dispatched to a peer, and reserving for it only inflates
-        // the machine.
+        // Until it retires them, the machine keeps a hot row for every
+        // thread it admitted (and a history row for good), so a fresh
+        // machine's per-thread columns are sized for the whole plan once,
+        // not doubled as admissions arrive. A machine already running
+        // threads grows as it admits: an epoch caller's later plans carry
+        // queued backlog that may be admitted epochs later, or
+        // re-dispatched to a peer, and reserving for it only inflates the
+        // machine.
         if machine.num_threads() == 0 {
             machine.reserve_threads(pending.len());
         }

@@ -1,9 +1,10 @@
 #!/bin/bash
-# Regenerates every paper artefact; outputs under results/.
+# Regenerates every paper artefact; outputs under results/. Runs from the
+# checkout that holds this script, offline like every other build here.
 set -x
-cd /root/repo
+cd "$(dirname "$0")/.."
 B=target/release
-cargo build --release -p dike-experiments
+cargo build --release --offline -p dike-experiments
 $B/fig6a --scale 1.0 > results/fig6a.txt 2>&1
 $B/fig6b --scale 1.0 > results/fig6b.txt 2>&1
 $B/table3 --scale 1.0 > results/table3.txt 2>&1

@@ -41,8 +41,10 @@ step "doc" env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offl
 
 # Engine differential property, run hard: 600 random machines ticking
 # through `run_for` (quiescent ticks, spans, the step cache, phase
-# freshness, the cached next expiry) against a twin whose every tick is
-# cold, bit for bit. Release, because 600 cases are slow in debug.
+# freshness, the cached next expiry) and retiring their finished
+# threads mid-run (`retire_finished`) against a twin whose every tick is
+# cold and which never retires, bit for bit, compared by thread id.
+# Release, because 600 cases are slow in debug.
 step "engine-fast-vs-cold" env DIKE_CHECK_CASES=600 \
     cargo test -q --release --offline -p dike-machine --lib \
     fast_ticks_match_cold_ticks_on_random_machines
@@ -82,11 +84,15 @@ step "parallel-determinism (DIKE_THREADS=2)" \
 # budget, so a per-thread allocation creeping back into the spawn path
 # (a spec owning its program) fails here; and `drive` admitting a
 # 2,000-thread plan into a fresh machine must stay under 100 events, so a
-# per-thread machine column grown by doubling fails too. The fleet heap
-# gate reads live bytes: the same smoke-fleet lap on one worker must
-# peak under 256 live bytes per admitted thread above its start, and
-# hold under 4 per thread once its result is dropped, so a machine that
-# outlives its last epoch (326 B per thread of per-thread columns) fails.
+# per-thread machine column grown by doubling fails too. Two heap gates
+# read live bytes. The fleet heap gate: the same smoke-fleet lap on one
+# worker must peak under 256 live bytes per admitted thread above its
+# start, and hold under 4 per thread once its result is dropped, so a
+# machine that outlives its last epoch fails. The failover heap gate:
+# a warm multi-epoch `run_failover` lap of that fleet under machine
+# faults must peak under 320 live bytes per admitted thread, so a
+# machine that keeps finished threads' hot rows (≈260 B each) past the
+# epoch barrier fails.
 # The workspace test run above already covers this; the named re-run
 # makes a regression fail loudly as its own step.
 step "zero-alloc" cargo test -q --offline -p dike-repro --test zero_alloc

@@ -26,15 +26,20 @@
 //! * `drive` sizes a machine's per-thread columns once for its arrival
 //!   plan, so admitting a long plan reallocates none of them.
 //!
-//! One gate reads live bytes rather than allocation events: a fleet lap
-//! holds one machine's per-thread columns per worker at a time, retiring
-//! each machine into a compact record after its last epoch, and the
-//! runner holds nothing once the lap's result is dropped.
+//! Two gates read live bytes rather than allocation events:
+//!
+//! * a fleet lap holds one machine's per-thread columns per worker at a
+//!   time, retiring each machine into a compact record after its last
+//!   epoch, and the runner holds nothing once the lap's result is
+//!   dropped;
+//! * a multi-epoch failover lap keeps hot per-thread rows only for the
+//!   threads still running: each machine retires its finished threads at
+//!   every epoch barrier, down to a 24-B history row each.
 
 use dike_fleet::FleetRunner;
 use dike_repro::baselines::StaticSpread;
 use dike_repro::dike::Dike;
-use dike_repro::experiments::fleet;
+use dike_repro::experiments::{failover, fleet};
 use dike_repro::machine::{presets, AppId, BarrierId, Machine, SimTime};
 use dike_repro::sched_core::{drive, run_with, Scheduler, TimedSpawn};
 use dike_repro::workloads::{paper, AppKind, Placement, ProgramTable};
@@ -251,4 +256,53 @@ fn fleet_lap_heap_follows_the_running_machines() {
         held as f64 / admitted as f64
     );
     drop(runner);
+}
+
+/// Live heap a warm multi-epoch failover lap may peak at, per admitted
+/// thread, above where it started. Each thread keeps a 24-B history row
+/// and, at the roll-up, a 32-B span; its hot row (≈260 B) lives only
+/// until the barrier after it finishes, and the barrier's specs (48 B
+/// each) come and go. On `smoke_config(42)` the lap reads ≈209 B per
+/// thread; with every finished thread's hot row kept until the roll-up
+/// (and a 48-B event log entry pair per thread) it read ≈549 B and
+/// failed.
+const FAILOVER_PEAK_BYTES_PER_THREAD: u64 = 320;
+
+#[test]
+fn failover_lap_heap_follows_the_running_threads() {
+    let _alone = measure_alone();
+    let cfg = fleet::smoke_config(42);
+    // The harshest cell of the failover sweep: crashes, brownouts and
+    // re-dispatch, over the smoke fleet's 2-s epochs.
+    let fo = failover::cell_config(
+        failover::FAILOVER_CRASH_RATES[failover::FAILOVER_CRASH_RATES.len() - 1],
+        failover::FAILOVER_BROWNOUT_RATES[failover::FAILOVER_BROWNOUT_RATES.len() - 1],
+        failover::FAILOVER_BUDGETS[failover::FAILOVER_BUDGETS.len() - 1],
+        true,
+    );
+    // A warm-up lap on a throwaway runner grows the thread-local driver
+    // scratch, so the measured lap starts warm.
+    let pool = Pool::new(1);
+    FleetRunner::new(cfg.clone()).run_failover(&pool, &fo);
+
+    let runner = FleetRunner::new(cfg);
+    let start = ALLOC.live();
+    ALLOC.reset_peak();
+    let result = runner.run_failover(&pool, &fo);
+    let peak = ALLOC.peak() - start;
+    let admitted = result.total_arrivals;
+    assert!(
+        admitted > 1_000 && result.epochs > 2 && result.quarantines > 0,
+        "the lap must admit work over several epochs under machine faults: \
+         {admitted} threads, {} epochs, {} quarantines",
+        result.epochs,
+        result.quarantines
+    );
+    assert!(
+        peak < FAILOVER_PEAK_BYTES_PER_THREAD * admitted,
+        "failover lap peaked at {peak} live bytes above its start for {admitted} admitted \
+         threads ({:.0} per thread; budget {FAILOVER_PEAK_BYTES_PER_THREAD}): finished \
+         threads keep their hot rows",
+        peak as f64 / admitted as f64
+    );
 }
