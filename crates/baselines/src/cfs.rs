@@ -12,24 +12,18 @@
 use dike_machine::SimTime;
 use dike_sched_core::{Actions, Scheduler, SystemView};
 
+/// The observation quantum, in ms (it only sets how often counters are
+/// sampled, never behaviour).
+const QUANTUM_MS: u64 = 500;
+
 /// The contention-oblivious baseline ("Linux" in the paper's figures).
 #[derive(Debug, Clone)]
-pub struct StaticSpread {
-    quantum: SimTime,
-}
+pub struct StaticSpread;
 
 impl StaticSpread {
-    /// A baseline with the default 500 ms observation quantum (the quantum
-    /// only affects how often counters are sampled, never behaviour).
+    /// The baseline, observing every 500 ms.
     pub fn new() -> Self {
-        StaticSpread {
-            quantum: SimTime::from_ms(500),
-        }
-    }
-
-    /// Override the observation quantum.
-    pub fn with_quantum(quantum: SimTime) -> Self {
-        StaticSpread { quantum }
+        StaticSpread
     }
 }
 
@@ -45,7 +39,7 @@ impl Scheduler for StaticSpread {
     }
 
     fn initial_quantum(&self) -> SimTime {
-        self.quantum
+        SimTime::from_ms(QUANTUM_MS)
     }
 
     fn on_quantum(&mut self, _view: &SystemView, _actions: &mut Actions) {}
@@ -69,17 +63,5 @@ mod tests {
         assert!(r.completed);
         assert_eq!(r.migrations, 0);
         assert_eq!(r.scheduler, "Linux-CFS");
-    }
-
-    #[test]
-    fn quantum_is_configurable() {
-        assert_eq!(
-            StaticSpread::with_quantum(SimTime::from_ms(100)).initial_quantum(),
-            SimTime::from_ms(100)
-        );
-        assert_eq!(
-            StaticSpread::default().initial_quantum(),
-            SimTime::from_ms(500)
-        );
     }
 }

@@ -11,19 +11,23 @@
 //! two same-type cores (pure cost, no placement benefit) — exactly the
 //! needless migrations Dike's predictor prevents.
 //!
-//! The number of extreme pairs swapped per quantum is configurable;
-//! the default of 4 pairs (8 threads) matches both Dike's default
-//! `swapSize` (an overhead-matched comparison) and the swap volume of the
-//! paper's Table III (DIO ≈ 2000 swaps over runs of ~500 quanta).
+//! DIO swaps 4 extreme pairs (8 threads) per 500-ms quantum, which
+//! matches both Dike's default `swapSize` (an overhead-matched comparison)
+//! and the swap volume of the paper's Table III (DIO ≈ 2000 swaps over
+//! runs of ~500 quanta).
 
 use dike_machine::SimTime;
 use dike_sched_core::{Actions, Scheduler, SystemView};
 
+/// DIO's quantum, in ms.
+const QUANTUM_MS: u64 = 500;
+
+/// Extreme pairs swapped per quantum.
+const PAIRS_PER_QUANTUM: usize = 4;
+
 /// The DIO scheduler.
 #[derive(Debug, Clone)]
 pub struct Dio {
-    quantum: SimTime,
-    pairs_per_quantum: usize,
     swaps: u64,
     /// Reusable miss-rate ordering buffer (no per-quantum allocation).
     order: Vec<usize>,
@@ -33,26 +37,9 @@ impl Dio {
     /// DIO with its standard 500 ms quantum and 4 pairs per quantum.
     pub fn new() -> Self {
         Dio {
-            quantum: SimTime::from_ms(500),
-            pairs_per_quantum: 4,
             swaps: 0,
             order: Vec::new(),
         }
-    }
-
-    /// Override the quantum.
-    pub fn with_quantum(quantum: SimTime) -> Self {
-        Dio {
-            quantum,
-            ..Dio::new()
-        }
-    }
-
-    /// Override the number of extreme pairs swapped per quantum (pass
-    /// `usize::MAX` for the swap-everything variant).
-    pub fn with_pairs(mut self, pairs: usize) -> Self {
-        self.pairs_per_quantum = pairs;
-        self
     }
 
     /// Swaps performed so far.
@@ -73,7 +60,7 @@ impl Scheduler for Dio {
     }
 
     fn initial_quantum(&self) -> SimTime {
-        self.quantum
+        SimTime::from_ms(QUANTUM_MS)
     }
 
     fn on_quantum(&mut self, view: &SystemView, actions: &mut Actions) {
@@ -94,7 +81,7 @@ impl Scheduler for Dio {
                 .then(view.threads[a].id.cmp(&view.threads[b].id))
         });
         let n = order.len();
-        for k in 0..(n / 2).min(self.pairs_per_quantum) {
+        for k in 0..(n / 2).min(PAIRS_PER_QUANTUM) {
             let hi = &view.threads[order[k]];
             let lo = &view.threads[order[n - 1 - k]];
             if hi.vcore != lo.vcore {

@@ -1,7 +1,8 @@
 //! A random-swap scheduler: the sanity floor.
 //!
-//! Swaps `pairs_per_quantum` uniformly random disjoint thread pairs each
-//! quantum. Any contention-aware policy must beat this; the integration
+//! Swaps 4 uniformly random disjoint thread pairs each 500-ms quantum
+//! (matching Dike's default swapSize of 8 threads). Any contention-aware
+//! policy must beat this; the integration
 //! tests use it to confirm the evaluation pipeline can tell good policies
 //! from noise.
 
@@ -9,29 +10,24 @@ use dike_machine::SimTime;
 use dike_sched_core::{Actions, Scheduler, SystemView};
 use dike_util::{Pcg32, SliceRandom};
 
+/// The random scheduler's quantum, in ms.
+const QUANTUM_MS: u64 = 500;
+
+/// Random pairs swapped per quantum.
+const PAIRS_PER_QUANTUM: usize = 4;
+
 /// The random scheduler.
 #[derive(Debug)]
 pub struct RandomScheduler {
-    quantum: SimTime,
-    pairs_per_quantum: usize,
     rng: Pcg32,
 }
 
 impl RandomScheduler {
-    /// A random scheduler with the given seed, default quantum (500 ms) and
-    /// 4 pairs per quantum (matching Dike's default swapSize of 8 threads).
+    /// A random scheduler with the given seed.
     pub fn new(seed: u64) -> Self {
         RandomScheduler {
-            quantum: SimTime::from_ms(500),
-            pairs_per_quantum: 4,
             rng: Pcg32::seed_from_u64(seed),
         }
-    }
-
-    /// Set the number of pairs swapped per quantum.
-    pub fn with_pairs(mut self, pairs: usize) -> Self {
-        self.pairs_per_quantum = pairs;
-        self
     }
 }
 
@@ -41,13 +37,13 @@ impl Scheduler for RandomScheduler {
     }
 
     fn initial_quantum(&self) -> SimTime {
-        self.quantum
+        SimTime::from_ms(QUANTUM_MS)
     }
 
     fn on_quantum(&mut self, view: &SystemView, actions: &mut Actions) {
         let mut idx: Vec<usize> = (0..view.threads.len()).collect();
         idx.shuffle(&mut self.rng);
-        for pair in idx.chunks_exact(2).take(self.pairs_per_quantum) {
+        for pair in idx.chunks_exact(2).take(PAIRS_PER_QUANTUM) {
             let a = &view.threads[pair[0]];
             let b = &view.threads[pair[1]];
             if a.vcore != b.vcore {
@@ -70,7 +66,7 @@ mod tests {
         let mut w = Workload::plain("t", vec![AppKind::Jacobi, AppKind::Srad]);
         w.threads_per_app = 4;
         w.spawn(&mut machine, Placement::Interleaved, 0.05);
-        let mut sched = RandomScheduler::new(7).with_pairs(2);
+        let mut sched = RandomScheduler::new(7);
         let r = run(&mut machine, &mut sched, SimTime::from_secs_f64(600.0));
         assert!(r.completed);
         assert!(r.swaps > 0);

@@ -6,9 +6,8 @@
 //!
 //! * [`RateSample`] — per-quantum rates (access rate, instruction rate,
 //!   miss ratio, IPC) derived from raw counter deltas;
-//! * [`Estimator`] implementations — [`MovingMean`] (the paper's `CoreBW`
-//!   estimator), [`WindowedMean`], [`Ewma`] and [`LastSample`] — pluggable
-//!   so the estimator choice can be ablated.
+//! * [`MovingMean`] — the paper's `CoreBW` estimator, a cumulative mean
+//!   of each core's bandwidth.
 //!
 //! The machine-dependent half (how counters are read from the simulated
 //! hardware each quantum) lives in `dike-sched-core`.
@@ -16,5 +15,5 @@
 pub mod estimators;
 pub mod rates;
 
-pub use estimators::{build, Estimator, EstimatorKind, Ewma, LastSample, MovingMean, WindowedMean};
+pub use estimators::MovingMean;
 pub use rates::RateSample;

@@ -1,46 +1,12 @@
-//! Property tests on the estimators and rate derivations.
+//! Property tests on the `CoreBW` estimator and rate derivations.
 
-use dike_counters::{build, Estimator, EstimatorKind, Ewma, MovingMean, RateSample, WindowedMean};
+use dike_counters::{MovingMean, RateSample};
 use dike_util::check::check;
 use dike_util::Pcg32;
 
 fn gen_samples(rng: &mut Pcg32, lo: f64, hi: f64, len_lo: usize, len_hi: usize) -> Vec<f64> {
     let len = rng.gen_range(len_lo..len_hi);
     (0..len).map(|_| rng.gen_range(lo..hi)).collect()
-}
-
-#[test]
-fn estimates_stay_within_observed_range() {
-    check("estimates_stay_within_observed_range", 256, |rng| {
-        let samples = gen_samples(rng, 0.0, 1e9, 1, 100);
-        let kind_sel = rng.gen_range(0usize..4);
-        let window = rng.gen_range(1usize..20);
-        let alpha = rng.gen_range(0.01f64..1.0);
-
-        let kind = match kind_sel {
-            0 => EstimatorKind::MovingMean,
-            1 => EstimatorKind::WindowedMean(window),
-            2 => EstimatorKind::Ewma(alpha),
-            _ => EstimatorKind::LastSample,
-        };
-        let mut e = build(kind);
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for s in &samples {
-            e.update(*s);
-            min = min.min(*s);
-            max = max.max(*s);
-            let v = e.value();
-            assert!(
-                v >= min - 1e-9 && v <= max + 1e-9,
-                "{kind:?} estimate {v} outside [{min},{max}]"
-            );
-        }
-        assert_eq!(e.len(), samples.len());
-        e.reset();
-        assert!(e.is_empty());
-        assert_eq!(e.value(), 0.0);
-    });
 }
 
 #[test]
@@ -54,42 +20,6 @@ fn moving_mean_equals_arithmetic_mean() {
         }
         let expect = samples.iter().sum::<f64>() / samples.len() as f64;
         assert!((e.value() - expect).abs() < 1e-6 * (1.0 + expect.abs()));
-    });
-}
-
-#[test]
-fn windowed_mean_matches_naive_tail_mean() {
-    check("windowed_mean_matches_naive_tail_mean", 256, |rng| {
-        let samples = gen_samples(rng, -1e6, 1e6, 1, 100);
-        let window = rng.gen_range(1usize..20);
-
-        let mut e = WindowedMean::new(window);
-        for s in &samples {
-            e.update(*s);
-        }
-        let tail: Vec<f64> = samples.iter().rev().take(window).copied().collect();
-        let expect = tail.iter().sum::<f64>() / tail.len() as f64;
-        assert!((e.value() - expect).abs() < 1e-6 * (1.0 + expect.abs()));
-    });
-}
-
-#[test]
-fn ewma_is_a_convex_combination() {
-    check("ewma_is_a_convex_combination", 256, |rng| {
-        let samples = gen_samples(rng, 0.0, 1e6, 2, 100);
-        let alpha = rng.gen_range(0.01f64..1.0);
-
-        let mut e = Ewma::new(alpha);
-        e.update(samples[0]);
-        let mut prev = e.value();
-        for s in &samples[1..] {
-            e.update(*s);
-            let v = e.value();
-            let lo = prev.min(*s) - 1e-9;
-            let hi = prev.max(*s) + 1e-9;
-            assert!(v >= lo && v <= hi);
-            prev = v;
-        }
     });
 }
 

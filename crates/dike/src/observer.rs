@@ -24,7 +24,7 @@
 //! score the Predictor and Decider use to widen or reject decisions.
 
 use crate::config::{CoreBwEstimate, CoreRanking, DikeConfig, HardeningConfig};
-use dike_counters::{Estimator, MovingMean, RateSample};
+use dike_counters::{MovingMean, RateSample};
 use dike_machine::{AppId, DomainId, ThreadId, VCoreId};
 use dike_sched_core::SystemView;
 

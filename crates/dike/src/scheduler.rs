@@ -62,10 +62,6 @@ pub struct Dike {
     /// Set by the watchdog: the policy has demoted itself to the
     /// Null/CFS floor and issues no further actions.
     demoted: bool,
-    /// `DIKE_TRACE` checked once at construction: `std::env::var`
-    /// allocates a CString per call on Unix, which would put an
-    /// allocation in every pair evaluation.
-    trace: bool,
     /// Reusable per-quantum observation.
     obs: Observation,
     /// Reusable actuation-eligible copy (hardened pipeline only).
@@ -130,7 +126,6 @@ impl Dike {
                 .hardening
                 .map(|h| SwapPlanner::new(h.retry_budget, h.fallback_cooldown_quanta as u64)),
             demoted: false,
-            trace: std::env::var("DIKE_TRACE").is_ok(),
             obs: Observation::default(),
             eligible: Observation::default(),
             pairs: Vec::new(),
@@ -268,19 +263,6 @@ impl Scheduler for Dike {
         let obs = &self.obs;
         for pair in &self.pairs {
             let prediction = self.predictor.evaluate(obs, pair, self.sched.quantum());
-            if self.trace {
-                let low = obs.threads.iter().find(|t| t.id == pair.low).unwrap();
-                let high = obs.threads.iter().find(|t| t.id == pair.high).unwrap();
-                eprintln!(
-                    "t={:.1} pair low={:?}@{:?}(r={:.2e},{:?}) high={:?}@{:?}(r={:.2e},{:?}) bw_l_dest={:.2e} bw_h_dest={:.2e} profit={:.2e}",
-                    view.now.as_secs_f64(),
-                    pair.low, pair.low_vcore, low.access_rate, low.class,
-                    pair.high, pair.high_vcore, high.access_rate, high.class,
-                    obs.core_bw[pair.high_vcore.index()],
-                    obs.core_bw[pair.low_vcore.index()],
-                    prediction.total_profit()
-                );
-            }
             match decide(
                 obs,
                 pair,

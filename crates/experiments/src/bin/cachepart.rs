@@ -4,12 +4,17 @@
 //! environments. See the `cachepart` module docs.
 
 use dike_experiments::{cachepart, cli};
+use dike_util::Pool;
 use std::time::Instant;
 
 fn main() {
     let args = cli::from_env();
     let t0 = Instant::now();
-    let points = cachepart::run_cachepart_experiment(&args.opts);
+    let points = cachepart::run_cachepart_pool(
+        &cachepart::CACHEPART_WORKLOADS,
+        &args.opts,
+        &Pool::from_env(),
+    );
     let host_s = t0.elapsed().as_secs_f64();
     let t = cachepart::render(&points);
     println!("Cache partitioning — migration vs partition vs both\n");

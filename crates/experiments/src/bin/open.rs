@@ -3,12 +3,13 @@
 //! docs.
 
 use dike_experiments::{cli, open};
+use dike_util::Pool;
 use std::time::Instant;
 
 fn main() {
     let args = cli::from_env();
     let t0 = Instant::now();
-    let points = open::run_open_experiment(&args.opts);
+    let points = open::run_open_points_pool(&open::LOAD_LEVELS_MS, &args.opts, &Pool::from_env());
     let host_s = t0.elapsed().as_secs_f64();
     let t = open::render(&points);
     println!("Open system — mid-run arrivals/departures at three load levels\n");

@@ -146,11 +146,6 @@ pub fn run_cachepart_cell(
     }
 }
 
-/// Run the full grid on the environment-sized pool.
-pub fn run_cachepart_experiment(opts: &RunOptions) -> Vec<CachePartPoint> {
-    run_cachepart_pool(&CACHEPART_WORKLOADS, opts, &Pool::from_env())
-}
-
 /// Run the grid over explicit workloads on an explicit pool (tests pin
 /// both). Tasks fan out in `(workload, fault cell, scheduler)` order and
 /// come back in input order — byte-identical at any worker count.

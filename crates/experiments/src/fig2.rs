@@ -6,10 +6,11 @@
 //! both the current application workload and user preference."
 
 use crate::runner::RunOptions;
-use crate::sweep::{sweep_workloads_parallel, Sweep};
+use crate::sweep::{sweep_workloads_pool, Sweep};
 use dike_machine::presets;
 use dike_metrics::TextTable;
 use dike_scheduler::SchedConfig;
+use dike_util::Pool;
 use dike_workloads::paper;
 
 /// One workload's Figure 2 bars.
@@ -69,7 +70,7 @@ pub const SELECTED: [usize; 3] = [2, 7, 13];
 pub fn run(opts: &RunOptions) -> Vec<Fig2Row> {
     let cfg = presets::paper_machine(opts.seed);
     let workloads: Vec<_> = SELECTED.iter().map(|&n| paper::workload(n)).collect();
-    sweep_workloads_parallel(&cfg, &workloads, opts)
+    sweep_workloads_pool(&cfg, &workloads, opts, &Pool::from_env())
         .iter()
         .map(reduce)
         .collect()
@@ -109,7 +110,6 @@ pub fn render(rows: &[Fig2Row]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep_workload;
 
     #[test]
     fn reduce_orders_optimal_default_worst() {
@@ -119,8 +119,8 @@ mod tests {
             ..RunOptions::default()
         };
         let cfg = presets::paper_machine(1);
-        let sweep = sweep_workload(&cfg, &paper::workload(2), &opts);
-        let row = reduce(&sweep);
+        let sweeps = sweep_workloads_pool(&cfg, &[paper::workload(2)], &opts, &Pool::from_env());
+        let row = reduce(&sweeps[0]);
         assert!(row.default_fairness <= 1.0 + 1e-12);
         assert!(row.worst_fairness <= row.default_fairness + 1e-12);
         assert!(row.default_perf <= 1.0 + 1e-12);

@@ -2,10 +2,11 @@
 //! 8×4 ⟨swapSize, quantaLength⟩ grid for two selected workloads.
 
 use crate::runner::RunOptions;
-use crate::sweep::Sweep;
+use crate::sweep::{sweep_workloads_pool, Sweep};
 use dike_machine::presets;
 use dike_metrics::TextTable;
 use dike_scheduler::config::{QUANTA_LADDER_MS, SWAP_SIZE_MAX, SWAP_SIZE_MIN};
+use dike_util::Pool;
 use dike_workloads::paper;
 
 /// A rendered heatmap: rows = quanta ladder, columns = swap sizes, values
@@ -83,7 +84,7 @@ pub fn run(opts: &RunOptions) -> Vec<Heatmap> {
     let cfg = presets::paper_machine(opts.seed);
     let workloads: Vec<_> = SELECTED.iter().map(|&n| paper::workload(n)).collect();
     let mut out = Vec::new();
-    for sweep in crate::sweep::sweep_workloads_parallel(&cfg, &workloads, opts) {
+    for sweep in sweep_workloads_pool(&cfg, &workloads, opts, &Pool::from_env()) {
         let (f, p) = heatmaps(&sweep);
         out.push(f);
         out.push(p);
@@ -94,7 +95,6 @@ pub fn run(opts: &RunOptions) -> Vec<Heatmap> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep_workload;
 
     #[test]
     fn heatmaps_are_normalised_grids() {
@@ -104,8 +104,8 @@ mod tests {
             ..RunOptions::default()
         };
         let cfg = presets::paper_machine(1);
-        let sweep = sweep_workload(&cfg, &paper::workload(3), &opts);
-        let (f, p) = heatmaps(&sweep);
+        let sweeps = sweep_workloads_pool(&cfg, &[paper::workload(3)], &opts, &Pool::from_env());
+        let (f, p) = heatmaps(&sweeps[0]);
         for h in [&f, &p] {
             assert_eq!(h.values.len(), 4);
             assert!(h.values.iter().all(|r| r.len() == 8));

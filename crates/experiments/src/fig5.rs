@@ -9,8 +9,9 @@
 
 use crate::fig4::{heatmaps, Heatmap};
 use crate::runner::RunOptions;
-use crate::sweep::sweep_workloads_parallel;
+use crate::sweep::sweep_workloads_pool;
 use dike_machine::presets;
+use dike_util::Pool;
 use dike_workloads::{paper, WorkloadClass};
 
 /// Aggregated per-class heatmaps.
@@ -71,6 +72,7 @@ fn mean_maps(maps: Vec<Heatmap>, label: String, metric: &'static str) -> Heatmap
 /// workloads of each class: 6 + 5 + 5 sweeps of 33 runs each).
 pub fn run(opts: &RunOptions, workloads_per_class: usize) -> Vec<ClassContours> {
     let cfg = presets::paper_machine(opts.seed);
+    let pool = Pool::from_env();
     let mut out = Vec::new();
     for class in [
         WorkloadClass::Balanced,
@@ -85,7 +87,7 @@ pub fn run(opts: &RunOptions, workloads_per_class: usize) -> Vec<ClassContours> 
         let mut fair_maps = Vec::new();
         let mut perf_maps = Vec::new();
         let mut names = Vec::new();
-        for sweep in sweep_workloads_parallel(&cfg, &workloads, opts) {
+        for sweep in sweep_workloads_pool(&cfg, &workloads, opts, &pool) {
             let (f, p) = heatmaps(&sweep);
             fair_maps.push(f);
             perf_maps.push(p);

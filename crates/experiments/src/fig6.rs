@@ -1,6 +1,10 @@
 //! Figure 6: the headline comparison — fairness improvement (6a) and
 //! speedup over the baseline (6b) for DIO, Dike, Dike-AF and Dike-AP on
 //! all sixteen workloads, plus averages and geometric means.
+//!
+//! The paper runs each workload once under each scheduler, and Table III
+//! and Figures 7–8 read the same runs; so do [`crate::table3`],
+//! [`crate::fig7`] and [`crate::fig8`], from one [`Fig6`].
 
 use crate::runner::{run_cells, CellResult, RunOptions, SchedKind};
 use dike_machine::presets;
@@ -20,6 +24,17 @@ pub struct Fig6 {
 json_struct!(Fig6 { schedulers, rows });
 
 impl Fig6 {
+    /// Index of the scheduler column labelled `label`.
+    ///
+    /// # Panics
+    /// Panics if no column carries that label.
+    pub fn column(&self, label: &str) -> usize {
+        self.schedulers
+            .iter()
+            .position(|s| s == label)
+            .unwrap_or_else(|| panic!("{label} not in the comparison set"))
+    }
+
     /// Fairness improvement over the baseline per workload per scheduler
     /// (column 0, the baseline, is all zeros) — Figure 6a.
     pub fn fairness_improvements(&self) -> Vec<Vec<f64>> {
@@ -85,18 +100,8 @@ impl Fig6 {
     }
 }
 
-/// Run the full comparison.
-pub fn run(opts: &RunOptions) -> Fig6 {
-    run_subset(opts, &(1..=16).collect::<Vec<_>>())
-}
-
 /// Run the comparison over a subset of workload numbers, sharding all
-/// `(workload × scheduler)` cells across the environment-sized pool.
-pub fn run_subset(opts: &RunOptions, workload_numbers: &[usize]) -> Fig6 {
-    run_subset_pool(opts, workload_numbers, &Pool::from_env())
-}
-
-/// [`run_subset`] on an explicit pool (tests pin the thread count).
+/// `(workload × scheduler)` cells across `pool`.
 pub fn run_subset_pool(opts: &RunOptions, workload_numbers: &[usize], pool: &Pool) -> Fig6 {
     let cfg = presets::paper_machine(opts.seed);
     let kinds = SchedKind::comparison_set();
@@ -160,11 +165,7 @@ pub fn render_performance(fig: &Fig6) -> TextTable {
     let mut t = TextTable::new(header);
     let speedups = fig.speedups();
     let mk = fig.makespan_speedups();
-    let dike_col = fig
-        .schedulers
-        .iter()
-        .position(|s| s == "Dike")
-        .expect("Dike in comparison set");
+    let dike_col = fig.column("Dike");
     for ((row, cells), mrow) in speedups.iter().zip(&fig.rows).zip(&mk) {
         let mut out = vec![cells[0].workload.clone()];
         out.extend(row.iter().skip(1).map(|&v| format!("{v:.3}")));
@@ -198,7 +199,7 @@ mod tests {
             ..RunOptions::default()
         };
         // One workload per class keeps this test affordable.
-        let fig = run_subset(&opts, &[1, 9, 13]);
+        let fig = run_subset_pool(&opts, &[1, 9, 13], &Pool::from_env());
         assert_eq!(fig.rows.len(), 3);
         assert_eq!(fig.schedulers.len(), 5);
         let improvements = fig.fairness_improvements();

@@ -1,13 +1,11 @@
 //! Figure 7: Dike's prediction error per workload — minimum, average and
 //! maximum signed relative error across all scored (thread, quantum)
 //! samples. The paper reports averages within 0–3 % and bounds of −9 % to
-//! +10 %, with UC workloads hardest to predict.
+//! +10 %, with UC workloads hardest to predict. The samples are the Dike
+//! column of the Figure 6 run ([`rows`]).
 
-use crate::runner::{run_cell, RunOptions, SchedKind};
-use dike_machine::presets;
+use crate::fig6::Fig6;
 use dike_metrics::{Summary, TextTable};
-use dike_scheduler::SchedConfig;
-use dike_workloads::paper;
 
 /// One workload's error summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,25 +16,16 @@ pub struct Fig7Row {
     pub summary: Summary,
 }
 
-/// Run the prediction-error experiment over the given workloads.
-pub fn run_subset(opts: &RunOptions, workload_numbers: &[usize]) -> Vec<Fig7Row> {
-    let cfg = presets::paper_machine(opts.seed);
-    workload_numbers
+/// One row per workload of `fig`, from its Dike cells.
+pub fn rows(fig: &Fig6) -> Vec<Fig7Row> {
+    let dike = fig.column("Dike");
+    fig.rows
         .iter()
-        .map(|&n| {
-            let w = paper::workload(n);
-            let cell = run_cell(&cfg, &w, &SchedKind::Dike(SchedConfig::DEFAULT), opts);
-            Fig7Row {
-                workload: w.name,
-                summary: Summary::of(&cell.prediction_errors),
-            }
+        .map(|row| Fig7Row {
+            workload: row[dike].workload.clone(),
+            summary: Summary::of(&row[dike].prediction_errors),
         })
         .collect()
-}
-
-/// Run over all sixteen workloads.
-pub fn run(opts: &RunOptions) -> Vec<Fig7Row> {
-    run_subset(opts, &(1..=16).collect::<Vec<_>>())
 }
 
 /// Render as the figure's min/avg/max series.
@@ -57,6 +46,8 @@ pub fn render(rows: &[Fig7Row]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{fig6, RunOptions};
+    use dike_util::Pool;
 
     #[test]
     fn prediction_errors_are_small_on_average() {
@@ -65,7 +56,7 @@ mod tests {
             deadline_s: 120.0,
             ..RunOptions::default()
         };
-        let rows = run_subset(&opts, &[1, 13]);
+        let rows = rows(&fig6::run_subset_pool(&opts, &[1, 13], &Pool::from_env()));
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.summary.n > 0, "{} recorded no samples", r.workload);

@@ -3,12 +3,11 @@
 //! The paper shows per-quantum error traces with spikes at phase changes
 //! (sudden access-rate shifts, most likely in compute-intensive threads)
 //! and after benchmark completions (freed bandwidth perturbs the remaining
-//! threads), while staying within ±10 % overall.
+//! threads), while staying within ±10 % overall. The traces are the Dike
+//! cells of the Figure 6 run ([`traces`]).
 
-use crate::runner::{run_cell, RunOptions, SchedKind};
-use dike_machine::presets;
+use crate::fig6::Fig6;
 use dike_metrics::{TextTable, TimeSeries};
-use dike_scheduler::SchedConfig;
 use dike_workloads::paper;
 
 /// One workload's error trace.
@@ -23,29 +22,30 @@ pub struct Fig8Trace {
 /// The paper's two selected workloads.
 pub const SELECTED: [usize; 2] = [6, 11];
 
-/// Run the trace experiment for the given workloads.
-pub fn run_subset(opts: &RunOptions, workload_numbers: &[usize]) -> Vec<Fig8Trace> {
-    let cfg = presets::paper_machine(opts.seed);
-    workload_numbers
+/// The traces of the [`SELECTED`] workloads that `fig` ran, from their
+/// Dike cells.
+pub fn traces(fig: &Fig6) -> Vec<Fig8Trace> {
+    let dike = fig.column("Dike");
+    SELECTED
         .iter()
-        .map(|&n| {
-            let w = paper::workload(n);
-            let cell = run_cell(&cfg, &w, &SchedKind::Dike(SchedConfig::DEFAULT), opts);
-            let mut series = TimeSeries::new(w.name.clone());
+        .filter_map(|&n| {
+            let name = paper::workload(n).name;
+            fig.rows
+                .iter()
+                .map(|row| &row[dike])
+                .find(|c| c.workload == name)
+        })
+        .map(|cell| {
+            let mut series = TimeSeries::new(cell.workload.clone());
             for (t, e) in &cell.prediction_trace {
                 series.push(*t, *e);
             }
             Fig8Trace {
-                workload: w.name,
+                workload: cell.workload.clone(),
                 series,
             }
         })
         .collect()
-}
-
-/// Run for the paper's WL6 and WL11.
-pub fn run(opts: &RunOptions) -> Vec<Fig8Trace> {
-    run_subset(opts, &SELECTED)
 }
 
 /// Render a trace (down-sampled) with a crude ASCII sparkline.
@@ -73,6 +73,8 @@ pub fn render(trace: &Fig8Trace, max_points: usize) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{fig6, RunOptions};
+    use dike_util::Pool;
 
     #[test]
     fn traces_record_per_quantum_errors() {
@@ -81,7 +83,7 @@ mod tests {
             deadline_s: 120.0,
             ..RunOptions::default()
         };
-        let traces = run_subset(&opts, &[6]);
+        let traces = traces(&fig6::run_subset_pool(&opts, &[6], &Pool::from_env()));
         assert_eq!(traces.len(), 1);
         let tr = &traces[0];
         assert!(

@@ -2,7 +2,11 @@
 //!
 //! One module per experiment; each produces the same rows/series the paper
 //! reports and is exercised by a binary (`cargo run -p dike-experiments
-//! --release --bin figN`). See `DESIGN.md` §3 for the experiment index and
+//! --release --bin figN`). Figures 6–8 and Table III share one comparison
+//! run ([`fig6::run_subset_pool`]) and one binary, `fig6`, as they share
+//! one set of runs in the paper. The `*_pool` drivers take their
+//! [`dike_util::Pool`] from the caller; the binaries pass
+//! `Pool::from_env()`. See `DESIGN.md` §3 for the experiment index and
 //! `EXPERIMENTS.md` for paper-vs-measured values.
 //!
 //! | module | paper artefact |

@@ -170,12 +170,6 @@ fn trace_mean_ms(name: &str) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// Run the open comparison set at every [`LOAD_LEVELS_MS`] level on the
-/// environment-sized pool.
-pub fn run_open_experiment(opts: &RunOptions) -> Vec<OpenPoint> {
-    run_open_points_pool(&LOAD_LEVELS_MS, opts, &Pool::from_env())
-}
-
 /// Run the open comparison set at explicit load levels on an explicit
 /// pool (tests pin both). Cells are fanned out in `(level, scheduler)`
 /// order and reassembled in input order — byte-identical at any worker

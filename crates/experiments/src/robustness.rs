@@ -137,17 +137,6 @@ pub fn fault_grid(
     grid
 }
 
-/// Run the full degradation sweep on the environment-sized pool.
-pub fn run_robustness_experiment(opts: &RunOptions) -> Vec<RobustnessPoint> {
-    run_robustness_pool(
-        &TELEMETRY_LEVELS,
-        &ACTUATION_LEVELS,
-        true,
-        opts,
-        &Pool::from_env(),
-    )
-}
-
 /// Run the sweep over explicit fault levels on an explicit pool (tests pin
 /// both). Cells fan out in `(level, scheduler)` order and come back in
 /// input order — byte-identical at any worker count.

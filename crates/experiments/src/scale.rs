@@ -69,12 +69,6 @@ pub fn scale_machine(domains: u32, seed: u64) -> MachineConfig {
     }
 }
 
-/// Run the comparison set at every size in [`SCALE_DOMAINS`] on the
-/// environment-sized pool.
-pub fn run_scale(opts: &RunOptions) -> Vec<ScalePoint> {
-    run_scale_points_pool(&SCALE_DOMAINS, opts, &Pool::from_env())
-}
-
 /// Run the comparison set at explicit machine sizes on an explicit pool
 /// (tests pin both).
 pub fn run_scale_points_pool(domains: &[u32], opts: &RunOptions, pool: &Pool) -> Vec<ScalePoint> {

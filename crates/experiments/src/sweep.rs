@@ -130,60 +130,11 @@ fn argmin(xs: &[f64]) -> usize {
         .expect("non-empty sweep")
 }
 
-/// Sweep all 32 configurations of one workload with non-adaptive Dike,
-/// sharding the 33 cells (baseline + grid) across the environment-sized
-/// pool.
-pub fn sweep_workload(
-    machine_cfg: &MachineConfig,
-    workload: &Workload,
-    opts: &RunOptions,
-) -> Sweep {
-    sweep_workload_pool(machine_cfg, workload, opts, &Pool::from_env())
-}
-
-/// [`sweep_workload`] on an explicit pool (tests pin the thread count).
-pub fn sweep_workload_pool(
-    machine_cfg: &MachineConfig,
-    workload: &Workload,
-    opts: &RunOptions,
-    pool: &Pool,
-) -> Sweep {
-    let grid = SchedConfig::grid();
-    // Task 0 is the CFS baseline; tasks 1..=32 are the grid cells, so the
-    // slowest cell no longer serializes behind the whole grid.
-    let mut results = pool.map_indexed(grid.len() + 1, |i| {
-        if i == 0 {
-            run_cell(machine_cfg, workload, &SchedKind::Cfs, opts)
-        } else {
-            run_cell(machine_cfg, workload, &SchedKind::Dike(grid[i - 1]), opts)
-        }
-    });
-    let baseline = results.remove(0);
-    let cells = grid
-        .into_iter()
-        .zip(results)
-        .map(|(config, result)| SweepCell { config, result })
-        .collect();
-    Sweep {
-        workload: workload.name.clone(),
-        baseline,
-        cells,
-    }
-}
-
-/// Sweep several workloads at once, flattening all `(workload × cell)`
-/// pairs into one task list so the pool stays saturated across workload
-/// boundaries. Results come back in input order, each sweep's cells in
-/// [`SchedConfig::grid`] order.
-pub fn sweep_workloads_parallel(
-    machine_cfg: &MachineConfig,
-    workloads: &[Workload],
-    opts: &RunOptions,
-) -> Vec<Sweep> {
-    sweep_workloads_pool(machine_cfg, workloads, opts, &Pool::from_env())
-}
-
-/// [`sweep_workloads_parallel`] on an explicit pool.
+/// Sweep all 32 configurations of each workload with non-adaptive Dike,
+/// flattening all `(workload × cell)` pairs — the CFS baseline, then the
+/// grid — into one task list on `pool`, so the pool stays saturated
+/// across workload boundaries. Results come back in input order, each
+/// sweep's cells in [`SchedConfig::grid`] order.
 pub fn sweep_workloads_pool(
     machine_cfg: &MachineConfig,
     workloads: &[Workload],
@@ -240,7 +191,8 @@ mod tests {
             ..RunOptions::default()
         };
         let cfg = presets::paper_machine(1);
-        let sweep = sweep_workload(&cfg, &paper::workload(1), &opts);
+        let sweep =
+            sweep_workloads_pool(&cfg, &[paper::workload(1)], &opts, &Pool::from_env()).remove(0);
         assert_eq!(sweep.cells.len(), 32);
         assert_eq!(sweep.fairness_improvements().len(), 32);
         assert_eq!(sweep.speedups().len(), 32);
@@ -269,7 +221,8 @@ mod tests {
             ..RunOptions::default()
         };
         let cfg = presets::paper_machine(1);
-        let mut sweep = sweep_workload_pool(&cfg, &paper::workload(1), &opts, &Pool::new(1));
+        let mut sweep =
+            sweep_workloads_pool(&cfg, &[paper::workload(1)], &opts, &Pool::new(1)).remove(0);
         sweep.cells[5].result.fairness = f64::NAN;
         sweep.cells[11].result.mean_app_runtime_s = f64::NAN;
         for idx in [
@@ -286,19 +239,5 @@ mod tests {
         assert_eq!(sweep.worst_performance(), 11);
         assert_ne!(sweep.worst_fairness(), 5);
         assert_ne!(sweep.best_performance(), 11);
-    }
-
-    #[test]
-    fn parallel_sweep_equals_serial_sweep() {
-        let opts = RunOptions {
-            scale: 0.02,
-            deadline_s: 60.0,
-            ..RunOptions::default()
-        };
-        let cfg = presets::paper_machine(1);
-        let w = paper::workload(1);
-        let serial = sweep_workload_pool(&cfg, &w, &opts, &Pool::new(1));
-        let parallel = sweep_workload_pool(&cfg, &w, &opts, &Pool::new(4));
-        assert_eq!(serial, parallel);
     }
 }

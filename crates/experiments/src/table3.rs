@@ -1,17 +1,14 @@
 //! Table III: swap counts per workload under DIO, Dike, Dike-AF and
-//! Dike-AP.
+//! Dike-AP, read from the cells of the Figure 6 run ([`Table3::of`]).
 //!
 //! The paper's averages: DIO ≈ 2117, Dike ≈ 773, Dike-AF ≈ 289,
 //! Dike-AP ≈ 191 — with a strong class pattern for Dike (B workloads need
 //! ~10 swaps; UC workloads churn at DIO-like rates; UM workloads rotate at
 //! hundreds).
 
-use crate::runner::{run_cells, RunOptions, SchedKind};
-use dike_machine::presets;
+use crate::fig6::Fig6;
 use dike_metrics::{mean, TextTable};
-use dike_scheduler::SchedConfig;
-use dike_util::{json_struct, Pool};
-use dike_workloads::paper;
+use dike_util::json_struct;
 
 /// Swap counts per workload (rows) per scheduler (columns).
 #[derive(Debug, Clone, PartialEq)]
@@ -31,6 +28,20 @@ json_struct!(Table3 {
 });
 
 impl Table3 {
+    /// The swap counts of a Figure 6 run: every scheduler after the
+    /// baseline, one row per workload.
+    pub fn of(fig: &Fig6) -> Table3 {
+        Table3 {
+            schedulers: fig.schedulers[1..].to_vec(),
+            workloads: fig.rows.iter().map(|row| row[0].workload.clone()).collect(),
+            swaps: fig
+                .rows
+                .iter()
+                .map(|row| row[1..].iter().map(|c| c.swaps).collect())
+                .collect(),
+        }
+    }
+
     /// Per-scheduler averages (the table's final column).
     pub fn averages(&self) -> Vec<f64> {
         (0..self.schedulers.len())
@@ -45,55 +56,6 @@ impl Table3 {
             })
             .collect()
     }
-}
-
-/// The scheduler set of Table III.
-fn kinds() -> Vec<SchedKind> {
-    vec![
-        SchedKind::Dio,
-        SchedKind::Dike(SchedConfig::DEFAULT),
-        SchedKind::DikeAf,
-        SchedKind::DikeAp,
-    ]
-}
-
-/// Run the swap-count experiment for a subset of workloads, sharding all
-/// `(workload × scheduler)` cells across the environment-sized pool.
-pub fn run_subset(opts: &RunOptions, workload_numbers: &[usize]) -> Table3 {
-    run_subset_pool(opts, workload_numbers, &Pool::from_env())
-}
-
-/// [`run_subset`] on an explicit pool.
-pub fn run_subset_pool(opts: &RunOptions, workload_numbers: &[usize], pool: &Pool) -> Table3 {
-    let cfg = presets::paper_machine(opts.seed);
-    let kinds = kinds();
-    let workloads: Vec<_> = workload_numbers
-        .iter()
-        .map(|&n| paper::workload(n))
-        .collect();
-    let tasks: Vec<_> = workloads
-        .iter()
-        .flat_map(|w| kinds.iter().map(move |k| (w, k.clone())))
-        .collect();
-    let mut results = run_cells(&cfg, &tasks, opts, pool).into_iter();
-    let swaps = workloads
-        .iter()
-        .map(|_| {
-            (0..kinds.len())
-                .map(|_| results.next().expect("cell").swaps)
-                .collect()
-        })
-        .collect();
-    Table3 {
-        schedulers: kinds.iter().map(|k| k.label()).collect(),
-        workloads: workloads.into_iter().map(|w| w.name).collect(),
-        swaps,
-    }
-}
-
-/// Run for all sixteen workloads.
-pub fn run(opts: &RunOptions) -> Table3 {
-    run_subset(opts, &(1..=16).collect::<Vec<_>>())
 }
 
 /// Render in the paper's layout (schedulers as rows, workloads as columns).
@@ -115,6 +77,8 @@ pub fn render(t3: &Table3) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{fig6, RunOptions};
+    use dike_util::Pool;
 
     #[test]
     fn swap_counts_follow_the_papers_ordering() {
@@ -123,7 +87,7 @@ mod tests {
             deadline_s: 120.0,
             ..RunOptions::default()
         };
-        let t3 = run_subset(&opts, &[1, 13]);
+        let t3 = Table3::of(&fig6::run_subset_pool(&opts, &[1, 13], &Pool::from_env()));
         assert_eq!(t3.schedulers, vec!["DIO", "Dike", "Dike-AF", "Dike-AP"]);
         let avgs = t3.averages();
         // DIO out-swaps the non-adaptive and performance-adaptive Dike

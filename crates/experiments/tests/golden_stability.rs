@@ -5,9 +5,9 @@
 //! pre-open-system (closed, fixed-population) driver. Any change to the
 //! quantum loop, view construction or result reduction that alters a
 //! single byte of these artefacts is a behaviour change to the recorded
-//! figures (fig2/4/5/6a/6b/table3 all reduce through the same
-//! `run_cell`/`sweep` machinery exercised here) and must be flagged, not
-//! silently absorbed.
+//! figures (fig2/4/5 reduce a `sweep`, and Figures 6–8 and Table III one
+//! Figure 6 run, both exercised here) and must be flagged, not silently
+//! absorbed.
 //!
 //! To *intentionally* re-baseline after a deliberate behaviour change:
 //!
@@ -16,10 +16,9 @@
 //! ```
 
 use dike_experiments::runner::run_cells;
-use dike_experiments::sweep::sweep_workload_pool;
-use dike_experiments::{
-    cachepart, failover, fig6, fleet, robustness, table3, RunOptions, SchedKind,
-};
+use dike_experiments::sweep::sweep_workloads_pool;
+use dike_experiments::table3::Table3;
+use dike_experiments::{cachepart, failover, fig6, fleet, robustness, RunOptions, SchedKind};
 use dike_machine::{presets, FaultConfig};
 use dike_util::{json, Pool};
 use dike_workloads::paper;
@@ -59,34 +58,43 @@ fn check_golden(name: &str, actual: &str) {
 
 /// Figure 2's machinery: a full 33-configuration sweep of one workload
 /// (WL2 is the first of fig2's selected set). Covers fig4/fig5 too — they
-/// reduce the same `sweep_workload_pool` output differently.
+/// reduce the same `sweep_workloads_pool` output differently.
 #[test]
 fn fig2_sweep_is_byte_identical_to_pre_refactor_golden() {
     let opts = small_opts();
-    let sweep = sweep_workload_pool(
+    let sweeps = sweep_workloads_pool(
         &presets::paper_machine(opts.seed),
-        &paper::workload(2),
+        &[paper::workload(2)],
         &opts,
         &Pool::new(1),
     );
-    check_golden("golden_fig2_wl2.json", &json::to_string(&sweep));
+    check_golden("golden_fig2_wl2.json", &json::to_string(&sweeps[0]));
 }
 
 /// Table III's machinery: swap counts for one B and one UM workload under
-/// DIO and the three Dike variants.
+/// DIO and the three Dike variants, read from their Figure 6 run.
 #[test]
 fn table3_swaps_are_byte_identical_to_pre_refactor_golden() {
     let opts = small_opts();
-    let t3 = table3::run_subset_pool(&opts, &[1, 13], &Pool::new(1));
+    let t3 = Table3::of(&fig6::run_subset_pool(&opts, &[1, 13], &Pool::new(1)));
     check_golden("golden_table3.json", &json::to_string(&t3));
 }
 
 /// Figure 6's machinery: the five-scheduler comparison set on WL1 (the
-/// cells behind both 6a fairness improvements and 6b speedups).
+/// cells behind both 6a fairness improvements and 6b speedups). The set
+/// is migration-only, so the partition actuator, compiled into every
+/// machine, stays at rest: its state, occupancy observations and epoch
+/// plumbing change nothing until a policy issues a plan.
 #[test]
 fn fig6_comparison_is_byte_identical_to_pre_refactor_golden() {
     let opts = small_opts();
     let fig = fig6::run_subset_pool(&opts, &[1], &Pool::new(1));
+    for cell in fig.rows.iter().flatten() {
+        assert!(
+            cell.scheduler != "LFOC" && cell.scheduler != "Dike+LFOC",
+            "comparison_set must stay migration-only"
+        );
+    }
     check_golden("golden_fig6_wl1.json", &json::to_string(&fig));
 }
 
@@ -135,26 +143,6 @@ fn cachepart_grid_is_byte_identical_to_golden() {
     let opts = small_opts();
     let points = cachepart::run_cachepart_pool(&[1, 13], &opts, &Pool::new(1));
     check_golden("golden_cachepart.json", &json::to_string(&points));
-}
-
-/// The partition actuator at rest must be *absent*, not merely unused: a
-/// migration-only policy on a partition-capable machine reproduces the
-/// committed Figure 6 golden byte for byte (the new partition state,
-/// occupancy observations, and epoch plumbing change nothing until a
-/// policy issues a plan).
-#[test]
-fn migration_only_policies_reproduce_the_fig6_golden_with_partitioning_compiled_in() {
-    let opts = small_opts();
-    let fig = fig6::run_subset_pool(&opts, &[1], &Pool::new(1));
-    for row in &fig.rows {
-        for cell in row {
-            assert!(
-                cell.scheduler != "LFOC" && cell.scheduler != "Dike+LFOC",
-                "comparison_set must stay migration-only"
-            );
-        }
-    }
-    check_golden("golden_fig6_wl1.json", &json::to_string(&fig));
 }
 
 /// The failover grid's quick pair, pinned: this golden holds the

@@ -3,10 +3,8 @@
 //! to the serial path. This is what lets `DIKE_THREADS=N` be a pure
 //! wall-clock knob with no effect on any recorded figure or fixture.
 
-use dike_experiments::sweep::sweep_workload_pool;
-use dike_experiments::{
-    cachepart, failover, fig6, fleet, open, robustness, scale, table3, RunOptions,
-};
+use dike_experiments::sweep::sweep_workloads_pool;
+use dike_experiments::{cachepart, failover, fig6, fleet, open, robustness, scale, RunOptions};
 use dike_machine::presets;
 use dike_util::{json, Pool};
 use dike_workloads::paper;
@@ -23,14 +21,14 @@ fn small_opts() -> RunOptions {
 fn parallel_sweep_json_is_byte_identical_across_thread_counts() {
     let opts = small_opts();
     let cfg = presets::paper_machine(1);
-    let workload = paper::workload(1);
+    let workloads = [paper::workload(1)];
 
-    let serial = sweep_workload_pool(&cfg, &workload, &opts, &Pool::new(1));
+    let serial = sweep_workloads_pool(&cfg, &workloads, &opts, &Pool::new(1));
     let serial_json = json::to_string(&serial);
     assert!(serial_json.contains("\"workload\""), "sweep serializes");
 
     for threads in [2usize, 8] {
-        let parallel = sweep_workload_pool(&cfg, &workload, &opts, &Pool::new(threads));
+        let parallel = sweep_workloads_pool(&cfg, &workloads, &opts, &Pool::new(threads));
         let parallel_json = json::to_string(&parallel);
         assert_eq!(
             serial_json, parallel_json,
@@ -50,14 +48,6 @@ fn fig6_comparison_set_is_thread_count_invariant() {
             "{threads}-thread Fig 6 differs from serial"
         );
     }
-}
-
-#[test]
-fn table3_swap_counts_are_thread_count_invariant() {
-    let opts = small_opts();
-    let serial = table3::run_subset_pool(&opts, &[1], &Pool::new(1));
-    let parallel = table3::run_subset_pool(&opts, &[1], &Pool::new(4));
-    assert_eq!(serial, parallel);
 }
 
 #[test]

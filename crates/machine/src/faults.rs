@@ -330,112 +330,6 @@ impl FaultConfig {
     }
 }
 
-/// Second-and-third rounds of the SplitMix64 mix, from a pre-mixed
-/// per-channel base (`splitmix64(seed ^ salt)`).
-fn mix2(base: u64, thread: u32, quantum: u64) -> u64 {
-    let mut s2 = base ^ (thread as u64);
-    let h2 = splitmix64(&mut s2);
-    let mut s3 = h2 ^ quantum;
-    splitmix64(&mut s3)
-}
-
-/// Pre-mixed fault-draw state for one run.
-///
-/// The first round of `mix` depends only on `(seed, salt)`, both fixed
-/// for a run, so the hasher caches it per channel once and every draw
-/// costs two SplitMix64 rounds instead of three. The draws are
-/// bit-identical to the corresponding [`FaultConfig`] methods (asserted by
-/// a regression test).
-#[derive(Debug, Clone, Copy)]
-pub struct FaultHasher {
-    cfg: FaultConfig,
-    base_telemetry: u64,
-    base_corrupt: u64,
-    base_noise: u64,
-    base_migration: u64,
-    base_stall: u64,
-}
-
-impl FaultHasher {
-    /// Pre-mix the per-channel bases for `cfg`.
-    pub fn new(cfg: &FaultConfig) -> Self {
-        let base = |salt: u64| {
-            let mut s = cfg.seed ^ salt;
-            splitmix64(&mut s)
-        };
-        FaultHasher {
-            cfg: *cfg,
-            base_telemetry: base(SALT_TELEMETRY),
-            base_corrupt: base(SALT_CORRUPT_KIND),
-            base_noise: base(SALT_NOISE),
-            base_migration: base(SALT_MIGRATION),
-            base_stall: base(SALT_STALL),
-        }
-    }
-
-    /// Same draw as [`FaultConfig::telemetry_fault`].
-    pub fn telemetry_fault(&self, thread: u32, quantum: u64) -> Option<FaultKind> {
-        let c = &self.cfg;
-        let budget = c.dropout_rate + c.corruption_rate + c.stale_rate;
-        if budget <= 0.0 {
-            return None;
-        }
-        let u = unit(mix2(self.base_telemetry, thread, quantum));
-        if u < c.dropout_rate {
-            return Some(FaultKind::Dropout);
-        }
-        if u < c.dropout_rate + c.corruption_rate {
-            let k = mix2(self.base_corrupt, thread, quantum) % 3;
-            return Some(match k {
-                0 => FaultKind::CorruptNan,
-                1 => FaultKind::CorruptZero,
-                _ => FaultKind::CorruptSaturate,
-            });
-        }
-        if u < budget {
-            return Some(FaultKind::Stale);
-        }
-        None
-    }
-
-    /// Same draw as [`FaultConfig::noise_factor`].
-    pub fn noise_factor(&self, thread: u32, quantum: u64) -> f64 {
-        if self.cfg.noise_amplitude <= 0.0 {
-            return 1.0;
-        }
-        let u = unit(mix2(self.base_noise, thread, quantum));
-        1.0 + self.cfg.noise_amplitude * (2.0 * u - 1.0)
-    }
-
-    /// Same draw as [`FaultConfig::migration_fault`].
-    pub fn migration_fault(&self, thread: u32, quantum: u64) -> Option<FaultKind> {
-        let c = &self.cfg;
-        let budget = c.migration_fail_rate + c.migration_delay_rate;
-        if budget <= 0.0 {
-            return None;
-        }
-        let u = unit(mix2(self.base_migration, thread, quantum));
-        if u < c.migration_fail_rate {
-            return Some(FaultKind::MigrationFail);
-        }
-        if u < budget {
-            return Some(FaultKind::MigrationDelay);
-        }
-        None
-    }
-
-    /// Same draw as [`FaultConfig::stall`].
-    pub fn stall(&self, thread: u32, quantum: u64) -> bool {
-        self.cfg.stall_rate > 0.0
-            && unit(mix2(self.base_stall, thread, quantum)) < self.cfg.stall_rate
-    }
-
-    /// Same draw as [`FaultConfig::partition_fault`].
-    pub fn partition_fault(&self, quantum: u64) -> Option<FaultKind> {
-        self.migration_fault(u32::MAX, quantum)
-    }
-}
-
 /// Whole-machine fault process, drawn once per *fleet epoch* per machine
 /// at the dispatcher's barrier.
 ///
@@ -680,10 +574,10 @@ mod tests {
     use dike_util::json;
 
     /// The driver draws on every call, so the default's zero rates must
-    /// draw nothing through the hasher it uses, whatever the seed and the
-    /// channels' other parameters: no telemetry or actuation fault, a
-    /// noise factor of exactly 1.0 and no stall, for any thread (the
-    /// partition sentinel included) at any quantum.
+    /// draw nothing, whatever the seed and the channels' other
+    /// parameters: no telemetry or actuation fault, a noise factor of
+    /// exactly 1.0 and no stall, for any thread (the partition sentinel
+    /// included) at any quantum.
     #[test]
     fn default_config_is_inert_and_valid() {
         FaultConfig::default().validate().unwrap();
@@ -695,7 +589,6 @@ mod tests {
                 ..FaultConfig::default()
             };
             cfg.validate().unwrap();
-            let h = FaultHasher::new(&cfg);
             for _ in 0..64 {
                 let t = match rng.gen_range(0u32..3) {
                     0 => u32::MAX,
@@ -703,18 +596,11 @@ mod tests {
                     _ => rng.gen_range(0u32..=u32::MAX),
                 };
                 let q = rng.gen_range(0u64..u64::MAX);
-                // The reference draws the hasher is checked against...
                 assert_eq!(cfg.telemetry_fault(t, q), None);
                 assert_eq!(cfg.noise_factor(t, q), 1.0);
                 assert_eq!(cfg.migration_fault(t, q), None);
                 assert!(!cfg.stall(t, q));
                 assert_eq!(cfg.partition_fault(q), None);
-                // ...and the hasher the driver draws through.
-                assert_eq!(h.telemetry_fault(t, q), None);
-                assert_eq!(h.noise_factor(t, q), 1.0);
-                assert_eq!(h.migration_fault(t, q), None);
-                assert!(!h.stall(t, q));
-                assert_eq!(h.partition_fault(q), None);
             }
             assert!(FaultPlan::generate("inert", &cfg, 8, 50).events.is_empty());
         });
@@ -899,39 +785,13 @@ mod tests {
     }
 
     #[test]
-    fn hasher_reproduces_config_draws_bit_for_bit() {
-        // The pre-mixed FaultHasher must agree with the three-round mix on
-        // every channel.
-        let cfg = FaultConfig::combined_worst(17);
-        let h = FaultHasher::new(&cfg);
-        for q in 0..64 {
-            for t in 0..12u32 {
-                assert_eq!(h.telemetry_fault(t, q), cfg.telemetry_fault(t, q));
-                assert_eq!(h.noise_factor(t, q), cfg.noise_factor(t, q));
-                assert_eq!(h.migration_fault(t, q), cfg.migration_fault(t, q));
-                assert_eq!(h.stall(t, q), cfg.stall(t, q));
-            }
-        }
-        // Inert configs stay inert through the hasher too.
-        let inert = FaultHasher::new(&FaultConfig::default());
-        assert_eq!(inert.telemetry_fault(0, 0), None);
-        assert_eq!(inert.noise_factor(0, 0), 1.0);
-        assert_eq!(inert.migration_fault(0, 0), None);
-        assert!(!inert.stall(0, 0));
-        assert_eq!(inert.partition_fault(0), None);
-    }
-
-    #[test]
     fn partition_faults_share_the_migration_channel_under_a_sentinel() {
-        // Partition draws are migration draws at thread u32::MAX: the
-        // hasher and config agree, real-thread migration draws are
-        // untouched, and an actuation axis makes some partition requests
-        // fail or delay over a long horizon.
+        // Partition draws are migration draws at thread u32::MAX: real-thread
+        // migration draws are untouched, and an actuation axis makes some
+        // partition requests fail or delay over a long horizon.
         let cfg = FaultConfig::actuation_axis(0.25, 13);
-        let h = FaultHasher::new(&cfg);
         let mut fired = 0;
         for q in 0..200 {
-            assert_eq!(h.partition_fault(q), cfg.partition_fault(q));
             assert_eq!(cfg.partition_fault(q), cfg.migration_fault(u32::MAX, q));
             fired += usize::from(cfg.partition_fault(q).is_some());
         }

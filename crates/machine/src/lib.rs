@@ -57,7 +57,7 @@ pub use contention::{
     NumaDemand, NumaSolution, NumaWarmSolver,
 };
 pub use engine::Machine;
-pub use faults::{FaultConfig, FaultEvent, FaultHasher, FaultKind, FaultPlan, MachineFaultConfig};
+pub use faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, MachineFaultConfig};
 pub use ids::{AppId, BarrierId, DomainId, PCoreId, SimTime, ThreadId, VCoreId, MAX_SPAN_MS};
 pub use partition::PartitionPlan;
 pub use phase::{Phase, PhaseProgram, PhaseRepeat};

@@ -32,8 +32,8 @@ use crate::scheduler::Scheduler;
 use crate::view::{Actions, CoreObservation, SystemView, ThreadObservation};
 use dike_counters::RateSample;
 use dike_machine::{
-    CoreCounters, FaultHasher, FaultKind, Machine, PartitionPlan, SimTime, ThreadCounters,
-    ThreadId, ThreadSpec, VCoreId,
+    CoreCounters, FaultKind, Machine, PartitionPlan, SimTime, ThreadCounters, ThreadId, ThreadSpec,
+    VCoreId,
 };
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -436,7 +436,6 @@ pub fn drive(
         // fault-free run applies nothing and stays byte-identical to the
         // committed goldens.
         let faults = machine.config().faults;
-        let hasher = FaultHasher::new(&faults);
 
         // Admit everything due by `now`: move due plan entries to the wait
         // queue, then place queued specs (FIFO) on idle vcores, lowest id
@@ -527,7 +526,7 @@ pub fn drive(
                 );
                 w.prev = cur;
                 let true_rates = rates;
-                let mut fault = hasher.telemetry_fault(id.0, q);
+                let mut fault = faults.telemetry_fault(id.0, q);
                 if fault == Some(FaultKind::Stale) && !w.rate_seen {
                     // A stale sensor with no prior sample has nothing to
                     // replay; replaying `RateSample::default()` would hand
@@ -558,7 +557,7 @@ pub fn drive(
                     Some(FaultKind::Stale) => rates = w.last_rates,
                     _ => {}
                 }
-                let nf = hasher.noise_factor(id.0, q);
+                let nf = faults.noise_factor(id.0, q);
                 if nf != 1.0 {
                     rates.access_rate *= nf;
                     rates.instr_rate *= nf;
@@ -658,7 +657,7 @@ pub fn drive(
             for i in 0..scratch.actions.migrations.len() {
                 let (t, v) = scratch.actions.migrations[i];
                 let tag = scratch.actions.pair_tag(i);
-                match hasher.migration_fault(t.0, q) {
+                match faults.migration_fault(t.0, q) {
                     Some(FaultKind::MigrationFail) => {
                         // Silently lost; the pair member's outcome is known.
                         if let Some(g) = tag {
@@ -692,7 +691,7 @@ pub fn drive(
                 // Nothing has finished since the view, so the watch list
                 // is exactly the live set, ascending.
                 for w in &scratch.watch {
-                    if hasher.stall(w.id.0, q) {
+                    if faults.stall(w.id.0, q) {
                         machine.stall(w.id, SimTime::from_us(faults.stall_us));
                     }
                 }
@@ -700,7 +699,7 @@ pub fn drive(
             // LLC partition actuation: land a delay-deferred plan first, then
             // route this quantum's plan (if any) through the same fault
             // channel migrations use (under a sentinel thread id — see
-            // `FaultHasher::partition_fault`). The machine applies plans
+            // `FaultConfig::partition_fault`). The machine applies plans
             // wholesale, so there is at most one in flight; an invalid plan
             // is dropped, mirroring `Machine::migrate`'s silent no-op on a
             // stale target.
@@ -713,7 +712,7 @@ pub fn drive(
                 partitions += u64::from(machine.apply_partition(&plan).is_ok());
             }
             if let Some(plan) = scratch.actions.partition.take() {
-                match hasher.partition_fault(q) {
+                match faults.partition_fault(q) {
                     Some(FaultKind::MigrationFail) => {} // silently lost
                     Some(FaultKind::MigrationDelay) => {
                         // A newer delayed plan supersedes an older one, as a

@@ -17,27 +17,46 @@
 //! assert_eq!(ALLOC.allocations() - before, 0);
 //! ```
 //!
-//! Every `alloc`, `alloc_zeroed`, and growth `realloc` counts as one
-//! allocation event; `dealloc` does not (freeing is not the behaviour the
+//! Every `alloc`, `alloc_zeroed`, and `realloc` counts as one allocation
+//! event; `dealloc` does not (freeing is not the behaviour the
 //! steady-state claim restricts, and counting it would double-charge
 //! temporaries).
+//!
+//! Events are counted per OS thread: [`CountingAllocator::allocations`]
+//! reads the calling thread's count. A test binary is not
+//! single-threaded while a test measures: the harness's own threads
+//! allocate whenever another test starts or finishes, and a process-wide
+//! count would charge those events to the region under test. So a
+//! region is measured on the thread that runs it (a one-worker
+//! [`Pool`](crate::Pool) runs its tasks inline on the caller).
 //!
 //! The allocator also tracks *live* bytes (allocated and not yet freed)
 //! and their high-water mark, for gates on how much a region holds rather
 //! than how often it allocates: snapshot [`CountingAllocator::live`],
 //! call [`CountingAllocator::reset_peak`], run the region, and read
-//! [`CountingAllocator::peak`]. Counters use relaxed atomics: the tests
-//! that read them are single-threaded over the region they measure, and
-//! the counter is a diagnostic, not a synchronisation point.
+//! [`CountingAllocator::peak`]. These stay process-wide, in relaxed
+//! atomics: a heap lives across threads, and the harness's few hundred
+//! bytes are noise against budgets of a hundred kilobytes and more.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// System allocator wrapper that counts allocation events and bytes, and
-/// tracks live bytes and their peak.
+thread_local! {
+    /// Allocation events on this thread. Const-initialised and without a
+    /// destructor, so bumping it from inside the allocator never
+    /// allocates and works until the thread is gone.
+    static EVENTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_event() {
+    EVENTS.with(|e| e.set(e.get() + 1));
+}
+
+/// System allocator wrapper that counts allocation events per thread and
+/// bytes, and tracks live bytes and their peak.
 #[derive(Debug)]
 pub struct CountingAllocator {
-    allocations: AtomicU64,
     bytes: AtomicU64,
     live: AtomicU64,
     peak: AtomicU64,
@@ -47,16 +66,16 @@ impl CountingAllocator {
     /// A fresh counter (const so it can be a `static`).
     pub const fn new() -> Self {
         CountingAllocator {
-            allocations: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             live: AtomicU64::new(0),
             peak: AtomicU64::new(0),
         }
     }
 
-    /// Total allocation events (alloc + alloc_zeroed + realloc) so far.
+    /// Allocation events (alloc + alloc_zeroed + realloc) made on the
+    /// calling thread so far.
     pub fn allocations(&self) -> u64 {
-        self.allocations.load(Ordering::Relaxed)
+        EVENTS.with(Cell::get)
     }
 
     /// Total bytes requested across all allocation events so far.
@@ -97,12 +116,13 @@ impl Default for CountingAllocator {
 }
 
 // SAFETY: defers all allocation to `System`, which upholds the
-// `GlobalAlloc` contract; the wrapper only bumps atomic counters. Live
+// `GlobalAlloc` contract; the wrapper only bumps counters (a
+// const-initialised, drop-free thread-local and atomics). Live
 // bytes move only when `System` succeeds, so a failed call leaves them
 // as they were.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        count_event();
         self.bytes
             .fetch_add(layout.size() as u64, Ordering::Relaxed);
         let ptr = System.alloc(layout);
@@ -113,7 +133,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        count_event();
         self.bytes
             .fetch_add(layout.size() as u64, Ordering::Relaxed);
         let ptr = System.alloc_zeroed(layout);
@@ -124,7 +144,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        count_event();
         self.bytes.fetch_add(
             new_size.saturating_sub(layout.size()) as u64,
             Ordering::Relaxed,
@@ -156,6 +176,7 @@ mod tests {
     #[test]
     fn live_and_peak_bytes_follow_the_heap() {
         let a = CountingAllocator::new();
+        let events = a.allocations();
         let layout = |size| Layout::from_size_align(size, 8).expect("layout");
         // SAFETY: every pointer comes from `a` and is freed or resized
         // with the layout it was last given.
@@ -174,6 +195,6 @@ mod tests {
             a.dealloc(p, layout(32));
             assert_eq!((a.live(), a.peak()), (0, 48));
         }
-        assert_eq!(a.allocations(), 4);
+        assert_eq!(a.allocations() - events, 4);
     }
 }

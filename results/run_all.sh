@@ -1,15 +1,11 @@
 #!/bin/bash
 # Regenerates every paper artefact; outputs under results/. Runs from the
 # checkout that holds this script, offline like every other build here.
-set -x
+set -ex
 cd "$(dirname "$0")/.."
 B=target/release
 cargo build --release --offline -p dike-experiments
-$B/fig6a --scale 1.0 > results/fig6a.txt 2>&1
-$B/fig6b --scale 1.0 > results/fig6b.txt 2>&1
-$B/table3 --scale 1.0 > results/table3.txt 2>&1
-$B/fig7 --scale 1.0 > results/fig7.txt 2>&1
-$B/fig8 --scale 1.0 > results/fig8.txt 2>&1
+$B/fig6 --scale 1.0 > results/fig6.txt 2>&1
 $B/fig1 --scale 1.0 > results/fig1.txt 2>&1
 $B/fig2 --scale 0.3 > results/fig2.txt 2>&1
 $B/fig4 --scale 0.3 > results/fig4.txt 2>&1

@@ -122,8 +122,9 @@ step "failover-smoke" bash -c \
 step "cachepart-smoke" bash -c \
     'cargo run -q --release --offline -p dike-experiments --bin cachepart -- --scale 0.02 > /dev/null'
 
-# Golden drift: replay the golden-fixture suite and prove the committed
-# results/ artefacts are byte-identical to the working tree.
+# Golden drift: replay the golden-fixture suite, regenerate results/
+# with results/run_all.sh (about 8 s in release) and prove that the
+# regenerated artefacts and the goldens equal the committed ones.
 step "golden-check" scripts/golden_check.sh
 
 # The benchmark (declared by BENCHMARK.json) is a package of its own

@@ -6,11 +6,11 @@
 //!
 //! * [`machine`] — the simulated heterogeneous multicore.
 //! * `workloads` — Rodinia-style application models and the paper's WL1–16.
-//! * `counters` — counter-rate plumbing and estimators.
+//! * `counters` — counter-rate plumbing and the `CoreBW` moving mean.
 //! * `sched_core` — the scheduler framework and run loop.
 //! * `dike` — the Dike scheduler (Observer/Selector/Predictor/Decider/
 //!   Migrator/Optimizer).
-//! * `baselines` — CFS stand-in, DIO, random, oracle.
+//! * `baselines` — CFS stand-in, DIO, random, sort-once, LFOC.
 //! * `metrics` — fairness/performance/prediction-error metrics.
 //! * `experiments` — per-figure/table experiment drivers.
 //! * `util` — in-tree RNG, JSON, property-check, allocation-counting and

@@ -13,6 +13,7 @@
 use dike_repro::experiments::{fig6, run_cell, RunOptions, SchedKind};
 use dike_repro::machine::presets;
 use dike_repro::metrics::geometric_mean;
+use dike_repro::util::Pool;
 use dike_repro::workloads::paper;
 
 fn opts(scale: f64) -> RunOptions {
@@ -32,7 +33,7 @@ fn geomeans(matrix: &[Vec<f64>]) -> Vec<f64> {
 #[test]
 fn light_headline_shape() {
     // One workload per class at small scale.
-    let fig = fig6::run_subset(&opts(0.1), &[1, 9, 13]);
+    let fig = fig6::run_subset_pool(&opts(0.1), &[1, 9, 13], &Pool::from_env());
     let dike = fig.schedulers.iter().position(|s| s == "Dike").unwrap();
     let dio = fig.schedulers.iter().position(|s| s == "DIO").unwrap();
 
@@ -139,7 +140,7 @@ fn wl15_is_migration_sensitive() {
 fn full_headline_orderings() {
     // Eight workloads spanning all classes at a scale where the settle
     // phase is amortised, as in the paper's multi-minute runs.
-    let fig = fig6::run_subset(&opts(0.5), &[1, 3, 7, 9, 12, 13, 15, 16]);
+    let fig = fig6::run_subset_pool(&opts(0.5), &[1, 3, 7, 9, 12, 13, 15, 16], &Pool::from_env());
     let dike = fig.schedulers.iter().position(|s| s == "Dike").unwrap();
     let dio = fig.schedulers.iter().position(|s| s == "DIO").unwrap();
     let af = fig.schedulers.iter().position(|s| s == "Dike-AF").unwrap();

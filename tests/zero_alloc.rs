@@ -49,9 +49,10 @@ use std::sync::{Mutex, MutexGuard};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
-/// The counter is process-global and `cargo test` runs tests on parallel
-/// threads, so each measurement holds this lock for its whole run: no
-/// other test's allocations land between its samples.
+/// Allocation events are counted per thread, but live and peak bytes are
+/// process-wide and `cargo test` runs tests on parallel threads, so each
+/// measurement holds this lock for its whole run: no other test's heap
+/// lands between its samples.
 static MEASURING: Mutex<()> = Mutex::new(());
 
 fn measure_alone() -> MutexGuard<'static, ()> {
