@@ -134,7 +134,7 @@ pub fn run_open_cell(
     let plan: Vec<TimedSpawn> = trace
         .spawn_plan(opts.scale)
         .into_iter()
-        .map(|(at, spec)| TimedSpawn { at, spec })
+        .map(|(at, spec, threads)| TimedSpawn { at, spec, threads })
         .collect();
     let deadline = SimTime::from_secs_f64(opts.deadline_s);
     let mut policy = PolicyHandle::build(kind, &machine.config().llc);

@@ -311,8 +311,8 @@ pub(crate) struct Lane {
     pub(crate) retired: Retired,
     /// The machine's policy, over the same lifetime.
     sched: Option<Box<dyn Scheduler + Send>>,
-    /// Work waiting for the machine: its last epoch's leftovers, then the
-    /// arrivals routed to it since.
+    /// Work waiting for the machine, one entry per event: its last
+    /// epoch's leftovers, then the events routed to it since.
     pending: Vec<TimedSpawn>,
     /// Scheduling quanta the machine has executed.
     quanta: u64,
@@ -324,6 +324,11 @@ impl Lane {
         self.machine
             .as_ref()
             .map_or(self.retired.spans.len(), Machine::num_threads)
+    }
+
+    /// Threads waiting for the lane's machine.
+    fn queued(&self) -> u64 {
+        self.pending.iter().map(|ts| u64::from(ts.threads)).sum()
     }
 
     /// Threads alive on the lane's machine.
@@ -425,15 +430,21 @@ impl FleetRunner {
             .iter()
             .map(|m| traces[m.tenant as usize].events[m.event as usize].nthreads)
             .collect();
-        // Every thread of global merged event `g` spawns as `AppId(g)` and
-        // `BarrierId(g)`: two tenants' arrivals stay distinct applications
-        // on a shared machine, and barrier groups never span machines.
-        // Its program is its kind's, shared by refcount.
+        // A routed event is one plan entry until its machine spawns its
+        // threads. Every thread of global merged event `g` spawns as
+        // `AppId(g)` and `BarrierId(g)`: two tenants' arrivals stay
+        // distinct applications on a shared machine, and barrier groups
+        // never span machines. Its program is its kind's, shared by
+        // refcount.
         let programs = ProgramTable::new(cfg.scale);
-        let spec_of = |g: u32| {
+        let entry = |g: u32, at: SimTime| {
             let ev = &merged[g as usize];
             let event = &traces[ev.tenant as usize].events[ev.event as usize];
-            programs.spec(event.app, AppId(g), BarrierId(g))
+            TimedSpawn {
+                at,
+                spec: programs.spec(event.app, AppId(g), BarrierId(g)),
+                threads: event.nthreads,
+            }
         };
 
         let epoch_ms = fo.epoch_ms;
@@ -453,10 +464,6 @@ impl FleetRunner {
         let mut running: Vec<u64> = vec![0; n];
         let mut book = OrphanBook::new(merged.len(), n_tenants);
         let mut blind = LoadRouter::new(vcores.clone(), &cfg.dispatch);
-        // A barrier's routed events, (event, arrival instant, machine), in
-        // routing order; and each machine's thread share of them.
-        let mut routed: Vec<(u32, SimTime, usize)> = Vec::new();
-        let mut share: Vec<usize> = vec![0; n];
 
         let mut quarantines = 0u64;
         let mut readmissions = 0u64;
@@ -474,10 +481,7 @@ impl FleetRunner {
         // admitted on a machine, queued in a lane, waiting as an orphan,
         // or lost. O(machines + pending orphans), no per-thread scan.
         let accounted = |book: &OrphanBook, lanes: &[Lane]| -> u64 {
-            let held: u64 = lanes
-                .iter()
-                .map(|l| (l.admitted() + l.pending.len()) as u64)
-                .sum();
+            let held: u64 = lanes.iter().map(|l| l.admitted() as u64 + l.queued()).sum();
             held + book.pending_threads(&threads_of) + book.lost_threads
         };
 
@@ -529,31 +533,25 @@ impl FleetRunner {
                                 admitted_stamp[machine.app_of(t).0 as usize] = crash_stamp;
                             }
                         }
-                        let mut j = 0;
-                        while j < stranded.len() {
-                            let g = stranded[j].spec.app.0;
-                            let mut k = j;
-                            while k < stranded.len() && stranded[k].spec.app.0 == g {
-                                k += 1;
-                            }
+                        for ts in stranded {
+                            let g = ts.spec.app.0;
                             if admitted_stamp[g as usize] == crash_stamp {
-                                lane.pending.extend_from_slice(&stranded[j..k]);
+                                lane.pending.push(ts);
                             } else {
                                 book.orphan_or_lose(
                                     g,
-                                    (k - j) as u32,
+                                    ts.threads,
                                     tenant_of[g as usize],
-                                    stranded[j].at,
+                                    ts.at,
                                     e,
                                     fo.retry_budget,
                                 );
                             }
-                            j = k;
                         }
                     } else {
                         // Blind baseline: the stranded queue is lost.
                         for ts in &stranded {
-                            book.lose(1, tenant_of[ts.spec.app.0 as usize]);
+                            book.lose(ts.threads, tenant_of[ts.spec.app.0 as usize]);
                         }
                     }
                 } else if e >= h.brown_until && fo.faults.brownout_at(i as u32, e) {
@@ -571,7 +569,7 @@ impl FleetRunner {
             let mut backlog: Vec<f64> = lanes
                 .iter()
                 .zip(&running)
-                .map(|(l, &r)| l.pending.len() as f64 + r as f64)
+                .map(|(l, &r)| l.queued() as f64 + r as f64)
                 .collect();
             let route_healthy = |g: u32, backlog: &mut [f64]| -> usize {
                 let home = homes[tenant_of[g as usize] as usize];
@@ -618,8 +616,8 @@ impl FleetRunner {
                         }
                         continue;
                     }
-                    let at = o.at.max(e_start);
-                    routed.push((o.event, at, route_healthy(o.event, &mut backlog)));
+                    let i = route_healthy(o.event, &mut backlog);
+                    lanes[i].pending.push(entry(o.event, o.at.max(e_start)));
                     book.redispatched += 1;
                 }
             }
@@ -646,7 +644,8 @@ impl FleetRunner {
                     if routable.is_empty() {
                         book.orphan_or_lose(g, nthreads, tenant, at, e, fo.retry_budget);
                     } else {
-                        routed.push((g, at, route_healthy(g, &mut backlog)));
+                        let i = route_healthy(g, &mut backlog);
+                        lanes[i].pending.push(entry(g, at));
                     }
                 } else {
                     // Blind decayed-load router over ALL machines, unaware
@@ -657,28 +656,10 @@ impl FleetRunner {
                         // the cost of dispatching blind.
                         book.lose(nthreads, tenant);
                     } else {
-                        routed.push((g, at, best));
+                        lanes[best].pending.push(entry(g, at));
                     }
                 }
                 next_event += 1;
-            }
-
-            // Size each lane once for the barrier's arrivals, then expand
-            // their specs in routing order: pushing as each event is routed
-            // would grow every lane by doubling.
-            for &(g, _, i) in &routed {
-                share[i] += threads_of[g as usize] as usize;
-            }
-            for (lane, s) in lanes.iter_mut().zip(&mut share) {
-                lane.pending.reserve_exact(std::mem::take(s));
-            }
-            for (g, at, i) in routed.drain(..) {
-                let spec = spec_of(g);
-                let threads = (0..threads_of[g as usize]).map(|_| TimedSpawn {
-                    at,
-                    spec: spec.clone(),
-                });
-                lanes[i].pending.extend(threads);
             }
             debug_assert_eq!(
                 accounted(&book, &lanes),
@@ -819,6 +800,7 @@ impl Epochs {
         let mut machines = Vec::with_capacity(lanes.len());
         for (i, mut lane) in lanes.into_iter().enumerate() {
             lane.retire();
+            let queued = lane.queued();
             let Retired { mut spans, end } = lane.retired;
             for s in &mut spans {
                 s.app = tenant_of[s.app as usize];
@@ -827,7 +809,7 @@ impl Epochs {
                 machine: i as u32,
                 admitted: spans.len() as u64,
                 drained: spans.iter().filter(|s| s.finished_at.is_some()).count() as u64,
-                queued: lane.pending.len() as u64,
+                queued,
                 crashes: health[i].crashes,
                 brownouts: health[i].brownouts,
                 down_at_end: health[i].is_down(),
@@ -893,6 +875,7 @@ impl Epochs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dike_util::check::check;
     use dike_util::json;
     use dike_workloads::ArrivalConfig;
 
@@ -1139,6 +1122,106 @@ mod tests {
         let without = run(false);
         assert!(without.ledger.lost > 0, "blind crashes lose the queue");
         assert_eq!(without.orphaned, 0);
+    }
+
+    /// Under random crash and brownout faults, health-aware and blind,
+    /// every admitted event runs on one machine and admits at most its
+    /// threads: the barrier routes each event as one plan entry, crash
+    /// orphaning moves whole entries, and a partly admitted entry keeps
+    /// its remainder on its machine. Read from each lane's retired
+    /// record, as the roll-up reads them.
+    #[test]
+    fn admitted_events_stay_whole_under_machine_faults() {
+        check(
+            "admitted_events_stay_whole_under_machine_faults",
+            12,
+            |rng| {
+                let mut cfg = tiny_fleet(rng.gen_range(0u64..1_000));
+                for m in &mut cfg.machines {
+                    *m = dike_machine::presets::small_machine(m.seed);
+                }
+                for t in &mut cfg.tenants {
+                    t.arrivals.mean_interarrival_ms = 150.0;
+                    t.arrivals.threads_max = 12;
+                }
+                cfg.scale = 0.05;
+                let fo = FailoverConfig {
+                    failover: rng.gen_bool(),
+                    retry_budget: rng.gen_range(0u64..4) as u32,
+                    faults: MachineFaultConfig {
+                        crash_rate: rng.gen_range(0u64..500) as f64 / 1_000.0,
+                        recovery_epochs: rng.gen_range(0u64..3) as u32,
+                        brownout_rate: rng.gen_range(0u64..500) as f64 / 1_000.0,
+                        brownout_epochs: rng.gen_range(1u64..3) as u32,
+                        brownout_stall_ms: 1_500,
+                        seed: rng.gen_range(0u64..u64::MAX),
+                    },
+                    ..Default::default()
+                };
+                let runner = FleetRunner::new(cfg);
+                let mut epochs = runner.epochs(&Pool::new(1), &fo, default_policy);
+                let n_events = epochs.threads_of.len();
+                let mut machine_of: Vec<Option<usize>> = vec![None; n_events];
+                let mut admitted = vec![0u32; n_events];
+                for (i, lane) in epochs.lanes.iter_mut().enumerate() {
+                    lane.retire();
+                    for span in &lane.retired.spans {
+                        let g = span.app as usize;
+                        let first = *machine_of[g].get_or_insert(i);
+                        assert_eq!(first, i, "event {g} ran on two machines");
+                        admitted[g] += 1;
+                    }
+                }
+                for (g, (&a, &t)) in admitted.iter().zip(&epochs.threads_of).enumerate() {
+                    assert!(a <= t, "event {g} admitted {a} of its {t} threads");
+                }
+                let r = epochs.roll_up(&runner.cfg, "dike", fo.failover);
+                r.ledger.assert_holds("random machine faults");
+            },
+        );
+    }
+
+    /// A permanently down machine keeps its queue on the ledger. With
+    /// every machine down from the first barrier, the blind router loses
+    /// the arrivals due inside the run and queues those due after its end
+    /// in their machines' lanes, where the machines' `queued` and the
+    /// ledger's `in_flight` count their threads.
+    #[test]
+    fn a_down_machines_queue_stays_in_flight() {
+        let mut cfg = tiny_fleet(53);
+        cfg.deadline_s = 4.0;
+        let runner = FleetRunner::new(cfg);
+        let fo = FailoverConfig {
+            epoch_ms: 4_000,
+            failover: false,
+            faults: MachineFaultConfig {
+                crash_rate: 1.0,
+                recovery_epochs: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let r = runner.run_failover(&Pool::new(1), &fo);
+        r.ledger.assert_holds("every machine down for good");
+        let traces = tenant_traces(&runner.cfg);
+        let plan = crate::dispatch(&runner.cfg, &traces);
+        let mut late = vec![0u64; r.machines.len()];
+        let mut early = 0u64;
+        for (ev, &i) in plan.merged.iter().zip(&plan.assignment) {
+            let nthreads = u64::from(traces[ev.tenant as usize].events[ev.event as usize].nthreads);
+            if ev.at_ms >= 4_000 {
+                late[i as usize] += nthreads;
+            } else {
+                early += nthreads;
+            }
+        }
+        assert!(early > 0 && late.iter().all(|&q| q > 0), "{late:?}");
+        for (m, &q) in r.machines.iter().zip(&late) {
+            assert!(m.down_at_end);
+            assert_eq!((m.admitted, m.queued), (0, q), "machine {}", m.machine);
+        }
+        assert_eq!(r.ledger.in_flight, late.iter().sum::<u64>());
+        assert_eq!(r.ledger.lost, early);
     }
 
     #[test]

@@ -158,16 +158,19 @@ fn m1_rollup_equals_the_single_machine_value() {
     let traces = tenant_traces(&cfg);
     let plan = dispatch(&cfg, &traces);
     let programs = ProgramTable::new(cfg.scale);
-    let mut spawns = Vec::new();
-    for (g, ev) in plan.merged.iter().enumerate() {
-        let event = &traces[ev.tenant as usize].events[ev.event as usize];
-        for _ in 0..event.nthreads {
-            spawns.push(TimedSpawn {
+    let spawns: Vec<TimedSpawn> = plan
+        .merged
+        .iter()
+        .enumerate()
+        .map(|(g, ev)| {
+            let event = &traces[ev.tenant as usize].events[ev.event as usize];
+            TimedSpawn {
                 at: SimTime::from_ms(ev.at_ms),
                 spec: programs.spec(event.app, AppId(g as u32), BarrierId(g as u32)),
-            });
-        }
-    }
+                threads: event.nthreads,
+            }
+        })
+        .collect();
     let mut machine = Machine::new(cfg.machines[0].clone());
     let mut sched = Dike::fixed(SchedConfig::DEFAULT);
     let deadline = SimTime::from_secs_f64(cfg.deadline_s);

@@ -404,8 +404,8 @@ impl Machine {
     /// and the LLC cluster column. Until [`Machine::retire_finished`] runs,
     /// these columns hold every thread the machine has spawned, so a
     /// caller that knows its spawn count up front — the driver, for its
-    /// arrival plan — sizes each one once instead of growing it by
-    /// doubling. Capacity only: nothing simulated changes.
+    /// arrival plan at every call — sizes each one once instead of
+    /// growing it by doubling. Capacity only: nothing simulated changes.
     pub fn reserve_threads(&mut self, additional: usize) {
         self.history.reserve(additional);
         self.threads.reserve(additional);
@@ -425,11 +425,15 @@ impl Machine {
     /// engine's per-thread tick caches and the LLC cluster column keep
     /// only the threads still alive, and each finished thread keeps only
     /// its 24-B history (app, spawn and finish time). Stable and in place:
-    /// the surviving rows keep their ascending id order, each column keeps
-    /// its capacity, nothing allocates, and the walk lists and barrier
-    /// groups are renumbered (a group left without members is dropped).
-    /// Nothing simulated changes: the next tick rebuilds the cached state
-    /// in full, which is bit-identical to reusing it.
+    /// the surviving rows keep their ascending id order, and the walk
+    /// lists and barrier groups are renumbered (a group left without
+    /// members is dropped). Then every hot column shrinks to the live
+    /// rows, so the machine holds no capacity from its busiest stretch
+    /// or from a reservation its plan did not use; the next
+    /// [`Machine::reserve_threads`] sizes the columns again. The history
+    /// keeps its capacity. Nothing simulated changes: the next tick
+    /// rebuilds the cached state in full, which is bit-identical to
+    /// reusing it.
     ///
     /// A retired thread's id stays valid. `app_of`, `spawn_time`,
     /// `finish_time`, `is_alive`, `progress_of`, `thread_ids` and
@@ -441,9 +445,25 @@ impl Machine {
     /// epoch caller retires between epochs, once the driver has reported
     /// the departures.
     pub fn retire_finished(&mut self) {
-        if self.alive.len() == self.threads.len() {
-            return;
+        if self.alive.len() < self.threads.len() {
+            self.compact_finished();
         }
+        self.threads.shrink_to_fit();
+        self.noise_window.shrink_to_fit();
+        self.noise_unit.shrink_to_fit();
+        self.thread_phase.shrink_to_fit();
+        self.thread_boundary.shrink_to_fit();
+        self.thread_demand.shrink_to_fit();
+        self.thread_rate.shrink_to_fit();
+        self.thread_step_miss.shrink_to_fit();
+        self.thread_step_access.shrink_to_fit();
+        self.phase_fresh.shrink_to_fit();
+        self.thread_cluster.shrink_to_fit();
+    }
+
+    /// The compaction half of [`Machine::retire_finished`]: drop every
+    /// finished thread's hot row, in place.
+    fn compact_finished(&mut self) {
         // New rows: the alive list is exactly the rows kept, ascending.
         let mut kept = 0;
         for r in 0..self.threads.len() {
@@ -2032,11 +2052,11 @@ mod tests {
         m.counters(t);
     }
 
-    /// Capacity of every column the machine keeps per spawned thread.
-    fn per_thread_capacities(m: &Machine) -> Vec<usize> {
+    /// Capacity of every column the machine keeps per spawned thread: the
+    /// history's, then every hot column's.
+    fn per_thread_capacities(m: &Machine) -> (usize, Vec<usize>) {
         let t = &m.threads;
-        vec![
-            m.history.capacity(),
+        let hot = vec![
             t.ids.capacity(),
             t.specs.capacity(),
             t.vcore.capacity(),
@@ -2058,7 +2078,8 @@ mod tests {
             m.thread_step_access.capacity(),
             m.phase_fresh.capacity(),
             m.thread_cluster.capacity(),
-        ]
+        ];
+        (m.history.capacity(), hot)
     }
 
     #[test]
@@ -2083,9 +2104,37 @@ mod tests {
             )
         };
         let (reserved, after, lines) = run(true);
-        assert!(reserved.iter().all(|&c| c >= n), "{reserved:?}");
+        assert!(
+            reserved.0 >= n && reserved.1.iter().all(|&c| c >= n),
+            "{reserved:?}"
+        );
         assert_eq!(after, reserved, "a reserved column grew");
         assert_eq!(lines, run(false).2);
+    }
+
+    /// Retiring shrinks every hot column to the live rows, both after
+    /// compacting finished threads away and when nothing finished but a
+    /// reservation went unused; the history keeps its capacity. (That
+    /// retiring changes nothing simulated is the fast-vs-cold property's.)
+    #[test]
+    fn retiring_shrinks_every_hot_column_to_the_live_rows() {
+        let n = 40u32;
+        let mut m = Machine::new(small_machine_pinned(5));
+        m.reserve_threads(2 * n as usize);
+        for i in 0..n {
+            let instr = if i % 4 == 0 { 5e8 } else { 2e5 };
+            m.spawn(compute_spec(i % 4, instr), VCoreId(i % 8));
+        }
+        m.run_for(SimTime::from_ms(200));
+        let live = m.alive_ids().count();
+        assert!(0 < live && live < n as usize, "{live} of {n} alive");
+        for reserve in [0, 100] {
+            m.reserve_threads(reserve);
+            m.retire_finished();
+            let (history, hot) = per_thread_capacities(&m);
+            assert!(history >= 2 * n as usize, "the history shrank to {history}");
+            assert_eq!(hot, vec![live; hot.len()], "after reserving {reserve} more");
+        }
     }
 
     #[test]

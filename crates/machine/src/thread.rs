@@ -291,6 +291,21 @@ impl ThreadSlab {
         compact_column(&mut self.counters, keep);
     }
 
+    /// Release every column's capacity beyond its rows.
+    pub fn shrink_to_fit(&mut self) {
+        self.ids.shrink_to_fit();
+        self.specs.shrink_to_fit();
+        self.vcore.shrink_to_fit();
+        self.home_domain.shrink_to_fit();
+        self.retired.shrink_to_fit();
+        self.finished.shrink_to_fit();
+        self.dead_until.shrink_to_fit();
+        self.warmup_until.shrink_to_fit();
+        self.next_barrier_at.shrink_to_fit();
+        self.at_barrier.shrink_to_fit();
+        self.counters.shrink_to_fit();
+    }
+
     /// True once row `i`'s thread has retired all its instructions.
     #[inline]
     pub fn finished(&self, i: usize) -> bool {

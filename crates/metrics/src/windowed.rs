@@ -127,17 +127,20 @@ where
                 }
             }
         }
-        let sojourns: Vec<f64> = per_app.values().flatten().copied().collect();
-        let departures = sojourns.len() as u64;
+        // The mean folds the departures in app order, as `mean` would over
+        // their copy; a fleet's one window can hold every departure of
+        // the run, so no copy is made.
+        let departures = per_app.values().map(Vec::len).sum::<usize>();
+        let mean_sojourn_s = if departures == 0 {
+            0.0
+        } else {
+            per_app.values().flatten().sum::<f64>() / departures as f64
+        };
         points.push(WindowPoint {
             end_s: end,
             fairness: RuntimeMatrix::new(per_app.into_values().collect()).fairness(),
-            mean_sojourn_s: if sojourns.is_empty() {
-                0.0
-            } else {
-                mean(&sojourns)
-            },
-            departures,
+            mean_sojourn_s,
+            departures: departures as u64,
         });
         if end >= horizon_s {
             break;

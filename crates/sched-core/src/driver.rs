@@ -38,14 +38,19 @@ use dike_machine::{
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
-/// A thread arrival scheduled for a future machine time.
+/// An arrival scheduled for a future machine time: `threads` identical
+/// threads that arrive together, such as one application instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedSpawn {
-    /// Machine time at which the thread arrives (rounded up to the tick
+    /// Machine time at which the threads arrive (rounded up to the tick
     /// grid by the driver).
     pub at: SimTime,
-    /// What to spawn.
+    /// What to spawn, once per thread.
     pub spec: ThreadSpec,
+    /// How many threads arrive; at least one. The driver admits them
+    /// one idle vcore at a time, so an entry may be partly admitted
+    /// when a call ends, and its remainder is handed back.
+    pub threads: u32,
 }
 
 /// Outcome of a driven run.
@@ -325,13 +330,16 @@ std::thread_local! {
 /// run drains — no thread alive, nothing pending or queued.
 ///
 /// Besides the run's totals it returns the work still undrained at the
-/// deadline, so an epoch caller can feed it into the machine's next call
-/// or re-dispatch it to a peer: queued specs first, due immediately
+/// deadline, in the plan's form, so an epoch caller can feed it into the
+/// machine's next call or re-dispatch it to a peer: queued entries first,
+/// each with the threads it has not yet admitted and due immediately
 /// because they already arrived (FIFO order preserved — equal arrival
 /// instants keep insertion order through the driver's stable sort), then
-/// the plan entries not yet due, at their original instants. The
-/// per-thread outcomes stay on the machine; [`RunResult::collect`] reads
-/// them, and an epoch caller reads them once at the end of its run
+/// the plan entries not yet due, at their original instants. An entry's
+/// threads are admitted in order, one per idle vcore, exactly as the
+/// same plan with every entry expanded into one-thread entries would be.
+/// The per-thread outcomes stay on the machine; [`RunResult::collect`]
+/// reads them, and an epoch caller reads them once at the end of its run
 /// rather than at every barrier. The caller may retire the threads this
 /// call reported departed (`Machine::retire_finished`) once it returns:
 /// their spans stay in the machine's history, their counters go.
@@ -348,7 +356,8 @@ std::thread_local! {
 ///
 /// Calling `drive` (or [`run`]/[`run_with`]) from inside the scheduler or
 /// the observer of another run on the same thread panics: both calls
-/// would borrow the thread's one scratch set.
+/// would borrow the thread's one scratch set. A plan entry of zero
+/// threads panics too.
 pub fn drive(
     machine: &mut Machine,
     scheduler: &mut dyn Scheduler,
@@ -365,16 +374,20 @@ pub fn drive(
         };
         // The machine advances in whole ticks, so arrival instants round up to
         // the tick grid; equal-time arrivals keep their plan order.
+        let mut plan_threads = 0usize;
         let mut pending: VecDeque<TimedSpawn> = {
             let mut a = arrivals;
             for ts in &mut a {
+                assert!(ts.threads > 0, "a plan entry must carry a thread");
+                plan_threads += ts.threads as usize;
                 let us = ts.at.as_us().div_ceil(tick) * tick;
                 ts.at = SimTime::from_us(us);
             }
             a.sort_by_key(|ts| ts.at);
             a.into()
         };
-        let mut waiting: VecDeque<ThreadSpec> = VecDeque::new();
+        // Due entries, each holding the threads it has not yet admitted.
+        let mut waiting: VecDeque<TimedSpawn> = VecDeque::new();
 
         let mut quantum = clamp_quantum(scheduler.initial_quantum());
         let n_vcores = machine.config().topology.num_vcores();
@@ -391,23 +404,20 @@ pub fn drive(
         // quanta after warmup, and a doubling there would break the
         // steady-state zero-allocation guarantee (see `tests/zero_alloc.rs`).
         // Until it retires them, the machine keeps a hot row for every
-        // thread it admitted (and a history row for good), so a fresh
-        // machine's per-thread columns are sized for the whole plan once,
-        // not doubled as admissions arrive. A machine already running
-        // threads grows as it admits: an epoch caller's later plans carry
-        // queued backlog that may be admitted epochs later, or
-        // re-dispatched to a peer, and reserving for it only inflates the
-        // machine.
-        if machine.num_threads() == 0 {
-            machine.reserve_threads(pending.len());
-        }
+        // thread it admitted (and a history row for good), so every call
+        // sizes the machine's per-thread columns for its plan's threads
+        // once, not doubled as admissions arrive. An epoch caller that
+        // retires finished threads between calls shrinks the hot columns
+        // back to the live threads, so a plan's queued backlog inflates
+        // the machine for one call at most.
+        machine.reserve_threads(plan_threads);
         scratch
             .view
             .departed
-            .reserve(scratch.watch.len() + pending.len());
-        scratch.arrived.reserve(pending.len());
-        scratch.view.arrived.reserve(pending.len());
-        scratch.watch.reserve(pending.len());
+            .reserve(scratch.watch.len() + plan_threads);
+        scratch.arrived.reserve(plan_threads);
+        scratch.view.arrived.reserve(plan_threads);
+        scratch.watch.reserve(plan_threads);
 
         // Core identity (id, kind, domain) is fixed at machine construction:
         // build the observation rows once and only refresh `bandwidth` per
@@ -438,25 +448,31 @@ pub fn drive(
         let faults = machine.config().faults;
 
         // Admit everything due by `now`: move due plan entries to the wait
-        // queue, then place queued specs (FIFO) on idle vcores, lowest id
-        // first. Specs that find no slot stay queued until a departure frees
-        // one.
+        // queue, then place queued threads (FIFO) on idle vcores, lowest id
+        // first, an entry's threads one after another. Threads that find no
+        // slot stay queued until a departure frees one.
         fn admit(
             machine: &mut Machine,
             pending: &mut VecDeque<TimedSpawn>,
-            waiting: &mut VecDeque<ThreadSpec>,
+            waiting: &mut VecDeque<TimedSpawn>,
             scratch: &mut DriverScratch,
         ) {
             while pending.front().is_some_and(|ts| ts.at <= machine.now()) {
-                waiting.push_back(pending.pop_front().expect("checked front").spec);
+                waiting.push_back(pending.pop_front().expect("checked front"));
             }
             if waiting.is_empty() {
                 return;
             }
             machine.idle_vcores_into(&mut scratch.occupied, &mut scratch.idle);
             for i in 0..scratch.idle.len() {
-                let Some(spec) = waiting.pop_front() else {
+                let Some(entry) = waiting.front_mut() else {
                     break;
+                };
+                let spec = if entry.threads == 1 {
+                    waiting.pop_front().expect("checked front").spec
+                } else {
+                    entry.threads -= 1;
+                    entry.spec.clone()
                 };
                 let id = machine.spawn(spec, scratch.idle[i]);
                 scratch.watch.push(Watched::new(machine, id));
@@ -741,7 +757,7 @@ pub fn drive(
         let now = machine.now();
         let leftovers: Vec<TimedSpawn> = waiting
             .into_iter()
-            .map(|spec| TimedSpawn { at: now, spec })
+            .map(|ts| TimedSpawn { at: now, ..ts })
             .chain(pending)
             .collect();
         let totals = RunTotals {
@@ -1023,6 +1039,7 @@ mod tests {
             let arrivals = vec![TimedSpawn {
                 at: SimTime::from_ms(150),
                 spec: spec_for(2, 5e7),
+                threads: 1,
             }];
             let r = collect_drive(
                 &mut m,
@@ -1065,6 +1082,7 @@ mod tests {
         let arrivals = vec![TimedSpawn {
             at: SimTime::from_ms(800),
             spec: spec_for(0, 2e7),
+            threads: 1,
         }];
         let mut s = NullScheduler::new(SimTime::from_ms(100));
         let (totals, leftovers) = drive(&mut m, &mut s, SimTime::from_ms(500), arrivals, |_| {});
@@ -1072,6 +1090,41 @@ mod tests {
         assert_eq!(leftovers.len(), 1);
         assert_eq!(leftovers[0].at, SimTime::from_ms(800));
         assert!(!totals.completed, "an arrival is still pending");
+    }
+
+    /// An entry of more threads than idle vcores admits one thread per
+    /// idle vcore and hands the rest back as one entry, due at once.
+    #[test]
+    fn a_partly_admitted_entry_hands_back_its_remainder() {
+        let mut m = Machine::new(presets::small_machine(1));
+        let arrivals = vec![TimedSpawn {
+            at: SimTime::from_ms(10),
+            spec: spec_for(0, 2e9),
+            threads: 11,
+        }];
+        let mut s = NullScheduler::new(SimTime::from_ms(100));
+        let (totals, leftovers) = drive(&mut m, &mut s, SimTime::from_ms(300), arrivals, |_| {});
+        assert!(!totals.completed);
+        assert_eq!(m.alive_ids().count(), 8);
+        let rest = TimedSpawn {
+            at: SimTime::from_ms(300),
+            spec: spec_for(0, 2e9),
+            threads: 3,
+        };
+        assert_eq!(leftovers, vec![rest]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a plan entry must carry a thread")]
+    fn an_entry_of_no_threads_panics() {
+        let mut m = Machine::new(presets::small_machine(1));
+        let arrivals = vec![TimedSpawn {
+            at: SimTime::ZERO,
+            spec: spec_for(0, 2e7),
+            threads: 0,
+        }];
+        let mut s = NullScheduler::new(SimTime::from_ms(100));
+        drive(&mut m, &mut s, SimTime::from_ms(100), arrivals, |_| {});
     }
 
     #[test]
@@ -1127,6 +1180,7 @@ mod tests {
         let arrivals = vec![TimedSpawn {
             at: SimTime::from_ms(100),
             spec: spec_for(8, 2e7),
+            threads: 1,
         }];
         let mut s = NullScheduler::new(SimTime::from_ms(100));
         let r = collect_drive(&mut m, &mut s, 120.0, arrivals, |_| {});
@@ -1187,6 +1241,7 @@ mod tests {
         let arrivals = vec![TimedSpawn {
             at: SimTime::from_ms(550),
             spec: spec_for(0, 2e8),
+            threads: 1,
         }];
         let mut s = NullScheduler::new(SimTime::from_ms(100));
         let mut first_arrival_view: Option<(SimTime, Vec<ThreadId>)> = None;
@@ -1306,10 +1361,12 @@ mod tests {
             TimedSpawn {
                 at: SimTime::from_us(1_499), // rounds up to 2ms
                 spec: spec_for(0, 2e7),
+                threads: 1,
             },
             TimedSpawn {
                 at: SimTime::from_us(2_000), // same tick, later in plan
                 spec: spec_for(1, 2e7),
+                threads: 1,
             },
         ];
         let mut s = NullScheduler::new(SimTime::from_ms(100));

@@ -12,12 +12,15 @@
 //! * a thread is reported in `departed` at most once, never before it
 //!   finished, and never observed after that; every thread that finished
 //!   by the last view was reported.
+//!
+//! A second property pins the plan's form: an entry of `k` threads drives
+//! a machine exactly as `k` one-thread entries in its place.
 
 use dike_machine::{
     presets, AppId, FaultConfig, Machine, MachineConfig, Phase, PhaseProgram, SimTime, ThreadId,
     ThreadSpec,
 };
-use dike_sched_core::{drive, Actions, Scheduler, SystemView, TimedSpawn};
+use dike_sched_core::{drive, Actions, RunTotals, Scheduler, SystemView, TimedSpawn};
 use dike_util::check::check;
 use dike_util::Pcg32;
 use std::collections::BTreeSet;
@@ -70,6 +73,7 @@ fn arrivals(rng: &mut Pcg32, n_vcores: usize) -> Vec<TimedSpawn> {
                     program: PhaseProgram::single(phase, instructions).into(),
                     barrier: None,
                 },
+                threads: 1,
             }
         })
         .collect()
@@ -179,6 +183,119 @@ fn observe_step_reports_exactly_the_live_set_under_churn() {
                 .map(|t| machine.counters(t).migrations)
                 .sum();
             assert_eq!(machine.total_migrations(), per_thread);
+        },
+    );
+}
+
+/// `plan` with every entry expanded into one-thread entries in its place.
+fn expand(plan: &[TimedSpawn]) -> Vec<TimedSpawn> {
+    plan.iter()
+        .flat_map(|ts| {
+            (0..ts.threads).map(|_| TimedSpawn {
+                threads: 1,
+                ..ts.clone()
+            })
+        })
+        .collect()
+}
+
+/// What one driven session leaves: every call's totals and leftovers,
+/// every view, and the machine.
+struct Session {
+    calls: Vec<(RunTotals, Vec<TimedSpawn>)>,
+    views: Vec<SystemView>,
+    machine: Machine,
+}
+
+/// Drive `plan` on a fresh machine in calls that end at `cuts`, one
+/// persistent policy, the leftovers fed back, until the work drains.
+fn session(
+    cfg: &MachineConfig,
+    quantum: SimTime,
+    plan: Vec<TimedSpawn>,
+    cuts: &[SimTime],
+) -> Session {
+    let mut machine = Machine::new(cfg.clone());
+    let mut sched = Recorder {
+        quantum,
+        views: Vec::new(),
+    };
+    let mut calls = Vec::new();
+    let mut pending = plan;
+    for &until in cuts {
+        let (totals, leftovers) = drive(&mut machine, &mut sched, until, pending, |_| {});
+        pending = leftovers.clone();
+        calls.push((totals, leftovers));
+        if totals.completed {
+            break;
+        }
+    }
+    Session {
+        calls,
+        views: sched.views,
+        machine,
+    }
+}
+
+/// An entry of `k` identical threads is `k` one-thread entries in its
+/// place: on random plans of multi-thread entries, driven whole and in
+/// random epoch slices, with per-thread faults on and off, the plan and
+/// its expansion give equal totals and views at every call, equal
+/// leftovers once expanded, and equal spawn times, finish times and
+/// counters for every thread. The 8-vcore machine takes events of up to
+/// 8 threads arriving faster than they drain, so an event's threads are
+/// often admitted across several calls and handed back partly admitted.
+#[test]
+fn multi_thread_entries_drive_as_their_expansion() {
+    check(
+        "multi_thread_entries_drive_as_their_expansion",
+        100,
+        |rng| {
+            let seed = rng.gen_range(0u64..1_000);
+            let mut cfg = presets::small_machine(seed);
+            if rng.gen_bool() {
+                cfg.faults = FaultConfig::combined_worst(seed);
+            }
+            let n_vcores = cfg.topology.num_vcores();
+            let mut plan = arrivals(rng, n_vcores);
+            for ts in &mut plan {
+                ts.threads = rng.gen_range(1u64..n_vcores as u64 + 1) as u32;
+            }
+            let quantum = SimTime::from_ms(rng.gen_range(2u64..30));
+            let deadline = SimTime::from_secs_f64(10.0);
+            let mut cuts = Vec::new();
+            if rng.gen_bool() {
+                let mut until = SimTime::ZERO;
+                while until < deadline {
+                    until += SimTime::from_ms(rng.gen_range(1u64..60));
+                    cuts.push(until.min(deadline));
+                }
+            } else {
+                cuts.push(deadline);
+            }
+
+            let expanded = expand(&plan);
+            let grouped = session(&cfg, quantum, plan, &cuts);
+            let single = session(&cfg, quantum, expanded, &cuts);
+            assert_eq!(grouped.calls.len(), single.calls.len(), "calls made");
+            for (k, (g, s)) in grouped.calls.iter().zip(&single.calls).enumerate() {
+                assert_eq!(g.0, s.0, "totals of call {k}");
+                assert_eq!(expand(&g.1), s.1, "leftovers of call {k}");
+            }
+            // Debug text, because a corrupted sample is NaN, equal to nothing.
+            let text = |views: &[SystemView]| format!("{views:?}");
+            assert!(
+                text(&grouped.views) == text(&single.views),
+                "the views differ"
+            );
+            let (a, b) = (&grouped.machine, &single.machine);
+            assert_eq!(a.num_threads(), b.num_threads());
+            for t in a.thread_ids() {
+                assert_eq!(a.app_of(t), b.app_of(t), "{t:?}");
+                assert_eq!(a.spawn_time(t), b.spawn_time(t), "{t:?}");
+                assert_eq!(a.finish_time(t), b.finish_time(t), "{t:?}");
+                assert_eq!(a.counters(t), b.counters(t), "{t:?}");
+            }
         },
     );
 }

@@ -174,21 +174,22 @@ impl ArrivalTrace {
         merged
     }
 
-    /// Expand the trace into per-thread `(arrival time, spec)` pairs, in
-    /// event order. Each event becomes one application instance: a fresh
-    /// dense `AppId` (the event index) and a matching barrier group, so two
-    /// arrivals of the same `AppKind` stay distinct applications. Every
+    /// The trace as one `(arrival time, spec, thread count)` entry per
+    /// event, in event order. Each event becomes one application
+    /// instance: a fresh dense `AppId` (the event index) and a matching
+    /// barrier group, so two arrivals of the same `AppKind` stay distinct
+    /// applications, and its threads all spawn from the one spec. Every
     /// spec of one kind shares that kind's program ([`ProgramTable`]).
-    pub fn spawn_plan(&self, scale: f64) -> Vec<(SimTime, ThreadSpec)> {
+    pub fn spawn_plan(&self, scale: f64) -> Vec<(SimTime, ThreadSpec, u32)> {
         let programs = ProgramTable::new(scale);
-        let mut plan = Vec::with_capacity(self.num_threads());
-        for (i, ev) in self.events.iter().enumerate() {
-            let spec = programs.spec(ev.app, AppId(i as u32), BarrierId(i as u32));
-            for _ in 0..ev.nthreads {
-                plan.push((SimTime::from_ms(ev.at_ms), spec.clone()));
-            }
-        }
-        plan
+        self.events
+            .iter()
+            .enumerate()
+            .map(|(i, ev)| {
+                let spec = programs.spec(ev.app, AppId(i as u32), BarrierId(i as u32));
+                (SimTime::from_ms(ev.at_ms), spec, ev.nthreads)
+            })
+            .collect()
     }
 }
 
@@ -347,19 +348,18 @@ mod tests {
             ],
         };
         let plan = trace.spawn_plan(0.1);
-        assert_eq!(plan.len(), 3);
-        assert_eq!(plan[0].0, SimTime::from_ms(100));
-        assert_eq!(plan[2].0, SimTime::from_ms(300));
+        assert_eq!(plan.len(), 2);
+        assert_eq!((plan[0].0, plan[0].2), (SimTime::from_ms(100), 2));
+        assert_eq!((plan[1].0, plan[1].2), (SimTime::from_ms(300), 1));
         // Same kind, different arrivals: distinct app ids and barrier
         // groups, so the instances do not synchronise with each other.
         assert_eq!(plan[0].1.app, AppId(0));
-        assert_eq!(plan[1].1.app, AppId(0));
-        assert_eq!(plan[2].1.app, AppId(1));
+        assert_eq!(plan[1].1.app, AppId(1));
         assert_ne!(
             plan[0].1.barrier.unwrap().group,
-            plan[2].1.barrier.unwrap().group
+            plan[1].1.barrier.unwrap().group
         );
-        for (_, spec) in &plan {
+        for (_, spec, _) in &plan {
             spec.validate().expect("valid spec");
         }
     }

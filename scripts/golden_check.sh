@@ -3,7 +3,8 @@
 # closed-sweep, fig6, table3, robustness, cachepart, failover and
 # one-shot fleet (golden_fleet.json) artefacts serialized under
 # crates/experiments/tests/fixtures/), regenerate every committed paper
-# artefact under results/ (results/run_all.sh), and then prove that no
+# artefact and the failover soak's ledger lines under results/
+# (results/run_all.sh), and then prove that no
 # recorded artefact — results/ or the goldens themselves — differs from
 # what is committed. A behaviour change to any recorded figure must
 # arrive as an explicit re-baseline (DIKE_REGEN_GOLDENS=1 or

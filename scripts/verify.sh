@@ -62,12 +62,14 @@ step "engine-fast-vs-cold" env DIKE_CHECK_CASES=600 \
 step "fleet-loop-properties" env DIKE_CHECK_CASES=500 \
     cargo test -q --release --offline -p dike-fleet --test properties
 
-# Driver observe property, run hard: random open workloads with a wait
+# Driver observe properties, run hard: random open workloads with a wait
 # queue, per-thread faults on and off, driven through the driver's one
 # entry point (`drive`) whole and in random epoch slices. Every view must
 # be the live set when faults are off, report each departure once and
-# list ids in ascending order. Release, because 600 cases are slow in
-# debug.
+# list ids in ascending order. A plan of multi-thread entries must drive
+# a machine exactly as the same plan expanded into one-thread entries:
+# equal totals, views, leftovers (expanded), counters and finish times.
+# Release, because 600 cases are slow in debug.
 step "driver-observe" env DIKE_CHECK_CASES=600 \
     cargo test -q --release --offline -p dike-sched-core --test observe
 
@@ -90,9 +92,9 @@ step "parallel-determinism (DIKE_THREADS=2)" \
 # start, and hold under 4 per thread once its result is dropped, so a
 # machine that outlives its last epoch fails. The failover heap gate:
 # a warm multi-epoch `run_failover` lap of that fleet under machine
-# faults must peak under 320 live bytes per admitted thread, so a
-# machine that keeps finished threads' hot rows (≈260 B each) past the
-# epoch barrier fails.
+# faults must peak under 160 live bytes per admitted thread, so a
+# machine that keeps finished threads' hot rows (259 B each), or its hot
+# columns' capacity, past the epoch barrier fails.
 # The workspace test run above already covers this; the named re-run
 # makes a regression fail loudly as its own step.
 step "zero-alloc" cargo test -q --offline -p dike-repro --test zero_alloc
@@ -123,8 +125,9 @@ step "cachepart-smoke" bash -c \
     'cargo run -q --release --offline -p dike-experiments --bin cachepart -- --scale 0.02 > /dev/null'
 
 # Golden drift: replay the golden-fixture suite, regenerate results/
-# with results/run_all.sh (about 8 s in release) and prove that the
-# regenerated artefacts and the goldens equal the committed ones.
+# with results/run_all.sh (about 8 s in release; it also writes the
+# failover soak's ledger lines to results/failover_soak.txt) and prove
+# that the regenerated artefacts and the goldens equal the committed ones.
 step "golden-check" scripts/golden_check.sh
 
 # The benchmark (declared by BENCHMARK.json) is a package of its own
