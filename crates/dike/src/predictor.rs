@@ -225,13 +225,6 @@ impl Predictor {
         self.quantum_errors.iter().map(|&(_, e)| e).collect()
     }
 
-    /// Per-thread relative errors (diagnostics; heavy-tailed because a
-    /// thread whose burst ends mid-quantum can miss by several times its
-    /// now-tiny rate).
-    pub fn per_thread_error_values(&self) -> Vec<f64> {
-        self.errors.iter().map(|e| e.relative_error).collect()
-    }
-
     /// The per-quantum aggregate error as a `(seconds, error)` series
     /// (Figure 8's trace).
     pub fn error_trace(&self) -> Vec<(f64, f64)> {
@@ -350,10 +343,10 @@ mod tests {
         let after = obs(&[90.0, 100.0], &[0.0, 0.0]);
         p.score(&after, SimTime::from_ms(500));
         // Per-thread samples.
-        let samples = p.per_thread_error_values();
+        let samples = p.errors();
         assert_eq!(samples.len(), 2);
-        assert!((samples[0] - (100.0 - 90.0) / 90.0).abs() < 1e-9);
-        assert!((samples[1] - (80.0 - 100.0) / 100.0).abs() < 1e-9);
+        assert!((samples[0].relative_error - (100.0 - 90.0) / 90.0).abs() < 1e-9);
+        assert!((samples[1].relative_error - (80.0 - 100.0) / 100.0).abs() < 1e-9);
         // One per-quantum aggregate: Σ(pred−actual)/Σactual.
         let errs = p.error_values();
         assert_eq!(errs.len(), 1);

@@ -8,7 +8,7 @@ use dike_util::Pool;
 use std::time::Instant;
 
 fn main() {
-    let args = cli::from_env();
+    let (args, ()) = cli::from_env(cli::none);
     let t0 = Instant::now();
     let points = cachepart::run_cachepart_pool(
         &cachepart::CACHEPART_WORKLOADS,

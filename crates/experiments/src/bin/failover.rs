@@ -8,48 +8,57 @@
 //! * `--seed <n>`    — fleet (arrival/dispatch) seed (default 42);
 //! * `--quick`       — only the harshest cell pair (the smoke lap);
 //! * `--json <path>` — also write the grid as JSON (the byte-identity
-//!   artefact the determinism gate diffs);
+//!   artefact the determinism gate diffs); the file is created before
+//!   the run, so an unwritable path exits 2 at once, and `--soak` takes
+//!   none;
 //! * `--soak`        — long-churn soak instead of the grid: a 30 s
 //!   arrival window under worst-case per-machine faults *and* heavy
 //!   machine-scope crash/brownout churn, both dispatchers. Passes when
 //!   no machine panics and conservation holds (asserted per run).
 
+use dike_experiments::cli::{self, ArgError, JsonOut};
 use dike_experiments::failover;
 use dike_fleet::FleetRunner;
 use dike_machine::FaultConfig;
-use dike_util::{json, Pool};
+use dike_util::Pool;
 use std::time::Instant;
 
 struct Args {
     seed: u64,
     quick: bool,
-    json_path: Option<String>,
+    json: Option<JsonOut>,
     soak: bool,
 }
 
-fn parse() -> Result<Args, String> {
+fn parse() -> Result<Args, ArgError> {
     let mut a = Args {
         seed: failover::FAILOVER_SEED,
         quick: false,
-        json_path: None,
+        json: None,
         soak: false,
     };
+    let mut json_path = None;
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--seed" => {
-                let v = iter.next().ok_or("--seed needs a value")?;
-                a.seed = v.parse().map_err(|e| format!("bad --seed {v:?}: {e}"))?;
-            }
+            "--seed" => a.seed = cli::value("--seed", iter.next(), cli::SEED, |_| true)?,
             "--quick" => a.quick = true,
-            "--json" => a.json_path = Some(iter.next().ok_or("--json needs a path")?),
+            "--json" => json_path = Some(iter.next().ok_or(ArgError::MissingValue("--json"))?),
             "--soak" => a.soak = true,
             "--help" | "-h" => {
-                return Err("flags: --seed <n> (default 42), --quick, --json <path>, --soak".into())
+                return Err(ArgError::Help(
+                    "flags: --seed <n> (default 42), --quick, --json <path>, --soak",
+                ))
             }
-            other => return Err(format!("unknown flag {other}; try --help")),
+            _ => return Err(ArgError::Unexpected(arg)),
         }
     }
+    // The soak writes no grid, so a `--json` beside it would stay empty.
+    if json_path.is_some() && a.soak {
+        return Err(ArgError::Conflict("--json", "--soak"));
+    }
+    // Created last, so a rejected command line leaves no file behind.
+    a.json = json_path.map(JsonOut::create).transpose()?;
     Ok(a)
 }
 
@@ -95,13 +104,7 @@ fn soak(seed: u64, pool: &Pool) {
 }
 
 fn main() {
-    let args = match parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let args = cli::or_exit(parse());
     let pool = Pool::from_env();
     if args.soak {
         soak(args.seed, &pool);
@@ -119,8 +122,7 @@ fn main() {
     print!("{}", failover::render(&points).render());
     println!("\n{}", failover::summary(&points));
     println!("host wall-clock: {host_s:.1}s");
-    if let Some(path) = args.json_path {
-        std::fs::write(&path, json::to_string(&points) + "\n").expect("write --json");
-        println!("wrote {path}");
+    if let Some(out) = args.json {
+        out.write(&points);
     }
 }

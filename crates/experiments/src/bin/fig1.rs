@@ -4,7 +4,7 @@
 use dike_experiments::{cli, fig1};
 
 fn main() {
-    let args = cli::from_env();
+    let (args, ()) = cli::from_env(cli::none);
     let rows = fig1::run(&args.opts);
     let table = fig1::render(&rows);
     println!("Figure 1 — standalone vs concurrent execution\n");

@@ -4,7 +4,7 @@
 use dike_experiments::{cli, fig2};
 
 fn main() {
-    let args = cli::from_env();
+    let (args, ()) = cli::from_env(cli::none);
     let rows = fig2::run(&args.opts);
     let table = fig2::render(&rows);
     println!("Figure 2 — optimal/default/worst scheduler configurations\n");

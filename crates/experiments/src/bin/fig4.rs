@@ -4,7 +4,7 @@
 use dike_experiments::{cli, fig4};
 
 fn main() {
-    let args = cli::from_env();
+    let (args, ()) = cli::from_env(cli::none);
     println!("Figure 4 — configuration heatmaps (normalised to grid best)\n");
     for map in fig4::run(&args.opts) {
         let t = map.render();

@@ -1,14 +1,14 @@
 //! Regenerates Figure 5: per-class (B/UC/UM) optimisation contours, the
-//! data behind Algorithm 2's adaptation rules. Pass a positional integer
-//! to limit workloads per class (default 2; the full figure uses 6).
+//! data behind Algorithm 2's adaptation rules. Pass one positional
+//! integer, at least 1, to limit workloads per class (default 2; the full
+//! figure uses 6).
 
 use dike_experiments::fig4::Heatmap;
 use dike_experiments::fig5::ClassContours;
 use dike_experiments::{cli, fig5};
 
 fn main() {
-    let args = cli::from_env();
-    let per_class: usize = args.rest.first().and_then(|s| s.parse().ok()).unwrap_or(2);
+    let (args, per_class) = cli::from_env(|rest| cli::per_class(rest, 2));
     println!("Figure 5 — per-class optimisation space ({per_class} workloads/class)\n");
     for c in fig5::run(&args.opts, per_class) {
         println!(

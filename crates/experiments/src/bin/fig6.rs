@@ -10,7 +10,7 @@ use dike_metrics::TextTable;
 use dike_util::Pool;
 
 fn main() {
-    let args = cli::from_env();
+    let (args, ()) = cli::from_env(cli::none);
     let fig = fig6::run_subset_pool(&args.opts, &(1..=16).collect::<Vec<_>>(), &Pool::from_env());
     let print = |title: &str, t: &TextTable| {
         println!("{title}\n");

@@ -8,13 +8,16 @@
 //! * `--machines <n>` — fleet size (default 64);
 //! * `--tenants <n>`  — tenant count (default 96);
 //! * `--seed <n>`     — fleet seed (default 42);
-//! * `--quick`        — the 8-machine, 12-tenant smoke fleet;
+//! * `--quick`        — the 8-machine, 12-tenant smoke fleet (takes no
+//!   `--machines` or `--tenants`);
 //! * `--json <path>`  — also write the full `FleetResult` as JSON (the
-//!   byte-identity artefact the determinism gate diffs);
+//!   byte-identity artefact the determinism gate diffs); the file is
+//!   created before the run, so an unwritable path exits 2 at once;
 //! * `--per-machine`  — print the per-machine table too.
 
+use dike_experiments::cli::{self, ArgError, JsonOut};
 use dike_experiments::fleet;
-use dike_util::{json, Pool};
+use dike_util::Pool;
 use std::time::Instant;
 
 struct Args {
@@ -22,63 +25,58 @@ struct Args {
     tenants: usize,
     seed: u64,
     quick: bool,
-    json_path: Option<String>,
+    json: Option<JsonOut>,
     per_machine: bool,
 }
 
-fn parse() -> Result<Args, String> {
+fn parse() -> Result<Args, ArgError> {
+    let count = |n: &usize| *n >= 1;
     let mut a = Args {
         machines: fleet::FLEET_MACHINES,
         tenants: fleet::FLEET_TENANTS,
         seed: fleet::FLEET_SEED,
         quick: false,
-        json_path: None,
+        json: None,
         per_machine: false,
     };
+    let mut json_path = None;
+    let mut sized = None;
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--machines" => {
-                let v = iter.next().ok_or("--machines needs a value")?;
-                a.machines = v
-                    .parse()
-                    .map_err(|e| format!("bad --machines {v:?}: {e}"))?;
+                a.machines = cli::value("--machines", iter.next(), cli::AT_LEAST_ONE, count)?;
+                sized = Some("--machines");
             }
             "--tenants" => {
-                let v = iter.next().ok_or("--tenants needs a value")?;
-                a.tenants = v.parse().map_err(|e| format!("bad --tenants {v:?}: {e}"))?;
+                a.tenants = cli::value("--tenants", iter.next(), cli::AT_LEAST_ONE, count)?;
+                sized = Some("--tenants");
             }
-            "--seed" => {
-                let v = iter.next().ok_or("--seed needs a value")?;
-                a.seed = v.parse().map_err(|e| format!("bad --seed {v:?}: {e}"))?;
-            }
+            "--seed" => a.seed = cli::value("--seed", iter.next(), cli::SEED, |_| true)?,
             "--quick" => a.quick = true,
-            "--json" => a.json_path = Some(iter.next().ok_or("--json needs a path")?),
+            "--json" => json_path = Some(iter.next().ok_or(ArgError::MissingValue("--json"))?),
             "--per-machine" => a.per_machine = true,
             "--help" | "-h" => {
-                return Err(
+                return Err(ArgError::Help(
                     "flags: --machines <n> (default 64), --tenants <n> (default 96), \
-                     --seed <n>, --quick, --json <path>, --per-machine"
-                        .into(),
-                )
+                     --seed <n>, --quick, --json <path>, --per-machine",
+                ))
             }
-            other => return Err(format!("unknown flag {other}; try --help")),
+            _ => return Err(ArgError::Unexpected(arg)),
         }
     }
-    if a.machines == 0 || a.tenants == 0 {
-        return Err("--machines and --tenants must be >= 1".into());
+    // The smoke fleet's size is fixed, so a count beside `--quick` would
+    // be ignored.
+    if let (Some(flag), true) = (sized, a.quick) {
+        return Err(ArgError::Conflict(flag, "--quick"));
     }
+    // Created last, so a rejected command line leaves no file behind.
+    a.json = json_path.map(JsonOut::create).transpose()?;
     Ok(a)
 }
 
 fn main() {
-    let args = match parse() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    let args = cli::or_exit(parse());
     let cfg = if args.quick {
         fleet::smoke_config(args.seed)
     } else {
@@ -104,8 +102,7 @@ fn main() {
         "\nhost wall-clock: {host_s:.1}s ({:.0} arrivals/sec)",
         result.total_arrivals as f64 / host_s
     );
-    if let Some(path) = args.json_path {
-        std::fs::write(&path, json::to_string(&result) + "\n").expect("write --json");
-        println!("wrote {path}");
+    if let Some(out) = args.json {
+        out.write(&result);
     }
 }

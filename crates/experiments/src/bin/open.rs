@@ -7,7 +7,7 @@ use dike_util::Pool;
 use std::time::Instant;
 
 fn main() {
-    let args = cli::from_env();
+    let (args, ()) = cli::from_env(cli::none);
     let t0 = Instant::now();
     let points = open::run_open_points_pool(&open::LOAD_LEVELS_MS, &args.opts, &Pool::from_env());
     let host_s = t0.elapsed().as_secs_f64();

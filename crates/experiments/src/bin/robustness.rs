@@ -7,7 +7,7 @@ use dike_util::Pool;
 use std::time::Instant;
 
 fn main() {
-    let args = cli::from_env();
+    let (args, ()) = cli::from_env(cli::none);
     let t0 = Instant::now();
     let points = robustness::run_robustness_pool(
         &robustness::TELEMETRY_LEVELS,

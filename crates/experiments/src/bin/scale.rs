@@ -6,7 +6,7 @@ use dike_util::Pool;
 use std::time::Instant;
 
 fn main() {
-    let args = cli::from_env();
+    let (args, ()) = cli::from_env(cli::none);
     let t0 = Instant::now();
     let points = scale::run_scale_points_pool(&scale::SCALE_DOMAINS, &args.opts, &Pool::from_env());
     let host_s = t0.elapsed().as_secs_f64();

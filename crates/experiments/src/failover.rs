@@ -246,7 +246,7 @@ pub fn summary(points: &[FailoverPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dike_util::json;
+    use dike_util::json::{self, ToJson};
 
     #[test]
     fn quick_pair_conserves_and_failover_loses_fewer() {
@@ -270,8 +270,7 @@ mod tests {
         }
         // JSON round-trip for the recorded artefact.
         let s = json::to_string(&pts);
-        let back: Vec<FailoverPoint> = json::from_str(&s).expect("round-trip");
-        assert_eq!(back, pts);
+        assert_eq!(json::parse(&s).expect("round-trip"), pts.to_json_value());
     }
 
     /// The deadline bounds every run, faulted or not: the smoke fleet's

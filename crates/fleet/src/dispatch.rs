@@ -139,7 +139,7 @@ impl LoadRouter {
         let mut router = LoadRouter {
             ln_vcores: vcores.iter().map(|v| v.ln()).collect(),
             vcores,
-            tau: dispatch.decay_tau_ms.max(1.0),
+            tau: dispatch.decay_tau_ms,
             bonus: dispatch.affinity_bonus,
             load: vec![0.0; m],
             last_ms: vec![0; m],
@@ -307,14 +307,15 @@ mod tests {
     /// The index routes every event to the scan's machine. Fleets of one
     /// and of 1–200 machines with mixed vcores (1:2 ratios make keys tie
     /// up to rounding), affinity bonus 0, negative, default and 1e9, and
-    /// decay constants from 1 ms (most events past the fallback bound) to
-    /// 1e6 ms (loads barely decay); half the events share an instant with
+    /// decay constants from 0.25 ms (most events past the fallback bound)
+    /// to 1e6 ms (loads barely decay), each routed at exactly its
+    /// configured τ; half the events share an instant with
     /// their predecessor, and some carry no threads.
     #[test]
     fn index_routes_every_event_like_the_scan() {
         const VCORES: [f64; 5] = [1.0, 20.0, 40.0, 80.0, 1040.0];
         const BONUS: [f64; 4] = [0.0, -0.3, 0.05, 1e9];
-        const TAU_MS: [f64; 4] = [1.0, 7.0, 2_000.0, 1e6];
+        const TAU_MS: [f64; 5] = [0.25, 1.0, 7.0, 2_000.0, 1e6];
         let (mut indexed, mut scanned) = (0u64, 0u64);
         check("index_routes_every_event_like_the_scan", 400, |rng| {
             let m = if rng.gen_range(0u32..8) == 0 {
@@ -330,6 +331,7 @@ mod tests {
                 decay_tau_ms: TAU_MS[rng.gen_range(0..TAU_MS.len())],
             };
             let mut router = LoadRouter::new(vcores, &dispatch);
+            assert_eq!(router.tau, dispatch.decay_tau_ms, "τ is the validated one");
             let tenants = rng.gen_range(1u32..40);
             let mut at_ms = 0u64;
             for e in 0..rng.gen_range(1usize..800) {

@@ -226,12 +226,38 @@ fn faulty_machines_still_drain_their_dispatch_share() {
     assert_eq!(a.total_arrivals, a.total_departures);
 }
 
+/// The outage state machine's books, read off the result of the epoch
+/// barrier that is its one implementation: every quarantine is a crash or
+/// a brownout entered; a machine never crashes while down, so each crash
+/// ends in one readmission or in the run ending with the machine down;
+/// and a permanent crash is the machine's only one.
+fn assert_outage_books(r: &FleetResult, fo: &FailoverConfig) {
+    let crashes: u64 = r.machines.iter().map(|m| m.crashes).sum();
+    let brownouts: u64 = r.machines.iter().map(|m| m.brownouts).sum();
+    let down_at_end = r.machines.iter().filter(|m| m.down_at_end).count() as u64;
+    assert_eq!(r.quarantines, crashes + brownouts, "quarantines");
+    assert_eq!(crashes, r.readmissions + down_at_end, "crashes");
+    if fo.faults.recovery_epochs == 0 {
+        assert_eq!(r.readmissions, 0, "a permanent crash never recovers");
+        for m in &r.machines {
+            assert!(
+                m.crashes <= 1,
+                "machine {} crashed {}×",
+                m.machine,
+                m.crashes
+            );
+            assert_eq!(m.down_at_end, m.crashes == 1, "machine {}", m.machine);
+        }
+    }
+}
+
 /// The failover loop's contract under *arbitrary* machine-fault regimes:
 /// every offered thread is accounted for exactly once
 /// (`dispatched = drained + in_flight + lost`), the per-tenant and
-/// per-machine roll-ups partition the same totals, and the whole run —
-/// blind or health-aware — is a pure function of its config. The same
-/// fleet's fault-free `run()` keeps the same schema.
+/// per-machine roll-ups partition the same totals, the outage books
+/// balance ([`assert_outage_books`]), and the whole run — blind or
+/// health-aware — is a pure function of its config. The same fleet's
+/// fault-free `run()` keeps the same schema.
 #[test]
 fn failover_conserves_and_is_deterministic_under_random_faults() {
     check(
@@ -270,6 +296,7 @@ fn failover_conserves_and_is_deterministic_under_random_faults() {
             // twice — at any fault level, with or without failover — and
             // the tenant and machine roll-ups partition the same sheet.
             assert_one_schema(&a, offered);
+            assert_outage_books(&a, &fo);
             run_one_shot(&runner, &pool);
         },
     );

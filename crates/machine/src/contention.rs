@@ -308,15 +308,6 @@ impl NumaSolution {
     pub fn empty() -> Self {
         NumaSolution::default()
     }
-
-    /// Sum of achieved miss throughput (accesses/second) across all
-    /// controllers, computed from the solved utilisations.
-    pub fn total_miss_throughput(&self, cfg: &MemoryConfig) -> f64 {
-        self.domains
-            .iter()
-            .map(|d| d.utilisation * cfg.bandwidth_accesses_per_sec)
-            .sum()
-    }
 }
 
 /// Solve every controller of a multi-domain memory system for one tick.
@@ -712,7 +703,11 @@ mod tests {
         assert_eq!(s.domains[0].utilisation, s.domains[1].utilisation);
         // Aggregate throughput may exceed one controller's peak but never
         // the sum of both peaks.
-        let total = s.total_miss_throughput(&cfg);
+        let total: f64 = s
+            .domains
+            .iter()
+            .map(|d| d.utilisation * cfg.bandwidth_accesses_per_sec)
+            .sum();
         assert!(total <= 2.0 * cfg.bandwidth_accesses_per_sec * 1.0001);
         assert!(total > cfg.bandwidth_accesses_per_sec * 0.9);
     }

@@ -18,16 +18,17 @@
 //! applies nothing, keeping zero-fault runs byte-identical to the
 //! committed goldens.
 //!
-//! [`FaultPlan`] is the serializable preview of a fault stream: the same
-//! draws the online injector makes, expanded into an event list that can
-//! be archived with an experiment's results (mirroring
-//! `ArrivalTrace` in `dike-workloads`).
+//! [`MachineFaultConfig`] is the whole-machine counterpart, drawn per
+//! machine and fleet epoch. It holds only the draws: the fleet's epoch
+//! barrier (`dike-fleet`) folds them into outages and brownouts, and is
+//! the one place that does.
 
 use crate::ids::MAX_SPAN_MS;
+use dike_util::json_struct;
 use dike_util::rng::splitmix64;
-use dike_util::{json_enum, json_struct};
 
-/// One kind of injected fault.
+/// One kind of per-thread telemetry or actuation fault, as the driver
+/// draws it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The thread's counter sample for this quantum is missing entirely
@@ -46,36 +47,7 @@ pub enum FaultKind {
     MigrationFail,
     /// A requested migration lands several quanta late.
     MigrationDelay,
-    /// The thread makes no progress for a transient window.
-    Stall,
-    /// Machine-scope: the whole machine hard-crashes — it stops accepting
-    /// and stops draining from the drawn fleet epoch onward. (For
-    /// machine-scope kinds the event's `thread` field carries the machine
-    /// index.)
-    MachineCrash,
-    /// Machine-scope: a transient brownout — the machine keeps its queue
-    /// but its throughput collapses (every thread stalls) for a window of
-    /// fleet epochs.
-    Brownout,
-    /// Machine-scope: a crashed machine comes back after its recovery
-    /// delay (emitted by [`MachineFaultConfig::timeline`] so archived
-    /// schedules show the outage window, not just its start).
-    MachineRecover,
 }
-
-json_enum!(FaultKind {
-    Dropout,
-    CorruptNan,
-    CorruptZero,
-    CorruptSaturate,
-    Stale,
-    MigrationFail,
-    MigrationDelay,
-    Stall,
-    MachineCrash,
-    Brownout,
-    MachineRecover
-} {});
 
 /// Per-channel fault rates. All rates are per-(thread, quantum)
 /// probabilities; the default is all-zero, under which every draw returns
@@ -438,140 +410,32 @@ impl MachineFaultConfig {
             ..MachineFaultConfig::default()
         }
     }
-
-    /// Expand the machine-fault stream over a `machines × epochs` grid
-    /// into an archivable event list, folding raw draws through the same
-    /// state machine the fleet applies: crash draws while a machine is
-    /// already down are ignored, each crash emits a [`FaultKind::MachineRecover`]
-    /// at its recovery epoch (when finite and inside the grid), and
-    /// brownout draws while already browned out extend nothing. The
-    /// event's `thread` field carries the machine index.
-    pub fn timeline(&self, machines: u32, epochs: u64) -> Vec<FaultEvent> {
-        let mut events = Vec::new();
-        for m in 0..machines {
-            // Down-until / brownout-until epoch (exclusive); u64::MAX is
-            // a permanent crash.
-            let mut down_until = 0u64;
-            let mut brown_until = 0u64;
-            for e in 0..epochs {
-                if e < down_until {
-                    continue;
-                }
-                if down_until != 0 && e == down_until {
-                    events.push(FaultEvent {
-                        quantum: e,
-                        thread: m,
-                        kind: FaultKind::MachineRecover,
-                    });
-                    down_until = 0;
-                }
-                if self.crash_at(m, e) {
-                    events.push(FaultEvent {
-                        quantum: e,
-                        thread: m,
-                        kind: FaultKind::MachineCrash,
-                    });
-                    down_until = if self.recovery_epochs == 0 {
-                        u64::MAX
-                    } else {
-                        e + u64::from(self.recovery_epochs)
-                    };
-                    continue;
-                }
-                if e >= brown_until && self.brownout_at(m, e) {
-                    events.push(FaultEvent {
-                        quantum: e,
-                        thread: m,
-                        kind: FaultKind::Brownout,
-                    });
-                    brown_until = e + u64::from(self.brownout_epochs);
-                }
-            }
-        }
-        events
-    }
-}
-
-/// One materialized fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// Quantum index the fault fires in.
-    pub quantum: u64,
-    /// Thread index the fault hits.
-    pub thread: u32,
-    /// What happens.
-    pub kind: FaultKind,
-}
-
-/// A serializable expansion of a fault stream over a `threads × quanta`
-/// grid: exactly the draws the online injector makes, in `(quantum,
-/// thread)` order, so an experiment's fault schedule can be archived with
-/// its results. Migration faults are listed for every `(thread, quantum)`
-/// cell — they fire only if the policy actually requests a migration
-/// there, so the plan is the superset of what a given run experiences.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    /// Plan name (reported in experiment output).
-    pub name: String,
-    /// Fault events in generation order.
-    pub events: Vec<FaultEvent>,
-}
-
-json_struct!(FaultEvent {
-    quantum,
-    thread,
-    kind,
-});
-json_struct!(FaultPlan { name, events });
-
-impl FaultPlan {
-    /// Expand `cfg`'s fault stream over a grid of `threads` threads and
-    /// `quanta` quanta. Deterministic in `(cfg, threads, quanta)`: the
-    /// same hash draws the driver makes online.
-    pub fn generate(name: impl Into<String>, cfg: &FaultConfig, threads: u32, quanta: u64) -> Self {
-        let mut events = Vec::new();
-        for q in 0..quanta {
-            for t in 0..threads {
-                if let Some(kind) = cfg.telemetry_fault(t, q) {
-                    events.push(FaultEvent {
-                        quantum: q,
-                        thread: t,
-                        kind,
-                    });
-                }
-                if let Some(kind) = cfg.migration_fault(t, q) {
-                    events.push(FaultEvent {
-                        quantum: q,
-                        thread: t,
-                        kind,
-                    });
-                }
-                if cfg.stall(t, q) {
-                    events.push(FaultEvent {
-                        quantum: q,
-                        thread: t,
-                        kind: FaultKind::Stall,
-                    });
-                }
-            }
-        }
-        FaultPlan {
-            name: name.into(),
-            events,
-        }
-    }
-
-    /// Events of one kind.
-    pub fn count_of(&self, kind: FaultKind) -> usize {
-        self.events.iter().filter(|e| e.kind == kind).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dike_util::check::check;
-    use dike_util::json;
+    use dike_util::json::{self, ToJson};
+
+    /// One grid cell's draws: telemetry fault, migration fault, stall.
+    type Draw = (Option<FaultKind>, Option<FaultKind>, bool);
+
+    /// Every per-thread draw `cfg` makes over a `threads × quanta` grid,
+    /// in `(quantum, thread)` order: the calls the driver makes online.
+    fn draws(cfg: &FaultConfig, threads: u32, quanta: u64) -> Vec<Draw> {
+        (0..quanta)
+            .flat_map(|q| {
+                (0..threads).map(move |t| {
+                    (
+                        cfg.telemetry_fault(t, q),
+                        cfg.migration_fault(t, q),
+                        cfg.stall(t, q),
+                    )
+                })
+            })
+            .collect()
+    }
 
     /// The driver draws on every call, so the default's zero rates must
     /// draw nothing, whatever the seed and the channels' other
@@ -602,7 +466,6 @@ mod tests {
                 assert!(!cfg.stall(t, q));
                 assert_eq!(cfg.partition_fault(q), None);
             }
-            assert!(FaultPlan::generate("inert", &cfg, 8, 50).events.is_empty());
         });
     }
 
@@ -695,13 +558,20 @@ mod tests {
             ..FaultConfig::default()
         };
         cfg.validate().unwrap();
-        let plan = FaultPlan::generate("rates", &cfg, 40, 500);
-        let cells = 40.0 * 500.0;
-        let frac = |k| plan.count_of(k) as f64 / cells;
+        let grid = draws(&cfg, 40, 500);
+        let count_of = |k| {
+            grid.iter()
+                .filter(|&&(tel, mig, _)| tel == Some(k) || mig == Some(k))
+                .count()
+        };
+        let cells = grid.len() as f64;
+        let frac = |k| count_of(k) as f64 / cells;
         assert!((frac(FaultKind::Dropout) - 0.2).abs() < 0.02);
         assert!((frac(FaultKind::Stale) - 0.1).abs() < 0.02);
         assert!((frac(FaultKind::MigrationFail) - 0.1).abs() < 0.02);
-        assert!((frac(FaultKind::Stall) - 0.05).abs() < 0.02);
+        assert!((frac(FaultKind::MigrationDelay) - 0.05).abs() < 0.02);
+        let stalls = grid.iter().filter(|d| d.2).count() as f64 / cells;
+        assert!((stalls - 0.05).abs() < 0.02);
         // The three corruption kinds together hit the corruption rate and
         // each kind actually occurs.
         let corrupt = frac(FaultKind::CorruptNan)
@@ -713,7 +583,7 @@ mod tests {
             FaultKind::CorruptZero,
             FaultKind::CorruptSaturate,
         ] {
-            assert!(plan.count_of(k) > 0, "{k:?} never drawn");
+            assert!(count_of(k) > 0, "{k:?} never drawn");
         }
     }
 
@@ -738,25 +608,19 @@ mod tests {
     }
 
     #[test]
-    fn plan_round_trips_through_json() {
+    fn config_round_trips_through_json() {
         let cfg = FaultConfig::combined_worst(11);
-        let plan = FaultPlan::generate("worst", &cfg, 8, 40);
-        assert!(!plan.events.is_empty());
-        let s = json::to_string(&plan);
-        let back: FaultPlan = json::from_str(&s).expect("parse");
-        assert_eq!(plan, back);
-        // The config itself round-trips too (it is archived alongside).
         let s = json::to_string(&cfg);
-        let back: FaultConfig = json::from_str(&s).expect("parse");
-        assert_eq!(cfg, back);
+        assert_eq!(json::parse(&s).expect("parse"), cfg.to_json_value());
+        assert!(s.starts_with("{\"dropout_rate\":0.3,"), "{s}");
     }
 
     #[test]
     fn generator_determinism_property() {
         // Mirrors ArrivalTrace's seeded-generator property: for any rates
-        // and seed, regeneration is identical; a different seed moves at
-        // least one event once any channel is active.
-        check("fault_plan_determinism", 64, |rng| {
+        // and seed, redrawing is identical; a different seed moves at
+        // least one draw once any telemetry channel is active.
+        check("fault_draw_determinism", 64, |rng| {
             let cfg = FaultConfig {
                 dropout_rate: rng.gen_f64() * 0.3,
                 corruption_rate: rng.gen_f64() * 0.2,
@@ -770,16 +634,14 @@ mod tests {
                 seed: rng.gen_range(0u64..u64::MAX),
             };
             cfg.validate().unwrap();
-            let a = FaultPlan::generate("p", &cfg, 16, 64);
-            let b = FaultPlan::generate("p", &cfg, 16, 64);
-            assert_eq!(a, b);
+            let a = draws(&cfg, 16, 64);
+            assert_eq!(a, draws(&cfg, 16, 64));
             if cfg.dropout_rate + cfg.corruption_rate + cfg.stale_rate > 0.05 {
                 let other = FaultConfig {
                     seed: cfg.seed.wrapping_add(1),
                     ..cfg
                 };
-                let c = FaultPlan::generate("p", &other, 16, 64);
-                assert_ne!(a.events, c.events, "seed change must move the stream");
+                assert_ne!(a, draws(&other, 16, 64), "seed change must move the stream");
             }
         });
     }
@@ -811,14 +673,17 @@ mod tests {
                 assert!(!cfg.brownout_at(m, e));
             }
         }
-        assert!(cfg.timeline(32, 200).is_empty());
         // A non-zero seed alone keeps the channel inert: zero rates must
         // short-circuit to the exact current path.
         let seeded = MachineFaultConfig {
             seed: 0xDEAD_BEEF,
             ..MachineFaultConfig::default()
         };
-        assert!(seeded.timeline(32, 200).is_empty());
+        for e in 0..200 {
+            for m in 0..32 {
+                assert!(!seeded.crash_at(m, e) && !seeded.brownout_at(m, e));
+            }
+        }
     }
 
     #[test]
@@ -918,72 +783,10 @@ mod tests {
     }
 
     #[test]
-    fn machine_fault_timeline_folds_the_outage_state_machine() {
-        let cfg = MachineFaultConfig {
-            crash_rate: 0.15,
-            recovery_epochs: 3,
-            brownout_rate: 0.2,
-            brownout_epochs: 2,
-            seed: 33,
-            ..MachineFaultConfig::default()
-        };
-        let tl = cfg.timeline(16, 80);
-        assert!(!tl.is_empty());
-        // Regenerating is identical, and per machine: no crash event
-        // inside another crash's outage window, every finite recovery
-        // emitted exactly recovery_epochs after its crash.
-        assert_eq!(tl, cfg.timeline(16, 80));
-        for m in 0..16u32 {
-            let mine: Vec<&FaultEvent> = tl.iter().filter(|e| e.thread == m).collect();
-            let mut down_until = None::<u64>;
-            for ev in mine {
-                match ev.kind {
-                    FaultKind::MachineCrash => {
-                        assert!(
-                            down_until.is_none_or(|d| ev.quantum >= d),
-                            "machine {m} crashed while already down at {}",
-                            ev.quantum
-                        );
-                        down_until = Some(ev.quantum + 3);
-                    }
-                    FaultKind::MachineRecover => {
-                        assert_eq!(Some(ev.quantum), down_until, "recovery delay wrong");
-                        down_until = None;
-                    }
-                    FaultKind::Brownout => {
-                        assert!(
-                            down_until.is_none_or(|d| ev.quantum >= d),
-                            "brownout drawn during an outage"
-                        );
-                    }
-                    _ => panic!("unexpected kind in machine timeline"),
-                }
-            }
-        }
-        // Permanent crashes (recovery 0) never emit a recovery.
-        let perm = MachineFaultConfig {
-            recovery_epochs: 0,
-            ..cfg
-        };
-        let tl = perm.timeline(16, 80);
-        assert!(tl.iter().any(|e| e.kind == FaultKind::MachineCrash));
-        assert!(!tl.iter().any(|e| e.kind == FaultKind::MachineRecover));
-        // At most one crash per machine: the first one is forever.
-        for m in 0..16u32 {
-            let crashes = tl
-                .iter()
-                .filter(|e| e.thread == m && e.kind == FaultKind::MachineCrash)
-                .count();
-            assert!(crashes <= 1, "machine {m} crashed {crashes} times");
-        }
-    }
-
-    #[test]
     fn machine_fault_config_round_trips_through_json() {
         let cfg = MachineFaultConfig::axis(0.08, 0.15, 99);
         let s = json::to_string(&cfg);
-        let back: MachineFaultConfig = json::from_str(&s).expect("parse");
-        assert_eq!(cfg, back);
+        assert_eq!(json::parse(&s).expect("parse"), cfg.to_json_value());
     }
 
     #[test]

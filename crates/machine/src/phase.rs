@@ -299,22 +299,6 @@ impl PhaseProgram {
             }
         }
     }
-
-    /// Mean intrinsic miss ratio weighted by phase length over one pass of
-    /// the program (startup phases plus one loop iteration). A coarse
-    /// summary used by workload classification in tests and docs — the
-    /// scheduler itself never sees it.
-    pub fn mean_miss_ratio(&self) -> f64 {
-        let total: f64 = self.phases.iter().map(|p| p.instructions).sum();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.phases
-            .iter()
-            .map(|p| p.miss_ratio() * p.instructions)
-            .sum::<f64>()
-            / total
-    }
 }
 
 #[cfg(test)]
@@ -392,13 +376,6 @@ mod tests {
                 retired += 61.7;
             }
         }
-    }
-
-    #[test]
-    fn mean_miss_ratio_weights_by_length() {
-        let p = two_phase_program();
-        let expect = (0.030 * 1000.0 + 0.002 * 500.0) / 1500.0;
-        assert!((p.mean_miss_ratio() - expect).abs() < 1e-12);
     }
 
     #[test]

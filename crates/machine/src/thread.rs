@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn spec_json_is_pinned_and_round_trips() {
-        use dike_util::json::{from_str, to_string};
+        use dike_util::json::{parse, to_string, ToJson};
         let program = Arc::new(PhaseProgram::single(
             Phase::steady(0.8, 8.0, 10.0, 1e9).with_burstiness(0.1),
             4e10,
@@ -461,9 +461,9 @@ mod tests {
         );
         // Sharing is layout only: the program writes what it writes alone.
         assert!(text.contains(&to_string(&*program)));
-        let back: ThreadSpec = from_str(&text).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(to_string(&back), text);
+        let back = parse(&text).unwrap();
+        assert_eq!(back, spec.to_json_value());
+        assert_eq!(back.render(), text);
     }
 
     #[test]

@@ -275,12 +275,6 @@ impl Topology {
         self.num_domains as usize
     }
 
-    /// NUMA domain of a physical core.
-    #[inline]
-    pub fn domain_of_pcore(&self, p: PCoreId) -> DomainId {
-        self.pcore_domain[p.index()]
-    }
-
     /// NUMA domain of a virtual core (its physical core's domain).
     #[inline]
     pub fn domain_of(&self, v: VCoreId) -> DomainId {

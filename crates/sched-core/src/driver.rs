@@ -163,18 +163,7 @@ impl RunResult {
         }
     }
 
-    /// Per-app thread sojourn times in seconds, for every app present.
-    pub fn per_app_runtimes(&self) -> Vec<(u32, Vec<f64>)> {
-        let mut apps: Vec<u32> = self.threads.iter().map(|t| t.app).collect();
-        apps.sort_unstable();
-        apps.dedup();
-        apps.into_iter()
-            .map(|app| (app, self.app_runtimes(app)))
-            .collect()
-    }
-
-    /// Sojourn times of one app's threads, without rebuilding the whole
-    /// per-app table.
+    /// Sojourn times of one app's threads.
     pub fn app_runtimes(&self, app: u32) -> Vec<f64> {
         self.threads
             .iter()
@@ -806,8 +795,7 @@ mod tests {
         assert_eq!(r.swaps, 0);
         assert!(r.quanta > 0);
         assert!(r.threads.iter().all(|t| t.finished_at.is_some()));
-        let per_app = r.per_app_runtimes();
-        assert_eq!(per_app.len(), 2);
+        assert_eq!(r.app_runtimes(0).len() + r.app_runtimes(1).len(), 2);
         // Thread on the slow core takes longer.
         assert!(r.app_runtimes(1)[0] > r.app_runtimes(0)[0]);
     }

@@ -139,11 +139,6 @@ impl SystemView {
     pub fn core(&self, id: VCoreId) -> &CoreObservation {
         &self.cores[id.index()]
     }
-
-    /// Memory access rates of all alive threads (the Selector's input).
-    pub fn access_rates(&self) -> Vec<f64> {
-        self.threads.iter().map(|t| t.rates.access_rate).collect()
-    }
 }
 
 /// Actions a scheduler may request at a quantum boundary.
@@ -271,7 +266,8 @@ mod tests {
         assert_eq!(view.thread(ThreadId(1)).unwrap().rates.access_rate, 20.0);
         assert!(view.thread(ThreadId(9)).is_none());
         assert_eq!(view.core(VCoreId(1)).bandwidth, 7.0);
-        assert_eq!(view.access_rates(), vec![10.0, 20.0]);
+        let rates: Vec<f64> = view.threads.iter().map(|t| t.rates.access_rate).collect();
+        assert_eq!(rates, vec![10.0, 20.0]);
         // Occupancy is empty until assigned, then reflects the threads.
         assert!(view.occupants(VCoreId(0)).is_empty());
         view.assign_occupants();

@@ -1,5 +1,5 @@
-//! Derive-free JSON: a writer-based serializer and a recursive-descent
-//! parser behind two small traits.
+//! Derive-free JSON: a writer-based serializer behind one small trait,
+//! and a recursive-descent parser into a [`Value`] tree.
 //!
 //! The output shape matches what the workspace's former `serde` derives
 //! produced, so recorded fixtures and figure emitters keep their format:
@@ -17,8 +17,12 @@
 //! [`json_newtype!`](crate::json_newtype) — declarative expansion only, no
 //! proc-macro reflection, and the expansion is readable in this file's
 //! terms.
+//!
+//! Every document this workspace keeps is written and compared as text,
+//! so there is no typed decoding: [`parse`] yields a [`Value`], and a
+//! reader walks it with [`Value::field`], [`Value::items`] and
+//! [`Num::as_f64`]/[`Num::as_u64`].
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -71,21 +75,6 @@ impl Num {
             Num::F(f) => {
                 if f >= 0.0 && f.fract() == 0.0 && f <= u64::MAX as f64 {
                     Some(f as u64)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// The value as `i64`, if exactly representable.
-    pub fn as_i64(self) -> Option<i64> {
-        match self {
-            Num::U(u) => i64::try_from(u).ok(),
-            Num::I(i) => Some(i),
-            Num::F(f) => {
-                if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 {
-                    Some(f as i64)
                 } else {
                     None
                 }
@@ -570,25 +559,9 @@ pub trait ToJson {
     }
 }
 
-/// Deserialize from a [`Value`] (and through it, from text).
-pub trait FromJson: Sized {
-    /// Decode from a parsed value tree.
-    fn from_json_value(v: &Value) -> Result<Self, JsonError>;
-
-    /// Parse and decode, equivalent to `serde_json::from_str`.
-    fn from_json(s: &str) -> Result<Self, JsonError> {
-        Self::from_json_value(&parse(s)?)
-    }
-}
-
 /// Compact serialization — drop-in for `serde_json::to_string(&v).unwrap()`.
 pub fn to_string<T: ToJson + ?Sized>(v: &T) -> String {
     v.to_json()
-}
-
-/// Parse and decode — drop-in for `serde_json::from_str`.
-pub fn from_str<T: FromJson>(s: &str) -> Result<T, JsonError> {
-    T::from_json(s)
 }
 
 // ---- primitive impls --------------------------------------------------
@@ -599,18 +572,6 @@ impl ToJson for bool {
     }
 }
 
-impl FromJson for bool {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(JsonError::shape(format!(
-                "expected bool, found {}",
-                kind_name(other)
-            ))),
-        }
-    }
-}
-
 macro_rules! impl_json_uint {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
@@ -618,85 +579,24 @@ macro_rules! impl_json_uint {
                 Value::Num(Num::U(*self as u64))
             }
         }
-        impl FromJson for $t {
-            fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-                match v {
-                    Value::Num(n) => n
-                        .as_u64()
-                        .and_then(|u| <$t>::try_from(u).ok())
-                        .ok_or_else(|| JsonError::shape(concat!(
-                            "number out of range for ", stringify!($t)
-                        ))),
-                    other => Err(JsonError::shape(format!(
-                        "expected number, found {}", kind_name(other)
-                    ))),
-                }
-            }
-        }
     )*};
 }
 
-impl_json_uint!(u8, u16, u32, u64, usize);
+impl_json_uint!(u32, u64, usize);
 
-macro_rules! impl_json_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json_value(&self) -> Value {
-                let i = *self as i64;
-                if i < 0 {
-                    Value::Num(Num::I(i))
-                } else {
-                    Value::Num(Num::U(i as u64))
-                }
-            }
+impl ToJson for i64 {
+    fn to_json_value(&self) -> Value {
+        if *self < 0 {
+            Value::Num(Num::I(*self))
+        } else {
+            Value::Num(Num::U(*self as u64))
         }
-        impl FromJson for $t {
-            fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-                match v {
-                    Value::Num(n) => n
-                        .as_i64()
-                        .and_then(|i| <$t>::try_from(i).ok())
-                        .ok_or_else(|| JsonError::shape(concat!(
-                            "number out of range for ", stringify!($t)
-                        ))),
-                    other => Err(JsonError::shape(format!(
-                        "expected number, found {}", kind_name(other)
-                    ))),
-                }
-            }
-        }
-    )*};
+    }
 }
-
-impl_json_int!(i8, i16, i32, i64, isize);
 
 impl ToJson for f64 {
     fn to_json_value(&self) -> Value {
         Value::Num(Num::F(*self))
-    }
-}
-
-impl FromJson for f64 {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Num(n) => Ok(n.as_f64()),
-            other => Err(JsonError::shape(format!(
-                "expected number, found {}",
-                kind_name(other)
-            ))),
-        }
-    }
-}
-
-impl ToJson for f32 {
-    fn to_json_value(&self) -> Value {
-        Value::Num(Num::F(*self as f64))
-    }
-}
-
-impl FromJson for f32 {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        f64::from_json_value(v).map(|f| f as f32)
     }
 }
 
@@ -712,18 +612,6 @@ impl ToJson for str {
     }
 }
 
-impl FromJson for String {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(JsonError::shape(format!(
-                "expected string, found {}",
-                kind_name(other)
-            ))),
-        }
-    }
-}
-
 impl<T: ToJson> ToJson for Option<T> {
     fn to_json_value(&self) -> Value {
         match self {
@@ -733,36 +621,9 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_json_value(other)?)),
-        }
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json_value(&self) -> Value {
         Value::Array(self.iter().map(ToJson::to_json_value).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        v.items()?.iter().map(T::from_json_value).collect()
-    }
-}
-
-impl<T: ToJson> ToJson for VecDeque<T> {
-    fn to_json_value(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json_value).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for VecDeque<T> {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        v.items()?.iter().map(T::from_json_value).collect()
     }
 }
 
@@ -775,22 +636,6 @@ impl<T: ToJson> ToJson for [T] {
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json_value(&self) -> Value {
         Value::Array(vec![self.0.to_json_value(), self.1.to_json_value()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        let items = v.items()?;
-        if items.len() != 2 {
-            return Err(JsonError::shape(format!(
-                "expected 2-element array, found {} elements",
-                items.len()
-            )));
-        }
-        Ok((
-            A::from_json_value(&items[0])?,
-            B::from_json_value(&items[1])?,
-        ))
     }
 }
 
@@ -808,30 +653,17 @@ impl<T: ToJson + ?Sized> ToJson for Arc<T> {
     }
 }
 
-/// Decodes into a fresh, unshared allocation.
-impl<T: FromJson> FromJson for Arc<T> {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        T::from_json_value(v).map(Arc::new)
-    }
-}
-
 impl ToJson for Value {
     fn to_json_value(&self) -> Value {
         self.clone()
     }
 }
 
-impl FromJson for Value {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        Ok(v.clone())
-    }
-}
-
 // ---- impl-writing macros ----------------------------------------------
 
-/// Implement [`ToJson`]/[`FromJson`] for a plain struct, serializing the
-/// listed fields in order as a JSON object — the same shape
-/// `#[derive(Serialize, Deserialize)]` produced.
+/// Implement [`ToJson`] for a plain struct, serializing the listed fields
+/// in order as a JSON object — the same shape `#[derive(Serialize)]`
+/// produced.
 #[macro_export]
 macro_rules! json_struct {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
@@ -845,22 +677,11 @@ macro_rules! json_struct {
                 ])
             }
         }
-        impl $crate::json::FromJson for $ty {
-            fn from_json_value(
-                v: &$crate::json::Value,
-            ) -> Result<Self, $crate::json::JsonError> {
-                Ok(Self {
-                    $($field: $crate::json::FromJson::from_json_value(
-                        v.field(stringify!($field))?,
-                    )?,)+
-                })
-            }
-        }
     };
 }
 
-/// Implement [`ToJson`]/[`FromJson`] for a tuple newtype (`VCoreId(u32)`),
-/// serializing as the bare inner value — serde's newtype behaviour.
+/// Implement [`ToJson`] for a tuple newtype (`VCoreId(u32)`), serializing
+/// as the bare inner value — serde's newtype behaviour.
 #[macro_export]
 macro_rules! json_newtype {
     ($($ty:ty),+ $(,)?) => {$(
@@ -869,19 +690,12 @@ macro_rules! json_newtype {
                 $crate::json::ToJson::to_json_value(&self.0)
             }
         }
-        impl $crate::json::FromJson for $ty {
-            fn from_json_value(
-                v: &$crate::json::Value,
-            ) -> Result<Self, $crate::json::JsonError> {
-                Ok(Self($crate::json::FromJson::from_json_value(v)?))
-            }
-        }
     )+};
 }
 
-/// Implement [`ToJson`]/[`FromJson`] for an enum of unit and/or newtype
-/// variants, externally tagged like serde: unit variants as
-/// `"VariantName"`, newtype variants as `{"VariantName": payload}`.
+/// Implement [`ToJson`] for an enum of unit and/or newtype variants,
+/// externally tagged like serde: unit variants as `"VariantName"`,
+/// newtype variants as `{"VariantName": payload}`.
 ///
 /// ```ignore
 /// json_enum!(Placement { Interleaved, AppContiguous } { Random(u64) });
@@ -902,43 +716,6 @@ macro_rules! json_enum {
                 }
             }
         }
-        impl $crate::json::FromJson for $ty {
-            fn from_json_value(
-                v: &$crate::json::Value,
-            ) -> Result<Self, $crate::json::JsonError> {
-                match v {
-                    #[allow(unused_variables)]
-                    $crate::json::Value::Str(s) => match s.as_str() {
-                        $(stringify!($unit) => Ok(Self::$unit),)*
-                        other => Err($crate::json::JsonError::shape(format!(
-                            "unknown {} variant `{}`",
-                            stringify!($ty),
-                            other
-                        ))),
-                    },
-                    #[allow(unused_variables)]
-                    $crate::json::Value::Object(fields) if fields.len() == 1 => {
-                        let (tag, payload) = &fields[0];
-                        match tag.as_str() {
-                            $(stringify!($nt) => Ok(Self::$nt(
-                                <$ntty as $crate::json::FromJson>::from_json_value(
-                                    payload,
-                                )?,
-                            )),)*
-                            other => Err($crate::json::JsonError::shape(format!(
-                                "unknown {} variant `{}`",
-                                stringify!($ty),
-                                other
-                            ))),
-                        }
-                    }
-                    _ => Err($crate::json::JsonError::shape(format!(
-                        "invalid shape for enum {}",
-                        stringify!($ty)
-                    ))),
-                }
-            }
-        }
     };
 }
 
@@ -947,16 +724,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn primitives_round_trip() {
+    fn primitives_write_and_parse() {
         assert_eq!(to_string(&true), "true");
         assert_eq!(to_string(&42u64), "42");
         assert_eq!(to_string(&-7i64), "-7");
         assert_eq!(to_string(&1.5f64), "1.5");
         assert_eq!(to_string(&"hi".to_string()), "\"hi\"");
-        assert!(!from_str::<bool>("false").unwrap());
-        assert_eq!(from_str::<u32>("12").unwrap(), 12);
-        assert_eq!(from_str::<f64>("2.25").unwrap(), 2.25);
-        assert_eq!(from_str::<String>("\"x\"").unwrap(), "x");
+        assert_eq!(parse("false").unwrap(), Value::Bool(false));
+        assert_eq!(parse("12").unwrap(), Value::Num(Num::U(12)));
+        assert_eq!(parse("2.25").unwrap(), Value::Num(Num::F(2.25)));
+        assert_eq!(parse("\"x\"").unwrap(), Value::Str("x".into()));
     }
 
     #[test]
@@ -966,14 +743,17 @@ mod tests {
         assert_eq!(to_string(&0.0f64), "0.0");
         assert_eq!(to_string(&-3.0f64), "-3.0");
         assert_eq!(to_string(&4e20f64), "400000000000000000000.0");
-        assert_eq!(from_str::<f64>("4e20").unwrap(), 4e20);
-        assert_eq!(from_str::<f64>("1.0").unwrap(), 1.0);
+        assert_eq!(parse("4e20").unwrap(), Value::Num(Num::F(4e20)));
+        assert_eq!(parse("1.0").unwrap(), Value::Num(Num::F(1.0)));
     }
 
     #[test]
     fn large_u64_survives_round_trip() {
         let big = u64::MAX - 1;
-        assert_eq!(from_str::<u64>(&to_string(&big)).unwrap(), big);
+        let back = parse(&to_string(&big)).unwrap();
+        assert_eq!(back, Value::Num(Num::U(big)));
+        let Value::Num(n) = back else { unreachable!() };
+        assert_eq!(n.as_u64(), Some(big));
     }
 
     #[test]
@@ -981,27 +761,29 @@ mod tests {
         let v = vec![vec![1.0, 2.0], vec![3.5]];
         let s = to_string(&v);
         assert_eq!(s, "[[1.0,2.0],[3.5]]");
-        assert_eq!(from_str::<Vec<Vec<f64>>>(&s).unwrap(), v);
+        assert_eq!(parse(&s).unwrap(), v.to_json_value());
 
         let opt_none: Option<u32> = None;
         assert_eq!(to_string(&opt_none), "null");
-        assert_eq!(from_str::<Option<u32>>("null").unwrap(), None);
-        assert_eq!(from_str::<Option<u32>>("3").unwrap(), Some(3));
+        assert_eq!(to_string(&Some(3u32)), "3");
 
         let pairs: Vec<(f64, f64)> = vec![(0.5, 1.0), (1.5, 2.0)];
         let s = to_string(&pairs);
         assert_eq!(s, "[[0.5,1.0],[1.5,2.0]]");
-        assert_eq!(from_str::<Vec<(f64, f64)>>(&s).unwrap(), pairs);
+        assert_eq!(parse(&s).unwrap(), pairs.to_json_value());
     }
 
     #[test]
     fn string_escapes_round_trip() {
         let s = "a\"b\\c\nd\te\u{1}√";
         let rendered = to_string(&s.to_string());
-        assert_eq!(from_str::<String>(&rendered).unwrap(), s);
+        assert_eq!(parse(&rendered).unwrap(), Value::Str(s.into()));
         // \u escapes incl. surrogate pairs parse.
-        assert_eq!(from_str::<String>("\"\\u0041\"").unwrap(), "A");
-        assert_eq!(from_str::<String>("\"\\ud83d\\ude00\"").unwrap(), "😀");
+        assert_eq!(parse("\"\\u0041\"").unwrap(), Value::Str("A".into()));
+        assert_eq!(
+            parse("\"\\ud83d\\ude00\"").unwrap(),
+            Value::Str("😀".into())
+        );
     }
 
     #[test]
@@ -1019,7 +801,10 @@ mod tests {
         // Underflow is not overflow: it rounds to zero.
         assert_eq!(parse("1e-999").unwrap(), Value::Num(Num::F(0.0)));
         // The largest finite magnitudes still parse, as floats.
-        assert_eq!(from_str::<f64>("1.7976931348623157e308").unwrap(), f64::MAX);
+        assert_eq!(
+            parse("1.7976931348623157e308").unwrap(),
+            Value::Num(Num::F(f64::MAX))
+        );
         assert_eq!(parse(&"9".repeat(300)).unwrap(), Value::Num(Num::F(1e300)));
     }
 
@@ -1055,8 +840,7 @@ mod tests {
             assert_eq!(v.render(), "-0.0");
             assert_eq!(parse(&v.render()).unwrap(), v);
         }
-        assert_eq!(from_str::<i64>("-0").unwrap(), 0);
-        assert_eq!(from_str::<u64>("-0").unwrap(), 0);
+        assert_eq!(Num::F(-0.0).as_u64(), Some(0));
         assert_eq!(parse("-1").unwrap(), Value::Num(Num::I(-1)));
     }
 
@@ -1064,12 +848,8 @@ mod tests {
     fn shared_values_write_what_they_share() {
         let v: Arc<Vec<f64>> = Arc::new(vec![1.0, 2.5]);
         assert_eq!(to_string(&v), to_string(&*v));
-        let back = from_str::<Arc<Vec<f64>>>(&to_string(&v)).unwrap();
-        assert_eq!(back, v);
-        assert!(!Arc::ptr_eq(&back, &v), "decoding allocates afresh");
         let opt: Option<Arc<String>> = Some(Arc::new("x".into()));
         assert_eq!(to_string(&opt), "\"x\"");
-        assert_eq!(from_str::<Option<Arc<String>>>("\"x\"").unwrap(), opt);
     }
 
     #[test]
@@ -1104,14 +884,16 @@ mod tests {
 
     #[test]
     fn shape_errors_are_descriptive() {
-        let e = from_str::<u32>("\"nope\"").unwrap_err();
-        assert!(e.msg.contains("expected number"), "{e}");
+        let e = parse("\"nope\"").unwrap().items().unwrap_err();
+        assert!(e.msg.contains("expected array, found string"), "{e}");
         let v = parse("{\"a\":1}").unwrap();
-        assert!(v.field("missing").is_err());
+        let e = v.field("missing").unwrap_err();
+        assert!(e.msg.contains("missing field `missing`"), "{e}");
+        let e = parse("[1]").unwrap().field("a").unwrap_err();
+        assert!(e.msg.contains("found array"), "{e}");
     }
 
     // Macro smoke tests on local types.
-    #[derive(Debug, PartialEq)]
     struct P {
         x: u32,
         y: f64,
@@ -1119,11 +901,9 @@ mod tests {
     }
     json_struct!(P { x, y, name });
 
-    #[derive(Debug, PartialEq)]
     struct Id(pub u32);
     json_newtype!(Id);
 
-    #[derive(Debug, PartialEq)]
     enum E {
         A,
         B,
@@ -1140,17 +920,15 @@ mod tests {
         };
         let s = to_string(&p);
         assert_eq!(s, "{\"x\":3,\"y\":1.0,\"name\":\"n\"}");
-        assert_eq!(from_str::<P>(&s).unwrap(), p);
+        assert_eq!(parse(&s).unwrap(), p.to_json_value());
 
         assert_eq!(to_string(&Id(9)), "9");
-        assert_eq!(from_str::<Id>("9").unwrap(), Id(9));
 
         assert_eq!(to_string(&E::A), "\"A\"");
+        assert_eq!(to_string(&E::B), "\"B\"");
         assert_eq!(to_string(&E::W(5)), "{\"W\":5}");
         for e in [E::A, E::B, E::W(123)] {
-            assert_eq!(from_str::<E>(&to_string(&e)).unwrap(), e);
+            assert_eq!(parse(&to_string(&e)).unwrap(), e.to_json_value());
         }
-        assert!(from_str::<E>("\"C\"").is_err());
-        assert!(from_str::<E>("{\"Z\":1}").is_err());
     }
 }

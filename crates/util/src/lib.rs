@@ -8,10 +8,11 @@
 //!
 //! * [`rng`] — deterministic SplitMix64 seeder + PCG32 stream with
 //!   `gen_range`/`shuffle`/`choose`/`sample` (replaces `rand`/`rand_pcg`);
-//! * [`json`] — a small writer-based serializer and recursive-descent
-//!   parser behind derive-free [`json::ToJson`]/[`json::FromJson`] traits,
-//!   with `macro_rules!` helpers for structs, enums and id newtypes
-//!   (replaces `serde`/`serde_json`);
+//! * [`json`] — a small writer-based serializer behind the derive-free
+//!   [`json::ToJson`] trait, with `macro_rules!` helpers for structs,
+//!   enums and id newtypes, and a recursive-descent parser into a
+//!   [`json::Value`] tree (replaces `serde`/`serde_json`; nothing decodes
+//!   typed values, because every kept document is compared as text);
 //! * [`check`] — a seeded property-testing harness, shrinking-free but
 //!   with the failing seed reported for exact reproduction (replaces
 //!   `proptest`);
@@ -33,6 +34,6 @@ pub mod pool;
 pub mod rng;
 
 pub use alloc::CountingAllocator;
-pub use json::{FromJson, JsonError, ToJson, Value};
+pub use json::{JsonError, ToJson, Value};
 pub use pool::Pool;
 pub use rng::{Pcg32, SliceRandom};

@@ -6,7 +6,7 @@
 //! these tests must be treated as a breaking change, not a refactor.
 
 use dike_util::check::check;
-use dike_util::json::{self, FromJson, ToJson};
+use dike_util::json::{self, ToJson};
 use dike_util::{json_enum, json_newtype, json_struct, Pcg32, SliceRandom};
 
 /// First eight `next_u32` outputs of `Pcg32::seed_from_u64(42)`.
@@ -132,10 +132,11 @@ fn json_round_trip_on_fixture_structs() {
     check("json_round_trip", 64, |rng| {
         let cell = arb_cell(rng);
         let s = json::to_string(&cell);
-        let back: FixtureCell = json::from_str(&s).expect("round trip parses");
-        assert_eq!(back, cell, "round trip mismatch for {s}");
+        let back = json::parse(&s).expect("round trip parses");
+        assert_eq!(back, cell.to_json_value(), "round trip mismatch for {s}");
         // Serialization is a pure function of the value.
-        assert_eq!(json::to_string(&back), s);
+        assert_eq!(back.render(), s);
+        assert_eq!(json::to_string(&cell.clone()), s);
     });
 }
 
@@ -157,8 +158,8 @@ fn json_output_shape_is_frozen() {
     );
     assert_eq!(FixtureKind::Fast.to_json(), "\"Fast\"");
     assert_eq!(
-        FixtureCell::from_json(&cell.to_json()).unwrap().id,
-        FixtureId(u64::MAX)
+        json::parse(&cell.to_json()).unwrap().field("id"),
+        Ok(&json::Value::Num(json::Num::U(u64::MAX)))
     );
 }
 

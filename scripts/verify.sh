@@ -32,6 +32,29 @@ step "offline-guard" scripts/offline_guard.sh
 
 step "fmt" cargo fmt --all -- --check
 step "build" cargo build --release --offline --workspace --all-targets
+
+# Bad input is rejected, not panicked on: each command line below (an
+# out-of-range workload number, a Figure 5 count of 0, an unwritable
+# `--json` path) must exit with status 2 and a message naming the bad
+# value or path, before any simulation runs; a panic exits 101 and fails
+# the step. The `--json` file is created while the flags are parsed.
+# Runs the release binaries the build step just made.
+cli_errors() {
+    local status
+    for cmd in "ablations --scale 0.02 17" \
+               "fig5 --scale 0.02 0" \
+               "fleet --quick --json /nonexistent-dir/r.json" \
+               "failover --quick --json /nonexistent-dir/r.json"; do
+        status=0
+        # shellcheck disable=SC2086 # word-split the command line
+        target/release/$cmd > /dev/null 2>&1 || status=$?
+        if [ "$status" -ne 2 ]; then
+            echo "cli-errors: '$cmd' exited $status, expected 2" >&2
+            return 1
+        fi
+    done
+}
+step "cli-errors" cli_errors
 step "test" cargo test -q --offline --workspace
 step "clippy" cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -58,7 +81,10 @@ step "engine-fast-vs-cold" env DIKE_CHECK_CASES=600 \
 # `admitted` == `total_arrivals`, Σ tenant `offered` == `dispatched` ==
 # offered threads, Σ tenant `lost` == `ledger.lost`, a completed fleet
 # has only completed machines, and `run()` equals the one-epoch blind
-# `run_failover`). Release, because 500 cases are slow in debug.
+# `run_failover`), and the outage books of the barrier, the one outage
+# state machine (quarantines == Σ crashes + Σ brownouts, Σ crashes ==
+# readmissions + machines down at the end, a permanent crash is a
+# machine's only one). Release, because 500 cases are slow in debug.
 step "fleet-loop-properties" env DIKE_CHECK_CASES=500 \
     cargo test -q --release --offline -p dike-fleet --test properties
 
