@@ -1,7 +1,5 @@
 //! Turning raw counter deltas into the per-quantum rates schedulers consume.
 
-use dike_util::json_struct;
-
 /// Per-quantum rates derived from hardware-counter deltas.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RateSample {
@@ -20,14 +18,6 @@ pub struct RateSample {
     /// heterogeneous machines — kept for the IPC-ablation benchmark).
     pub ipc: f64,
 }
-
-json_struct!(RateSample {
-    access_rate,
-    instr_rate,
-    miss_ratio,
-    llc_miss_rate,
-    ipc,
-});
 
 impl RateSample {
     /// Derive rates from counter deltas over `dt_s` seconds.
@@ -65,12 +55,6 @@ impl RateSample {
                 0.0
             },
         }
-    }
-
-    /// LLC miss rate as a percentage of LLC accesses — directly comparable
-    /// to the paper's 10 % boundary.
-    pub fn miss_rate_percent(&self) -> f64 {
-        self.llc_miss_rate * 100.0
     }
 
     /// True when every field is a finite number and inside its physical
@@ -120,7 +104,6 @@ mod tests {
         assert_eq!(r.miss_ratio, 0.05);
         assert_eq!(r.llc_miss_rate, 0.125);
         assert_eq!(r.ipc, 0.5);
-        assert_eq!(r.miss_rate_percent(), 12.5);
     }
 
     #[test]
@@ -150,7 +133,6 @@ mod tests {
         // quantum; the ratios must stay finite (0, by convention).
         let r = RateSample::from_deltas(100.0, 7.0, 0.0, 0.0, 0.25);
         assert_eq!(r.llc_miss_rate, 0.0);
-        assert_eq!(r.miss_rate_percent(), 0.0);
         assert_eq!(r.ipc, 0.0);
         assert!(r.access_rate.is_finite());
         assert_eq!(r.access_rate, 28.0);
@@ -206,6 +188,6 @@ mod tests {
         ] {
             assert!(v.is_finite(), "{r:?}");
         }
-        assert_eq!(r.miss_rate_percent(), 75.0);
+        assert_eq!(r.llc_miss_rate, 0.75);
     }
 }

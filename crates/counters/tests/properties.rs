@@ -41,6 +41,5 @@ fn rate_sample_fields_are_consistent() {
             assert!((0.0..=1.0 + 1e-9).contains(&r.llc_miss_rate));
         }
         assert!(r.ipc >= 0.0);
-        assert!(r.miss_rate_percent() >= 0.0);
     });
 }

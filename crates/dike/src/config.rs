@@ -1,7 +1,7 @@
 //! Dike's configuration: the paper's tunables in one place.
 
 use dike_machine::SimTime;
-use dike_util::{json_enum, json_struct};
+use dike_util::json_struct;
 
 /// The adaptation goal of the Optimizer (Section III-F): the user's
 /// preference for fairness or throughput.
@@ -27,9 +27,12 @@ pub enum CoreBwEstimate {
     PerCoreMean,
     /// Demand-gated capability estimate: a core's bandwidth is only
     /// sampled in quanta when it hosts a memory-classified thread, with a
-    /// frequency-class fallback for cores lacking history. Deterministic
-    /// corrective swaps from cold start, far fewer steady-state swaps —
-    /// an "improved Dike" ablation rather than the paper's behaviour.
+    /// frequency-class fallback for cores lacking history. An ablation,
+    /// and not a quieter Dike: a memory↔compute pair's profit is then
+    /// about the fast core's bandwidth under memory demand minus a compute
+    /// thread's rate, almost always positive, so the Decider almost never
+    /// rejects on profit and the variant swaps about as often as
+    /// no-prediction, more than [`CoreBwEstimate::PerCoreMean`].
     DemandGated,
 }
 
@@ -66,9 +69,6 @@ pub struct SchedConfig {
     pub quantum_ms: u64,
 }
 
-json_enum!(AdaptationGoal { Fairness, Performance } {});
-json_enum!(CoreBwEstimate { PerCoreMean, DemandGated } {});
-json_enum!(CoreRanking { Frequency, ObservedBandwidth } {});
 json_struct!(SchedConfig {
     swap_size,
     quantum_ms,
@@ -153,11 +153,6 @@ impl SchedConfig {
     pub fn increase_swap_size(&mut self) {
         self.swap_size = (self.swap_size + 2).min(SWAP_SIZE_MAX);
     }
-
-    /// `swapSize = max(swapSize - 2, SWAP_SIZE_MIN)`.
-    pub fn decrease_swap_size(&mut self) {
-        self.swap_size = self.swap_size.saturating_sub(2).max(SWAP_SIZE_MIN);
-    }
 }
 
 impl Default for SchedConfig {
@@ -166,79 +161,51 @@ impl Default for SchedConfig {
     }
 }
 
-/// Graceful-degradation knobs (the hardened pipeline of DESIGN.md §11).
-/// Present (`DikeConfig::hardening = Some(..)`) only on the hardened
-/// variants; the paper-faithful policies leave it `None` and keep the
-/// original trusting pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HardeningConfig {
-    /// How many quanta a thread's last good sample may be held over when
-    /// its current sample is missing or implausible, before the thread is
-    /// treated as unknown (zero rates, zero confidence).
-    pub holdover_age_cap: u32,
-    /// Per-quantum decay of sample confidence while holding over: after
-    /// `k` quanta on stale data, confidence is `confidence_decay^k`.
-    pub confidence_decay: f64,
-    /// Minimum pair confidence (the lower of the two members') for the
-    /// Decider to accept a swap; below it the pair is rejected outright.
-    /// The default (0.6) sits above the first decay step (0.5), so
-    /// held-over threads inform the fairness estimates but are never
-    /// themselves actuation-eligible — moving a thread on stale placement
-    /// data is worse than leaving it put.
-    pub min_confidence: f64,
-    /// Physical upper bound on a believable per-thread access rate, in
-    /// accesses/s. Anything above it is treated as a corrupted
-    /// (saturated) reading. The paper machine's controller peaks at 4e8;
-    /// an order of magnitude above that is unreachable by any real thread.
-    pub max_plausible_rate: f64,
-    /// Re-issues allowed per unconfirmed swap before abandoning it
-    /// (`sched_core::SwapPlanner` retry budget).
-    pub retry_budget: u32,
-    /// Quanta an abandoned swap's members stay under substrate (CFS-like)
-    /// placement before Dike may pair them again.
-    pub fallback_cooldown_quanta: u32,
-}
+/// LLC-miss-rate boundary separating memory- from compute-intensive
+/// threads. The paper fixes it at 10 %, following Xie & Loh.
+pub const CLASSIFY_BOUNDARY: f64 = 0.10;
 
-json_struct!(HardeningConfig {
-    holdover_age_cap,
-    confidence_decay,
-    min_confidence,
-    max_plausible_rate,
-    retry_budget,
-    fallback_cooldown_quanta,
-});
+/// Assumed per-swap overhead (the paper's `swapOH`) in Eqn 2's overhead
+/// term, in milliseconds. The paper leaves it to profilers and treats
+/// residual error as closed-loop noise; it is the machine model's
+/// migration dead time.
+pub const SWAP_OH_MS: f64 = 3.0;
 
-impl Default for HardeningConfig {
-    fn default() -> Self {
-        HardeningConfig {
-            holdover_age_cap: 4,
-            confidence_decay: 0.5,
-            min_confidence: 0.6,
-            max_plausible_rate: 4e9,
-            retry_budget: 3,
-            fallback_cooldown_quanta: 8,
-        }
-    }
-}
+/// Workload classification bands on the observed fraction of
+/// memory-intensive threads: below `UC_BAND` is UC, above [`UM_BAND`] is
+/// UM, between is B. Asymmetric so that a moderate communication-bound
+/// background app (KMEANS classifies compute) does not flip the class.
+pub const UC_BAND: f64 = 0.30;
+/// Upper classification band; see [`UC_BAND`].
+pub const UM_BAND: f64 = 0.50;
 
-impl HardeningConfig {
-    /// Validate.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.holdover_age_cap == 0 {
-            return Err("holdover_age_cap must be >= 1".into());
-        }
-        if !(0.0 < self.confidence_decay && self.confidence_decay < 1.0) {
-            return Err("confidence_decay must be in (0,1)".into());
-        }
-        if !(0.0..=1.0).contains(&self.min_confidence) {
-            return Err("min_confidence must be in [0,1]".into());
-        }
-        if !(self.max_plausible_rate > 0.0) {
-            return Err("max_plausible_rate must be > 0".into());
-        }
-        Ok(())
-    }
-}
+// The hardened pipeline's fixed values (DESIGN.md §11), read only when
+// `DikeConfig::hardened` is set.
+
+/// Quanta a thread's last good sample may be held over when its current
+/// sample is missing or implausible, before the thread is treated as
+/// unknown (zero rates, zero confidence).
+pub const HOLDOVER_AGE_CAP: u32 = 4;
+/// Per-quantum decay of sample confidence while holding over: after `k`
+/// quanta on stale data, confidence is `CONFIDENCE_DECAY^k`.
+pub const CONFIDENCE_DECAY: f64 = 0.5;
+/// Minimum pair confidence (the lower of the two members') for the
+/// Decider to accept a swap; below it the pair is rejected outright. It
+/// sits above the first decay step (0.5), so held-over threads inform the
+/// fairness estimates but are never themselves actuation-eligible: moving
+/// a thread on stale placement data is worse than leaving it put.
+pub const MIN_CONFIDENCE: f64 = 0.6;
+/// Physical upper bound on a believable per-thread access rate, in
+/// accesses/s; anything above it is a corrupted (saturated) reading. The
+/// paper machine's controller peaks at 4e8, and an order of magnitude
+/// above that is unreachable by any real thread.
+pub const MAX_PLAUSIBLE_RATE: f64 = 4e9;
+/// Re-issues allowed per unconfirmed swap before abandoning it
+/// (`sched_core::SwapPlanner`'s retry budget).
+pub const RETRY_BUDGET: u32 = 3;
+/// Quanta an abandoned swap's members stay under substrate (CFS-like)
+/// placement before Dike may pair them again.
+pub const FALLBACK_COOLDOWN_QUANTA: u64 = 8;
 
 /// Full Dike configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -248,9 +215,6 @@ pub struct DikeConfig {
     /// Fairness threshold θ_f on the coefficient of variation of thread
     /// access rates (paper default 0.1). Below it, the quantum is skipped.
     pub fairness_threshold: f64,
-    /// LLC-miss-rate boundary separating memory- from compute-intensive
-    /// threads (paper: 10 %, following Xie & Loh).
-    pub classify_boundary: f64,
     /// Adaptation goal; `None` = the non-adaptive "Dike" policy.
     pub adaptation: Option<AdaptationGoal>,
     /// How cores are ranked into high/low bandwidth.
@@ -263,53 +227,24 @@ pub struct DikeConfig {
     /// Reject pairs with negative predicted total profit. Disable only for
     /// the "Dike minus predictor" ablation.
     pub use_prediction: bool,
-    /// Assumed per-swap overhead (the paper's `swapOH`) used in Eqn 2's
-    /// overhead term, in milliseconds. The paper leaves it to profilers and
-    /// treats residual error as closed-loop noise; it defaults to the
-    /// machine model's migration dead time.
-    pub swap_oh_ms: f64,
-    /// Observed-M-thread-fraction bands for workload classification:
-    /// fraction < `uc_band` → UC, fraction > `um_band` → UM, else B.
-    /// Asymmetric so that a moderate communication-bound background app
-    /// (KMEANS classifies compute) does not flip the class.
-    pub uc_band: f64,
-    /// Upper band; see [`DikeConfig::uc_band`].
-    pub um_band: f64,
-    /// Graceful-degradation hardening; `None` (the default) keeps the
-    /// paper-faithful trusting pipeline.
-    pub hardening: Option<HardeningConfig>,
+    /// Run the graceful-degradation pipeline (sanitize → holdover →
+    /// retry/backoff → demotion) at its fixed values ([`HOLDOVER_AGE_CAP`]
+    /// and the rest); `false` (the default) keeps the paper-faithful
+    /// trusting pipeline.
+    pub hardened: bool,
 }
-
-json_struct!(DikeConfig {
-    sched,
-    fairness_threshold,
-    classify_boundary,
-    adaptation,
-    core_ranking,
-    core_bw_estimate,
-    cooldown,
-    use_prediction,
-    swap_oh_ms,
-    uc_band,
-    um_band,
-    hardening,
-});
 
 impl Default for DikeConfig {
     fn default() -> Self {
         DikeConfig {
             sched: SchedConfig::DEFAULT,
             fairness_threshold: 0.1,
-            classify_boundary: 0.10,
             adaptation: None,
             core_ranking: CoreRanking::Frequency,
             core_bw_estimate: CoreBwEstimate::PerCoreMean,
             cooldown: true,
             use_prediction: true,
-            swap_oh_ms: 3.0,
-            uc_band: 0.30,
-            um_band: 0.50,
-            hardening: None,
+            hardened: false,
         }
     }
 }
@@ -345,7 +280,7 @@ impl DikeConfig {
     pub fn hardened(sched: SchedConfig) -> Self {
         DikeConfig {
             sched,
-            hardening: Some(HardeningConfig::default()),
+            hardened: true,
             ..DikeConfig::default()
         }
     }
@@ -353,20 +288,8 @@ impl DikeConfig {
     /// Validate.
     pub fn validate(&self) -> Result<(), String> {
         self.sched.validate()?;
-        if let Some(h) = &self.hardening {
-            h.validate()?;
-        }
         if !(self.fairness_threshold > 0.0) {
             return Err("fairness_threshold must be > 0".into());
-        }
-        if !(0.0..=1.0).contains(&self.classify_boundary) {
-            return Err("classify_boundary must be in [0,1]".into());
-        }
-        if !(self.swap_oh_ms >= 0.0) {
-            return Err("swap_oh_ms must be >= 0".into());
-        }
-        if !(0.0 < self.uc_band && self.uc_band <= self.um_band && self.um_band < 1.0) {
-            return Err("bands must satisfy 0 < uc_band <= um_band < 1".into());
         }
         Ok(())
     }
@@ -426,14 +349,6 @@ mod tests {
         assert_eq!(c.swap_size, 16);
         c.increase_swap_size();
         assert_eq!(c.swap_size, 16);
-        let mut c = SchedConfig {
-            swap_size: 4,
-            quantum_ms: 500,
-        };
-        c.decrease_swap_size();
-        assert_eq!(c.swap_size, 2);
-        c.decrease_swap_size();
-        assert_eq!(c.swap_size, 2);
     }
 
     #[test]
@@ -478,36 +393,10 @@ mod tests {
     fn hardened_preset_validates_and_defaults_are_sane() {
         let c = DikeConfig::hardened(SchedConfig::DEFAULT);
         assert!(c.validate().is_ok());
-        let h = c.hardening.expect("hardening present");
-        assert!(h.holdover_age_cap >= 1);
-        assert!(h.retry_budget >= 1);
+        assert!(c.hardened);
         // Plain presets stay unhardened (paper-faithful).
-        assert!(DikeConfig::default().hardening.is_none());
-        assert!(DikeConfig::adaptive_fairness().hardening.is_none());
-    }
-
-    #[test]
-    #[allow(clippy::field_reassign_with_default)] // exercising one bad field at a time
-    fn hardening_validation_rejects_nonsense() {
-        let mut h = HardeningConfig::default();
-        h.holdover_age_cap = 0;
-        assert!(h.validate().is_err());
-        let mut h = HardeningConfig::default();
-        h.confidence_decay = 1.0;
-        assert!(h.validate().is_err());
-        let mut h = HardeningConfig::default();
-        h.confidence_decay = f64::NAN;
-        assert!(h.validate().is_err());
-        let mut h = HardeningConfig::default();
-        h.min_confidence = 1.5;
-        assert!(h.validate().is_err());
-        let mut h = HardeningConfig::default();
-        h.max_plausible_rate = f64::NAN;
-        assert!(h.validate().is_err());
-        // An invalid hardening block fails the whole config.
-        let mut c = DikeConfig::hardened(SchedConfig::DEFAULT);
-        c.hardening.as_mut().unwrap().holdover_age_cap = 0;
-        assert!(c.validate().is_err());
+        assert!(!DikeConfig::default().hardened);
+        assert!(!DikeConfig::adaptive_fairness().hardened);
     }
 
     #[test]
@@ -517,14 +406,10 @@ mod tests {
         c.fairness_threshold = 0.0;
         assert!(c.validate().is_err());
         let mut c = DikeConfig::default();
-        c.classify_boundary = 1.5;
+        c.fairness_threshold = f64::NAN;
         assert!(c.validate().is_err());
         let mut c = DikeConfig::default();
-        c.swap_oh_ms = -1.0;
-        assert!(c.validate().is_err());
-        let mut c = DikeConfig::default();
-        c.uc_band = 0.8;
-        c.um_band = 0.5;
+        c.sched.quantum_ms = 300;
         assert!(c.validate().is_err());
     }
 }

@@ -53,9 +53,7 @@ pub mod predictor;
 pub mod scheduler;
 pub mod selector;
 
-pub use config::{
-    AdaptationGoal, CoreBwEstimate, CoreRanking, DikeConfig, HardeningConfig, SchedConfig,
-};
+pub use config::{AdaptationGoal, CoreBwEstimate, CoreRanking, DikeConfig, SchedConfig};
 pub use hybrid::DikeLfoc;
 pub use observer::{Observation, ObservedThread, Observer, ThreadClass};
 pub use optimizer::WorkloadType;

@@ -18,12 +18,15 @@
 //! non-finite or negative rate (a corrupted counter read) is scrubbed to
 //! its physical bounds, so a poisoned view can never push NaN into the
 //! fairness gate or the Predictor. With hardening enabled
-//! ([`crate::config::HardeningConfig`]) the Observer additionally holds
+//! ([`DikeConfig::hardened`]) the Observer additionally holds
 //! over each thread's last good sample (with an age cap) when the current
 //! one is missing or implausible, and attaches a per-thread confidence
 //! score the Predictor and Decider use to widen or reject decisions.
 
-use crate::config::{CoreBwEstimate, CoreRanking, DikeConfig, HardeningConfig};
+use crate::config::{
+    CoreBwEstimate, CoreRanking, DikeConfig, CLASSIFY_BOUNDARY, CONFIDENCE_DECAY, HOLDOVER_AGE_CAP,
+    MAX_PLAUSIBLE_RATE,
+};
 use dike_counters::{MovingMean, RateSample};
 use dike_machine::{AppId, DomainId, ThreadId, VCoreId};
 use dike_sched_core::SystemView;
@@ -118,10 +121,9 @@ impl Observation {
 /// paper-literal per-core moving mean (default; swap acceptance is then
 /// driven by phase noise around a ≈ −overhead expectation, matching Table
 /// III's per-class swap counts) and the demand-gated capability variant
-/// (deterministic corrective swaps, used as an ablation).
+/// (an ablation that swaps about as often as no prediction at all).
 #[derive(Debug)]
 pub struct Observer {
-    boundary: f64,
     ranking: CoreRanking,
     estimate: CoreBwEstimate,
     /// Per-core bandwidth moving means (all quanta for
@@ -132,8 +134,8 @@ pub struct Observer {
     /// class's frequency bits (f64 frequencies are finite machine config).
     /// Used only by the demand-gated estimator's fallback.
     class_bw: Vec<(u64, MovingMean)>,
-    /// Degradation ladder knobs; `None` = the paper-faithful pipeline.
-    hardening: Option<HardeningConfig>,
+    /// Run the degradation ladder; `false` = the paper-faithful pipeline.
+    hardened: bool,
     /// Per-thread last-good sample (hardened only), in insertion order.
     last_good: Vec<(ThreadId, LastGood)>,
     /// Reusable core-ranking index buffer.
@@ -157,16 +159,24 @@ struct LastGood {
     age: u32,
 }
 
+/// A thread's class from its LLC miss rate, against [`CLASSIFY_BOUNDARY`].
+fn classify(llc_miss_rate: f64) -> ThreadClass {
+    if llc_miss_rate > CLASSIFY_BOUNDARY {
+        ThreadClass::Memory
+    } else {
+        ThreadClass::Compute
+    }
+}
+
 impl Observer {
     /// An Observer for a machine with `num_cores` virtual cores.
     pub fn new(cfg: &DikeConfig, num_cores: usize) -> Self {
         Observer {
-            boundary: cfg.classify_boundary,
             ranking: cfg.core_ranking,
             estimate: cfg.core_bw_estimate,
             core_bw: vec![MovingMean::new(); num_cores],
             class_bw: Vec::new(),
-            hardening: cfg.hardening,
+            hardened: cfg.hardened,
             last_good: Vec::new(),
             scratch_order: Vec::new(),
             scratch_apps: Vec::new(),
@@ -232,7 +242,7 @@ impl Observer {
                 self.scratch_mem.clear();
                 self.scratch_mem.resize(max_id, false);
                 for t in &view.threads {
-                    if t.rates.llc_miss_rate > self.boundary {
+                    if t.rates.llc_miss_rate > CLASSIFY_BOUNDARY {
                         self.scratch_mem[t.id.index()] = true;
                     }
                 }
@@ -298,14 +308,6 @@ impl Observer {
         // physical bounds instead of flowing into the fairness gate and
         // the Predictor. Plausible samples pass through bit-identical, so
         // fault-free runs are unchanged.
-        let boundary = self.boundary;
-        let classify = |llc_miss_rate: f64| {
-            if llc_miss_rate > boundary {
-                ThreadClass::Memory
-            } else {
-                ThreadClass::Compute
-            }
-        };
         out.threads.clear();
         out.threads.extend(view.threads.iter().map(|t| {
             let rates = t.rates.sanitized();
@@ -321,7 +323,7 @@ impl Observer {
             }
         }));
 
-        if self.hardening.is_some() {
+        if self.hardened {
             self.harden(view, &mut out.threads);
         }
 
@@ -379,11 +381,6 @@ impl Observer {
         out.num_domains = view.num_domains.max(1);
     }
 
-    /// Current `CoreBW` moving mean of one core.
-    pub fn core_bw_of(&self, core: VCoreId) -> f64 {
-        self.core_bw[core.index()].value()
-    }
-
     /// The degradation ladder's observation stages (hardened only):
     /// implausible samples are replaced by the thread's last good sample
     /// up to an age cap (then zeroed), missing threads (counter dropout)
@@ -391,20 +388,10 @@ impl Observer {
     /// carries a decayed confidence score. Works in place on `threads`,
     /// which must have been built 1:1 from `view.threads`.
     fn harden(&mut self, view: &SystemView, threads: &mut Vec<ObservedThread>) {
-        let h = self.hardening.expect("harden is only called when hardened");
-        let boundary = self.boundary;
-        let classify = |llc_miss_rate: f64| {
-            if llc_miss_rate > boundary {
-                ThreadClass::Memory
-            } else {
-                ThreadClass::Compute
-            }
-        };
         // Plausibility is judged on the *raw* view sample: the sanitizer
         // has already scrubbed `threads`, but a scrubbed corrupted sample
         // is still the wrong number — the holdover path is better.
-        let raw_suspect =
-            |r: &RateSample| !r.is_plausible() || r.access_rate > h.max_plausible_rate;
+        let raw_suspect = |r: &RateSample| !r.is_plausible() || r.access_rate > MAX_PLAUSIBLE_RATE;
 
         self.last_good.retain(|(id, _)| !view.departed.contains(id));
 
@@ -415,7 +402,7 @@ impl Observer {
                     .iter_mut()
                     .find(|(id, _)| *id == t.id)
                     .and_then(|(_, lg)| {
-                        if lg.age >= h.holdover_age_cap {
+                        if lg.age >= HOLDOVER_AGE_CAP {
                             return None;
                         }
                         lg.age += 1;
@@ -426,7 +413,7 @@ impl Observer {
                         t.access_rate = rate;
                         t.llc_miss_rate = miss;
                         t.class = classify(miss);
-                        t.confidence = h.confidence_decay.powi(age as i32);
+                        t.confidence = CONFIDENCE_DECAY.powi(age as i32);
                     }
                     None => {
                         // Past the age cap (or never seen healthy): the
@@ -459,7 +446,7 @@ impl Observer {
         // last good sample so the Selector still sees (and can fix) it.
         let observed = threads.len();
         for (id, lg) in &mut self.last_good {
-            if threads[..observed].iter().any(|t| t.id == *id) || lg.age >= h.holdover_age_cap {
+            if threads[..observed].iter().any(|t| t.id == *id) || lg.age >= HOLDOVER_AGE_CAP {
                 continue;
             }
             lg.age += 1;
@@ -471,7 +458,7 @@ impl Observer {
                 llc_miss_rate: lg.llc_miss_rate,
                 class: classify(lg.llc_miss_rate),
                 migrated_last_quantum: false,
-                confidence: h.confidence_decay.powi(lg.age as i32),
+                confidence: CONFIDENCE_DECAY.powi(lg.age as i32),
             });
         }
         // Ids are unique, so the unstable sort is result-identical to a
@@ -609,7 +596,7 @@ mod tests {
         obs.observe(&v1);
         let o = obs.observe(&v2);
         assert_eq!(o.core_bw[0], 20.0); // mean of 10 and 30
-        assert_eq!(obs.core_bw_of(VCoreId(0)), 20.0);
+        assert_eq!(obs.core_bw[0].value(), 20.0);
         // Core 1 never consumed: falls back to its class mean. Cores 0 and
         // 1 share the FAST class, so the class mean equals core 0's mean.
         assert_eq!(o.core_bw[1], 20.0);
@@ -704,8 +691,7 @@ mod tests {
 
         // Past the age cap the thread becomes unknown: zero rates, zero
         // confidence — never a stale value held forever.
-        let cap = hardened_cfg().hardening.unwrap().holdover_age_cap;
-        for _ in 0..cap {
+        for _ in 0..HOLDOVER_AGE_CAP {
             let o = obs.observe(&poisoned);
             assert!(o.threads[0].access_rate.is_finite());
         }

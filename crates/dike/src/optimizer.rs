@@ -18,7 +18,7 @@
 //! parameter for one unit" — updating the quantum from 100 ms to 1000 ms
 //! takes three calls.
 
-use crate::config::{AdaptationGoal, DikeConfig, SchedConfig};
+use crate::config::{AdaptationGoal, DikeConfig, SchedConfig, UC_BAND, UM_BAND};
 use crate::observer::Observation;
 
 /// The paper's workload types as *observed* by the scheduler.
@@ -38,13 +38,13 @@ pub enum WorkloadType {
 
 /// Classify the running workload from the observed memory-thread fraction.
 ///
-/// Bands are asymmetric (defaults 0.30/0.50) so that a communication-bound
-/// background app classified compute (KMEANS) does not flip a balanced
-/// workload's class; see [`DikeConfig::uc_band`].
-pub fn classify_workload(memory_fraction: f64, uc_band: f64, um_band: f64) -> WorkloadType {
-    if memory_fraction < uc_band {
+/// Bands are asymmetric ([`UC_BAND`] 0.30, [`UM_BAND`] 0.50) so that a
+/// communication-bound background app classified compute (KMEANS) does
+/// not flip a balanced workload's class.
+pub fn classify_workload(memory_fraction: f64) -> WorkloadType {
+    if memory_fraction < UC_BAND {
         WorkloadType::UC
-    } else if memory_fraction > um_band {
+    } else if memory_fraction > UM_BAND {
         WorkloadType::UM
     } else {
         WorkloadType::B
@@ -58,7 +58,7 @@ pub fn step(cfg: &DikeConfig, obs: &Observation, sched: &mut SchedConfig) -> Opt
     if obs.is_fair(cfg.fairness_threshold) {
         return None;
     }
-    let wl_type = classify_workload(obs.memory_fraction, cfg.uc_band, cfg.um_band);
+    let wl_type = classify_workload(obs.memory_fraction);
     match goal {
         AdaptationGoal::Fairness => match wl_type {
             WorkloadType::B => sched.decrease_quantum(100),
@@ -111,19 +111,9 @@ mod tests {
     fn bands_classify_the_paper_mixes_correctly() {
         // Observed fractions with the KMEANS background (8 of 40 threads
         // classified compute): B = 16/40, UC = 8/40, UM = 24/40.
-        let c = DikeConfig::default();
-        assert_eq!(
-            classify_workload(16.0 / 40.0, c.uc_band, c.um_band),
-            WorkloadType::B
-        );
-        assert_eq!(
-            classify_workload(8.0 / 40.0, c.uc_band, c.um_band),
-            WorkloadType::UC
-        );
-        assert_eq!(
-            classify_workload(24.0 / 40.0, c.uc_band, c.um_band),
-            WorkloadType::UM
-        );
+        assert_eq!(classify_workload(16.0 / 40.0), WorkloadType::B);
+        assert_eq!(classify_workload(8.0 / 40.0), WorkloadType::UC);
+        assert_eq!(classify_workload(24.0 / 40.0), WorkloadType::UM);
     }
 
     #[test]

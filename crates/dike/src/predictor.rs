@@ -25,6 +25,7 @@
 //! quantum's measurements. That error stream is the closed-loop feedback
 //! the paper evaluates in Figures 7 and 8.
 
+use crate::config::SWAP_OH_MS;
 use crate::observer::Observation;
 use crate::selector::Pair;
 use dike_machine::{SimTime, ThreadId};
@@ -65,8 +66,6 @@ pub struct ErrorSample {
 /// The Predictor's persistent state.
 #[derive(Debug, Default)]
 pub struct Predictor {
-    /// Assumed swap overhead (`swapOH`), milliseconds.
-    swap_oh_ms: f64,
     /// Predictions made last quantum, to be scored this quantum. The flag
     /// marks migration-based predictions (destination `CoreBW`) as opposed
     /// to stay-put predictions (current rate).
@@ -88,10 +87,9 @@ pub struct Predictor {
 }
 
 impl Predictor {
-    /// A Predictor with the given `swapOH` assumption.
-    pub fn new(swap_oh_ms: f64) -> Self {
+    /// A Predictor that assumes [`SWAP_OH_MS`] per swap.
+    pub fn new() -> Self {
         Predictor {
-            swap_oh_ms,
             pending: HashMap::new(),
             migration_correction: 1.0,
             // The error histories accumulate for the whole run (they are
@@ -125,7 +123,7 @@ impl Predictor {
             .find(|t| t.id == pair.high)
             .expect("pair.high is an observed thread");
 
-        let oh_frac = (self.swap_oh_ms / quantum.as_ms_f64()).min(1.0);
+        let oh_frac = (SWAP_OH_MS / quantum.as_ms_f64()).min(1.0);
         let overhead_low = oh_frac * low.access_rate;
         let overhead_high = oh_frac * high.access_rate;
 
@@ -280,7 +278,7 @@ mod tests {
     fn profit_follows_eqn_1_through_3() {
         // t0 (rate 10) on core0 (CoreBW 50), t1 (rate 80) on core1 (CoreBW 100).
         let o = obs(&[10.0, 80.0], &[50.0, 100.0]);
-        let p = Predictor::new(3.0);
+        let p = Predictor::new();
         let quantum = SimTime::from_ms(500);
         let sp = p.evaluate(&o, &pair01(), quantum);
         let oh = 3.0 / 500.0;
@@ -296,7 +294,7 @@ mod tests {
     fn low_confidence_widens_the_prediction_toward_no_swap() {
         // A clearly profitable swap at full confidence…
         let full = obs(&[10.0, 80.0], &[50.0, 100.0]);
-        let p = Predictor::new(3.0);
+        let p = Predictor::new();
         let quantum = SimTime::from_ms(500);
         let sp_full = p.evaluate(&full, &pair01(), quantum);
         assert!(sp_full.total_profit() > 0.0);
@@ -316,7 +314,7 @@ mod tests {
     #[test]
     fn shorter_quantum_raises_overhead_penalty() {
         let o = obs(&[50.0, 50.0], &[50.0, 50.0]);
-        let p = Predictor::new(3.0);
+        let p = Predictor::new();
         let long = p.evaluate(&o, &pair01(), SimTime::from_ms(1000));
         let short = p.evaluate(&o, &pair01(), SimTime::from_ms(100));
         assert!(short.total_profit() < long.total_profit());
@@ -325,15 +323,16 @@ mod tests {
     #[test]
     fn overhead_fraction_is_capped_at_one() {
         let o = obs(&[50.0, 50.0], &[50.0, 50.0]);
-        let p = Predictor::new(5_000.0); // swapOH longer than the quantum
-        let sp = p.evaluate(&o, &pair01(), SimTime::from_ms(100));
+        let p = Predictor::new();
+        // A 1-ms quantum is shorter than swapOH.
+        let sp = p.evaluate(&o, &pair01(), SimTime::from_ms(1));
         assert!((sp.profit_low - (50.0 - 50.0 - 50.0)).abs() < 1e-9);
         assert_eq!(sp.predicted_low, 0.0);
     }
 
     #[test]
     fn score_computes_signed_relative_error() {
-        let mut p = Predictor::new(3.0);
+        let mut p = Predictor::new();
         let before = obs(&[100.0, 50.0], &[0.0, 0.0]);
         // Predict t0 stays at 100, t1 swapped and predicted 80.
         let mut swapped = HashMap::new();
@@ -361,7 +360,7 @@ mod tests {
 
     #[test]
     fn near_zero_actuals_are_skipped() {
-        let mut p = Predictor::new(3.0);
+        let mut p = Predictor::new();
         let before = obs(&[100.0, 0.0], &[0.0, 0.0]);
         p.commit(&before, &HashMap::new());
         let after = obs(&[100.0, 0.0], &[0.0, 0.0]);
@@ -372,7 +371,7 @@ mod tests {
 
     #[test]
     fn error_trace_is_the_per_quantum_aggregate() {
-        let mut p = Predictor::new(3.0);
+        let mut p = Predictor::new();
         let before = obs(&[10.0, 30.0], &[0.0, 0.0]);
         p.commit(&before, &HashMap::new());
         let after = obs(&[20.0, 30.0], &[0.0, 0.0]);

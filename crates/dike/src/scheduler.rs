@@ -1,7 +1,9 @@
 //! The Dike scheduler: Observer → Selector → Predictor → Decider →
 //! Migrator, plus the adaptive Optimizer (Figure 3's loop).
 
-use crate::config::{AdaptationGoal, DikeConfig, SchedConfig};
+use crate::config::{
+    AdaptationGoal, DikeConfig, SchedConfig, FALLBACK_COOLDOWN_QUANTA, MIN_CONFIDENCE, RETRY_BUDGET,
+};
 use crate::decider::{decide, Rejection};
 use crate::observer::{Observation, Observer};
 use crate::optimizer;
@@ -113,18 +115,18 @@ impl Dike {
             Some(AdaptationGoal::Fairness) => "Dike-AF".to_string(),
             Some(AdaptationGoal::Performance) => "Dike-AP".to_string(),
         };
-        if cfg.hardening.is_some() {
+        if cfg.hardened {
             name.push_str("-H");
         }
         Dike {
             sched: cfg.sched,
-            predictor: Predictor::new(cfg.swap_oh_ms),
+            predictor: Predictor::new(),
             observer: None,
             stats: DikeStats::default(),
             name,
             planner: cfg
-                .hardening
-                .map(|h| SwapPlanner::new(h.retry_budget, h.fallback_cooldown_quanta as u64)),
+                .hardened
+                .then(|| SwapPlanner::new(RETRY_BUDGET, FALLBACK_COOLDOWN_QUANTA)),
             demoted: false,
             obs: Observation::default(),
             eligible: Observation::default(),
@@ -236,13 +238,12 @@ impl Scheduler for Dike {
         // of abandoned swaps (fallback) still inform the fairness and
         // bandwidth estimates above, but pairing them would either waste a
         // healthy partner's swap or move a thread on stale placement data.
-        let pairs_from = if let Some(h) = self.cfg.hardening {
-            let planner = self.planner.as_ref().expect("hardening implies planner");
+        let pairs_from = if let Some(planner) = &self.planner {
             let q = view.quantum_index;
             self.obs.clone_into(&mut self.eligible);
             let stats = &mut self.stats;
             self.eligible.threads.retain(|t| {
-                let keep = t.confidence >= h.min_confidence && !planner.in_fallback(t.id, q);
+                let keep = t.confidence >= MIN_CONFIDENCE && !planner.in_fallback(t.id, q);
                 if !keep {
                     stats.rejected_low_confidence += 1;
                 }

@@ -10,7 +10,8 @@
 //!   Dike-vs-DIO);
 //! * **no-cooldown** — threads may swap in consecutive quanta;
 //! * **demand-gated CoreBW** — the capability-estimating variant of the
-//!   Observer (deterministic corrective swaps, minimal churn);
+//!   Observer; its profit test almost never rejects a memory↔compute pair,
+//!   so it swaps about as often as no-prediction, more than default Dike;
 //! * **observed-bandwidth core ranking** — fully dynamic core
 //!   identification as sketched in Section III-A;
 //! * **θ_f sensitivity** — tighter/looser fairness gates.
@@ -151,5 +152,23 @@ mod tests {
         assert!(by_name("DIO").swaps > nopred.swaps);
         let t = render(&rows);
         assert_eq!(t.len(), rows.len());
+    }
+
+    /// The gated estimate is not no-prediction by construction: on WL12
+    /// at paper scale it rejects pairs on profit, so it swaps less.
+    #[test]
+    fn gated_corebw_rejects_on_profit_where_no_prediction_cannot() {
+        let opts = RunOptions::default();
+        let cfg = presets::paper_machine(opts.seed);
+        let wl12 = paper::workload(12);
+        let cell = |name: &str| {
+            let (_, kind) = variants().into_iter().find(|(n, _)| n == name).unwrap();
+            run_cell(&cfg, &wl12, &kind, &opts)
+        };
+        let gated = cell("Dike/gated-corebw");
+        let nopred = cell("Dike/no-prediction");
+        assert!(gated.rejected_profit > 0, "gated rejected none on profit");
+        assert_eq!(nopred.rejected_profit, 0);
+        assert_ne!(gated.swaps, nopred.swaps);
     }
 }

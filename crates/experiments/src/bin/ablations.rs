@@ -5,14 +5,15 @@
 //! one per class).
 
 use dike_experiments::{ablations, cli};
+use dike_experiments::{out, outln};
 
 fn main() {
     let (args, workloads) = cli::from_env(|rest| cli::workload_numbers(rest, &[1, 9, 13]));
-    println!("Ablation study over workloads {workloads:?}\n");
+    outln!("Ablation study over workloads {workloads:?}\n");
     let rows = ablations::run(&args.opts, &workloads);
     let t = ablations::render(&rows);
-    print!("{}", t.render());
+    out!("{}", t.render());
     if args.csv {
-        print!("\n{}", t.to_csv());
+        out!("\n{}", t.to_csv());
     }
 }

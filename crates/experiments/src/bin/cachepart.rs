@@ -4,6 +4,7 @@
 //! environments. See the `cachepart` module docs.
 
 use dike_experiments::{cachepart, cli};
+use dike_experiments::{out, outln};
 use dike_util::Pool;
 use std::time::Instant;
 
@@ -17,10 +18,10 @@ fn main() {
     );
     let host_s = t0.elapsed().as_secs_f64();
     let t = cachepart::render(&points);
-    println!("Cache partitioning — migration vs partition vs both\n");
-    print!("{}", t.render());
+    outln!("Cache partitioning — migration vs partition vs both\n");
+    out!("{}", t.render());
     if args.csv {
-        print!("\n{}", t.to_csv());
+        out!("\n{}", t.to_csv());
     }
-    println!("\nhost wall-clock: {host_s:.1}s");
+    outln!("\nhost wall-clock: {host_s:.1}s");
 }

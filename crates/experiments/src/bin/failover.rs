@@ -18,6 +18,7 @@
 
 use dike_experiments::cli::{self, ArgError, JsonOut};
 use dike_experiments::failover;
+use dike_experiments::{out, outln};
 use dike_fleet::FleetRunner;
 use dike_machine::FaultConfig;
 use dike_util::Pool;
@@ -86,7 +87,7 @@ fn soak(seed: u64, pool: &Pool) {
         let r = runner.run_failover(pool, &fo);
         r.ledger
             .assert_holds(&format!("soak failover={failover_on}"));
-        println!(
+        outln!(
             "soak {}: {} epochs | dispatched {} drained {} in_flight {} lost {} | \
              quarantines {} readmissions {} | {:.1}s host",
             if failover_on { "failover" } else { "blind" },
@@ -100,7 +101,7 @@ fn soak(seed: u64, pool: &Pool) {
             t0.elapsed().as_secs_f64()
         );
     }
-    println!("soak passed: conservation held under combined worst-case faults");
+    outln!("soak passed: conservation held under combined worst-case faults");
 }
 
 fn main() {
@@ -118,10 +119,10 @@ fn main() {
     };
     let host_s = t0.elapsed().as_secs_f64();
 
-    println!("Fleet failover — seed {}\n", args.seed);
-    print!("{}", failover::render(&points).render());
-    println!("\n{}", failover::summary(&points));
-    println!("host wall-clock: {host_s:.1}s");
+    outln!("Fleet failover — seed {}\n", args.seed);
+    out!("{}", failover::render(&points).render());
+    outln!("\n{}", failover::summary(&points));
+    outln!("host wall-clock: {host_s:.1}s");
     if let Some(out) = args.json {
         out.write(&points);
     }

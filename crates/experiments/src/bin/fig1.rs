@@ -2,15 +2,16 @@
 //! heterogeneous and homogeneous machines.
 
 use dike_experiments::{cli, fig1};
+use dike_experiments::{out, outln};
 
 fn main() {
     let (args, ()) = cli::from_env(cli::none);
     let rows = fig1::run(&args.opts);
     let table = fig1::render(&rows);
-    println!("Figure 1 — standalone vs concurrent execution\n");
-    print!("{}", table.render());
+    outln!("Figure 1 — standalone vs concurrent execution\n");
+    out!("{}", table.render());
     if args.csv {
-        print!("\n{}", table.to_csv());
+        out!("\n{}", table.to_csv());
     }
     if let Err(e) = fig1::quick_check(&rows) {
         eprintln!("shape check FAILED: {e}");

@@ -2,14 +2,15 @@
 //! (normalised fairness/performance) for WL2, WL7 and WL13.
 
 use dike_experiments::{cli, fig2};
+use dike_experiments::{out, outln};
 
 fn main() {
     let (args, ()) = cli::from_env(cli::none);
     let rows = fig2::run(&args.opts);
     let table = fig2::render(&rows);
-    println!("Figure 2 — optimal/default/worst scheduler configurations\n");
-    print!("{}", table.render());
+    outln!("Figure 2 — optimal/default/worst scheduler configurations\n");
+    out!("{}", table.render());
     if args.csv {
-        print!("\n{}", table.to_csv());
+        out!("\n{}", table.to_csv());
     }
 }

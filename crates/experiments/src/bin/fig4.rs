@@ -1,16 +1,17 @@
 //! Regenerates Figure 4: normalised fairness/performance heatmaps over the
 //! 8x4 <swapSize, quantaLength> grid for WL3 and WL9.
 
+use dike_experiments::outln;
 use dike_experiments::{cli, fig4};
 
 fn main() {
     let (args, ()) = cli::from_env(cli::none);
-    println!("Figure 4 — configuration heatmaps (normalised to grid best)\n");
+    outln!("Figure 4 — configuration heatmaps (normalised to grid best)\n");
     for map in fig4::run(&args.opts) {
         let t = map.render();
-        println!("{}", t.render());
+        outln!("{}", t.render());
         if args.csv {
-            println!("{}", t.to_csv());
+            outln!("{}", t.to_csv());
         }
     }
 }

@@ -5,27 +5,28 @@
 
 use dike_experiments::fig4::Heatmap;
 use dike_experiments::fig5::ClassContours;
+use dike_experiments::outln;
 use dike_experiments::{cli, fig5};
 
 fn main() {
     let (args, per_class) = cli::from_env(|rest| cli::per_class(rest, 2));
-    println!("Figure 5 — per-class optimisation space ({per_class} workloads/class)\n");
+    outln!("Figure 5 — per-class optimisation space ({per_class} workloads/class)\n");
     for c in fig5::run(&args.opts, per_class) {
-        println!(
+        outln!(
             "class {} (workloads: {})",
             c.class.label(),
             c.workloads.join(", ")
         );
         for map in [&c.fairness, &c.performance] {
             let t = map.render();
-            println!("{}", t.render());
+            outln!("{}", t.render());
             if args.csv {
-                println!("{}", t.to_csv());
+                outln!("{}", t.to_csv());
             }
         }
         let (fq, fs) = ClassContours::peak(&c.fairness.values);
         let (pq, ps) = ClassContours::peak(&c.performance.values);
-        println!(
+        outln!(
             "  fairness peak: quantum={}ms swapSize={}   performance peak: quantum={}ms swapSize={}\n",
             Heatmap::quanta_ms()[fq],
             Heatmap::swap_sizes()[fs],

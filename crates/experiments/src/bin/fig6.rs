@@ -6,6 +6,7 @@
 
 use dike_experiments::table3::{self, Table3};
 use dike_experiments::{cli, fig6, fig7, fig8};
+use dike_experiments::{out, outln};
 use dike_metrics::TextTable;
 use dike_util::Pool;
 
@@ -13,12 +14,12 @@ fn main() {
     let (args, ()) = cli::from_env(cli::none);
     let fig = fig6::run_subset_pool(&args.opts, &(1..=16).collect::<Vec<_>>(), &Pool::from_env());
     let print = |title: &str, t: &TextTable| {
-        println!("{title}\n");
-        print!("{}", t.render());
+        outln!("{title}\n");
+        out!("{}", t.render());
         if args.csv {
-            print!("\n{}", t.to_csv());
+            out!("\n{}", t.to_csv());
         }
-        println!();
+        outln!();
     };
     print(
         "Figure 6a — fairness improvement over Linux-CFS",
@@ -36,13 +37,13 @@ fn main() {
         "Figure 7 — Dike prediction error",
         &fig7::render(&fig7::rows(&fig)),
     );
-    println!("Figure 8 — prediction-error trend\n");
+    outln!("Figure 8 — prediction-error trend\n");
     for trace in fig8::traces(&fig) {
-        println!("{} ({} quanta scored)", trace.workload, trace.series.len());
+        outln!("{} ({} quanta scored)", trace.workload, trace.series.len());
         let t = fig8::render(&trace, 40);
-        println!("{}", t.render());
+        outln!("{}", t.render());
         if args.csv {
-            println!("{}", t.to_csv());
+            outln!("{}", t.to_csv());
         }
     }
 }

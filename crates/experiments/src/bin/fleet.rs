@@ -17,6 +17,7 @@
 
 use dike_experiments::cli::{self, ArgError, JsonOut};
 use dike_experiments::fleet;
+use dike_experiments::{out, outln};
 use dike_util::Pool;
 use std::time::Instant;
 
@@ -83,7 +84,7 @@ fn main() {
         fleet::fleet_config(args.machines, args.tenants, args.seed)
     };
     let offered = cfg.offered_threads();
-    println!(
+    outln!(
         "Fleet — {} machines, {} tenants, {} offered thread-arrivals\n",
         cfg.machines.len(),
         cfg.tenants.len(),
@@ -93,12 +94,12 @@ fn main() {
     let result = fleet::run_fleet_pool(&cfg, &Pool::from_env());
     let host_s = t0.elapsed().as_secs_f64();
 
-    println!("{}\n", fleet::summary(&result));
-    print!("{}", fleet::render_tenants(&result).render());
+    outln!("{}\n", fleet::summary(&result));
+    out!("{}", fleet::render_tenants(&result).render());
     if args.per_machine {
-        print!("\n{}", fleet::render_machines(&result).render());
+        out!("\n{}", fleet::render_machines(&result).render());
     }
-    println!(
+    outln!(
         "\nhost wall-clock: {host_s:.1}s ({:.0} arrivals/sec)",
         result.total_arrivals as f64 / host_s
     );

@@ -3,6 +3,7 @@
 //! docs.
 
 use dike_experiments::{cli, open};
+use dike_experiments::{out, outln};
 use dike_util::Pool;
 use std::time::Instant;
 
@@ -12,10 +13,10 @@ fn main() {
     let points = open::run_open_points_pool(&open::LOAD_LEVELS_MS, &args.opts, &Pool::from_env());
     let host_s = t0.elapsed().as_secs_f64();
     let t = open::render(&points);
-    println!("Open system — mid-run arrivals/departures at three load levels\n");
-    print!("{}", t.render());
+    outln!("Open system — mid-run arrivals/departures at three load levels\n");
+    out!("{}", t.render());
     if args.csv {
-        print!("\n{}", t.to_csv());
+        out!("\n{}", t.to_csv());
     }
-    println!("\nhost wall-clock: {host_s:.1}s");
+    outln!("\nhost wall-clock: {host_s:.1}s");
 }

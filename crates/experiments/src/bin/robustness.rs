@@ -3,6 +3,7 @@
 //! the CFS/DIO baselines. See the `robustness` module docs.
 
 use dike_experiments::{cli, robustness};
+use dike_experiments::{out, outln};
 use dike_util::Pool;
 use std::time::Instant;
 
@@ -18,10 +19,10 @@ fn main() {
     );
     let host_s = t0.elapsed().as_secs_f64();
     let t = robustness::render(&points);
-    println!("Robustness — fairness degradation under injected faults\n");
-    print!("{}", t.render());
+    outln!("Robustness — fairness degradation under injected faults\n");
+    out!("{}", t.render());
     if args.csv {
-        print!("\n{}", t.to_csv());
+        out!("\n{}", t.to_csv());
     }
-    println!("\nhost wall-clock: {host_s:.1}s");
+    outln!("\nhost wall-clock: {host_s:.1}s");
 }

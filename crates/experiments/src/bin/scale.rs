@@ -2,6 +2,7 @@
 //! 8-controller machines (40/160/320 vcores). See `scale` module docs.
 
 use dike_experiments::{cli, scale};
+use dike_experiments::{out, outln};
 use dike_util::Pool;
 use std::time::Instant;
 
@@ -11,10 +12,10 @@ fn main() {
     let points = scale::run_scale_points_pool(&scale::SCALE_DOMAINS, &args.opts, &Pool::from_env());
     let host_s = t0.elapsed().as_secs_f64();
     let t = scale::render(&points);
-    println!("Scale sweep — comparison set at 40/160/320 vcores\n");
-    print!("{}", t.render());
+    outln!("Scale sweep — comparison set at 40/160/320 vcores\n");
+    out!("{}", t.render());
     if args.csv {
-        print!("\n{}", t.to_csv());
+        out!("\n{}", t.to_csv());
     }
-    println!("\nhost wall-clock: {host_s:.1}s");
+    outln!("\nhost wall-clock: {host_s:.1}s");
 }

@@ -11,6 +11,11 @@
 //! and create their `--json` output through [`JsonOut::create`]. A bad
 //! argument prints its [`ArgError`], which names the bad value or path,
 //! and exits with status 2 before any simulation runs.
+//!
+//! The binaries print through [`out!`](crate::out) and
+//! [`outln!`](crate::outln), not `print!`: a reader that closes stdout
+//! early (`fig6 --quick | head -1`) ends the output with status 0 rather
+//! than a panic.
 
 use crate::runner::RunOptions;
 use dike_util::ToJson;
@@ -195,6 +200,45 @@ pub fn from_env<T>(positionals: impl FnOnce(&[String]) -> Result<T, ArgError>) -
     }))
 }
 
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write `args` to stdout. A closed stdout ends the output: the process
+/// exits with status 0. Any other write error is printed and the process
+/// exits with status 1.
+pub fn write_stdout(args: fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        std::process::exit(stdout_error_status(&e));
+    }
+}
+
+/// The exit status for a failed stdout write: 0 when the reader closed
+/// the pipe, otherwise 1 after printing the error.
+fn stdout_error_status(e: &std::io::Error) -> i32 {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        0
+    } else {
+        eprintln!("cannot write to stdout: {e}");
+        1
+    }
+}
+
 /// A `--json` output file, created while the flags are parsed, so a path
 /// that cannot be written fails before the run rather than after it.
 #[derive(Debug)]
@@ -223,7 +267,7 @@ impl JsonOut {
             eprintln!("cannot write --json {:?}: {e}", self.path);
             std::process::exit(1);
         }
-        println!("wrote {}", self.path);
+        crate::outln!("wrote {}", self.path);
     }
 }
 
@@ -233,6 +277,14 @@ mod tests {
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn a_closed_stdout_exits_zero_and_other_errors_exit_one() {
+        use std::io::{Error, ErrorKind};
+        assert_eq!(stdout_error_status(&Error::from(ErrorKind::BrokenPipe)), 0);
+        assert_eq!(stdout_error_status(&Error::from(ErrorKind::StorageFull)), 1);
+        assert_eq!(stdout_error_status(&Error::other("device gone")), 1);
     }
 
     #[test]

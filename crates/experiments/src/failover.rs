@@ -116,7 +116,6 @@ pub fn cell_config(crash: f64, brownout: f64, budget: u32, failover: bool) -> Fa
         failover,
         retry_budget: budget,
         faults: MachineFaultConfig::axis(crash, brownout, FAILOVER_FAULT_SEED),
-        ..FailoverConfig::default()
     }
 }
 

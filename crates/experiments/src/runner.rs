@@ -6,7 +6,7 @@ use dike_machine::{Machine, MachineConfig, SimTime};
 use dike_metrics::RuntimeMatrix;
 use dike_sched_core::{run_with, RunResult, SystemView};
 use dike_scheduler::{DikeConfig, SchedConfig};
-use dike_util::{json_enum, json_struct};
+use dike_util::json_struct;
 use dike_workloads::{Placement, Workload};
 
 /// Which scheduling policy to run.
@@ -40,12 +40,6 @@ pub enum SchedKind {
     /// Dike swaps plus LFOC way-partitioning — both actuators at once.
     DikeLfoc,
 }
-
-json_enum!(SchedKind { Null, Cfs, Dio, SortOnce, DikeAf, DikeAp, DikeHardened, Lfoc, DikeLfoc } {
-    Random(u64),
-    Dike(SchedConfig),
-    DikeCustom(DikeConfig)
-});
 
 impl SchedKind {
     /// Display name matching the paper's figures.
@@ -91,13 +85,6 @@ pub struct RunOptions {
     /// Machine seed (phase-noise determinism).
     pub seed: u64,
 }
-
-json_struct!(RunOptions {
-    scale,
-    deadline_s,
-    placement,
-    seed,
-});
 
 impl Default for RunOptions {
     fn default() -> Self {

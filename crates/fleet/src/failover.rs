@@ -46,7 +46,7 @@
 //!   threads are stranded in flight until recovery. On recovery every
 //!   alive thread is stalled by exactly the outage length, so no work
 //!   progresses while the box is down, and the machine re-enters routing
-//!   with `readmit_trust` that recovers toward 1 per epoch.
+//!   with trust [`READMIT_TRUST`] that recovers toward 1 per epoch.
 //! * **Brownout**: the machine keeps its queue and keeps (slowly)
 //!   draining — every alive thread stalls `brownout_stall_ms` per epoch
 //!   — but the health-aware scorer stops routing new work to it.
@@ -67,9 +67,19 @@ use dike_machine::{AppId, BarrierId, Machine, MachineFaultConfig, SimTime, Threa
 use dike_metrics::{mean_sojourn, sojourn_by_app, window_series, ConservationLedger, ThreadSpan};
 use dike_sched_core::{drive, Scheduler, TimedSpawn};
 use dike_scheduler::{Dike, SchedConfig};
-use dike_util::{json_struct, Pool};
+use dike_util::Pool;
 use dike_workloads::{ArrivalTrace, ProgramTable};
 use std::sync::Mutex;
+
+/// Trust a recovered machine re-enters routing with, in (0, 1]. The
+/// scorer divides effective load by trust, so low trust makes the machine
+/// look loaded and it warms up gradually.
+pub const READMIT_TRUST: f64 = 0.25;
+
+/// Per-epoch trust recovery rate in [0, 1]:
+/// `trust += (1 - trust) * TRUST_RECOVERY`, so a readmitted machine is
+/// back above 0.9 trust after three epochs.
+pub const TRUST_RECOVERY: f64 = 0.5;
 
 /// Knobs of one run of the epoch loop (passed per run, never stored in
 /// the fleet config).
@@ -84,25 +94,9 @@ pub struct FailoverConfig {
     /// Re-dispatch attempts each arrival event may consume before it is
     /// counted as lost. Zero means an orphaned event is lost immediately.
     pub retry_budget: u32,
-    /// Trust a recovered machine re-enters routing with, in (0, 1]. The
-    /// scorer divides effective load by trust, so low trust makes the
-    /// machine look loaded and it warms up gradually.
-    pub readmit_trust: f64,
-    /// Per-epoch trust recovery rate in [0, 1]:
-    /// `trust += (1 - trust) * trust_recovery`.
-    pub trust_recovery: f64,
     /// The seeded machine-scope fault stream.
     pub faults: MachineFaultConfig,
 }
-
-json_struct!(FailoverConfig {
-    epoch_ms,
-    failover,
-    retry_budget,
-    readmit_trust,
-    trust_recovery,
-    faults,
-});
 
 impl Default for FailoverConfig {
     fn default() -> Self {
@@ -110,8 +104,6 @@ impl Default for FailoverConfig {
             epoch_ms: 2_000,
             failover: true,
             retry_budget: 2,
-            readmit_trust: 0.25,
-            trust_recovery: 0.5,
             faults: MachineFaultConfig::default(),
         }
     }
@@ -126,18 +118,6 @@ impl FailoverConfig {
             return Err(format!(
                 "epoch_ms must be in 1..={MAX_SPAN_MS}, got {}",
                 self.epoch_ms
-            ));
-        }
-        if !(self.readmit_trust > 0.0 && self.readmit_trust <= 1.0) {
-            return Err(format!(
-                "readmit_trust must be in (0,1], got {}",
-                self.readmit_trust
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.trust_recovery) {
-            return Err(format!(
-                "trust_recovery must be in [0,1], got {}",
-                self.trust_recovery
             ));
         }
         self.faults.validate()
@@ -498,11 +478,11 @@ impl FleetRunner {
                         continue; // still down: no draws, no trust motion
                     }
                     h.down_until = None;
-                    h.trust = fo.readmit_trust;
+                    h.trust = READMIT_TRUST;
                     h.needs_catchup = true;
                     readmissions += 1;
                 } else {
-                    h.trust = (h.trust + (1.0 - h.trust) * fo.trust_recovery).min(1.0);
+                    h.trust = (h.trust + (1.0 - h.trust) * TRUST_RECOVERY).min(1.0);
                 }
                 if e >= fault_epochs {
                     continue;
@@ -876,7 +856,7 @@ impl Epochs {
 mod tests {
     use super::*;
     use dike_util::check::check;
-    use dike_util::json::{self, ToJson};
+    use dike_util::json;
     use dike_workloads::ArrivalConfig;
 
     fn tiny_fleet(seed: u64) -> FleetConfig {
@@ -911,11 +891,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(longest.validate(), Ok(()));
-        let bad = FailoverConfig {
-            readmit_trust: 0.0,
-            ..Default::default()
-        };
-        assert!(bad.validate().is_err());
         let bad = FailoverConfig {
             faults: MachineFaultConfig {
                 crash_rate: 1.5,
@@ -962,9 +937,6 @@ mod tests {
         let r = FleetRunner::new(cfg).run_failover(&Pool::new(1), &fo);
         r.ledger.assert_holds("stall at the span bound");
         assert!(r.machines.iter().all(|m| m.brownouts > 0));
-        let s = json::to_string(&FailoverConfig::default());
-        let back = json::parse(&s).expect("parse");
-        assert_eq!(back, FailoverConfig::default().to_json_value());
     }
 
     #[test]

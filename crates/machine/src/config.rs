@@ -2,7 +2,6 @@
 
 use crate::faults::FaultConfig;
 use crate::topology::Topology;
-use dike_util::json_struct;
 
 /// Parameters of the memory system. Every NUMA domain in the topology gets
 /// its own controller with these parameters; the paper's testbed is the
@@ -197,46 +196,6 @@ pub struct MachineConfig {
     pub faults: FaultConfig,
 }
 
-json_struct!(MemoryConfig {
-    bandwidth_accesses_per_sec,
-    base_latency_s,
-    queue_gain,
-    max_utilisation,
-    prefetch_factor,
-    remote_latency_factor,
-});
-json_struct!(LlcConfig {
-    capacity_mib,
-    sensitivity,
-    max_inflation,
-    ways,
-});
-json_struct!(MigrationConfig {
-    dead_time_us,
-    warmup_us,
-    warmup_us_per_mib,
-    warmup_miss_multiplier,
-    warmup_cpi_multiplier,
-    cross_domain_warmup_factor,
-});
-json_struct!(BalanceConfig {
-    enabled,
-    interval_us,
-    min_imbalance,
-});
-json_struct!(SmtConfig { busy_share });
-json_struct!(MachineConfig {
-    topology,
-    memory,
-    llc,
-    migration,
-    smt,
-    balance,
-    tick_us,
-    seed,
-    faults,
-});
-
 impl MachineConfig {
     /// Validate parameter sanity. Every float must be finite and in its
     /// range, and each error names its field (`memory.base_latency_s`).
@@ -412,8 +371,9 @@ mod tests {
         let m = presets::paper_machine(0);
         assert_eq!(m.topology.num_vcores(), 40);
         assert_eq!(m.llc.capacity_mib, 25.0);
-        assert!(!m.topology.is_homogeneous());
-        assert!(presets::homogeneous_machine(0).topology.is_homogeneous());
+        assert!(m.topology.max_freq_hz() > m.topology.min_freq_hz());
+        let flat = presets::homogeneous_machine(0).topology;
+        assert_eq!(flat.max_freq_hz(), flat.min_freq_hz());
     }
 
     #[test]

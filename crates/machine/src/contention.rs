@@ -423,11 +423,6 @@ impl NumaWarmSolver {
         }
     }
 
-    /// Solved state of one controller (the last `solve` answer for it).
-    pub fn domain_solution(&self, dom: usize) -> DomainSolution {
-        self.ctrls[dom].solution
-    }
-
     /// Solve controller `dom` for a demand sub-vector in presentation
     /// order, returning the achieved rates (parallel to `demands`) and the
     /// controller solution. Reuses the memoised answer when the inputs are
@@ -826,7 +821,7 @@ mod tests {
         assert_eq!(b.utilisation, cold_util);
         assert_eq!(a.utilisation, b.utilisation);
         assert_eq!(warm.num_domains(), 2);
-        assert_eq!(warm.domain_solution(1), DomainSolution::default());
+        assert_eq!(warm.ctrls[1].solution, DomainSolution::default());
     }
 
     #[test]

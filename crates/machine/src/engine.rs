@@ -2496,11 +2496,10 @@ mod tests {
                 let instructions = rng.gen_range(2e5f64..5e6);
                 let bursty = rng.gen_range(0u32..3) != 0;
                 let burstiness = rng.gen_range(0.0f64..0.5);
-                Phase::steady(cpi, mpki, ws, instructions).with_burstiness(if bursty {
-                    burstiness
-                } else {
-                    0.0
-                })
+                Phase {
+                    burstiness: if bursty { burstiness } else { 0.0 },
+                    ..Phase::steady(cpi, mpki, ws, instructions)
+                }
             })
             .collect();
         ThreadSpec {

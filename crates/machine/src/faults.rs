@@ -24,7 +24,6 @@
 //! the one place that does.
 
 use crate::ids::MAX_SPAN_MS;
-use dike_util::json_struct;
 use dike_util::rng::splitmix64;
 
 /// One kind of per-thread telemetry or actuation fault, as the driver
@@ -80,19 +79,6 @@ pub struct FaultConfig {
     /// Fault-stream seed, mixed per channel/thread/quantum.
     pub seed: u64,
 }
-
-json_struct!(FaultConfig {
-    dropout_rate,
-    corruption_rate,
-    stale_rate,
-    noise_amplitude,
-    migration_fail_rate,
-    migration_delay_rate,
-    migration_delay_quanta,
-    stall_rate,
-    stall_us,
-    seed,
-});
 
 impl Default for FaultConfig {
     fn default() -> Self {
@@ -337,15 +323,6 @@ pub struct MachineFaultConfig {
     pub seed: u64,
 }
 
-json_struct!(MachineFaultConfig {
-    crash_rate,
-    recovery_epochs,
-    brownout_rate,
-    brownout_epochs,
-    brownout_stall_ms,
-    seed,
-});
-
 impl Default for MachineFaultConfig {
     fn default() -> Self {
         MachineFaultConfig {
@@ -416,7 +393,6 @@ impl MachineFaultConfig {
 mod tests {
     use super::*;
     use dike_util::check::check;
-    use dike_util::json::{self, ToJson};
 
     /// One grid cell's draws: telemetry fault, migration fault, stall.
     type Draw = (Option<FaultKind>, Option<FaultKind>, bool);
@@ -608,14 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn config_round_trips_through_json() {
-        let cfg = FaultConfig::combined_worst(11);
-        let s = json::to_string(&cfg);
-        assert_eq!(json::parse(&s).expect("parse"), cfg.to_json_value());
-        assert!(s.starts_with("{\"dropout_rate\":0.3,"), "{s}");
-    }
-
-    #[test]
     fn generator_determinism_property() {
         // Mirrors ArrivalTrace's seeded-generator property: for any rates
         // and seed, redrawing is identical; a different seed moves at
@@ -780,13 +748,6 @@ mod tests {
         let a: Vec<bool> = (0..400).map(|e| machine.crash_at(3, e)).collect();
         let b: Vec<bool> = (0..400).map(|e| machine.brownout_at(3, e)).collect();
         assert_ne!(a, b, "crash and brownout must be independent streams");
-    }
-
-    #[test]
-    fn machine_fault_config_round_trips_through_json() {
-        let cfg = MachineFaultConfig::axis(0.08, 0.15, 99);
-        let s = json::to_string(&cfg);
-        assert_eq!(json::parse(&s).expect("parse"), cfg.to_json_value());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! newtypes here prevent the classic off-by-one-kind bug (indexing the thread
 //! table with a core id and vice versa) at zero runtime cost.
 
-use dike_util::json_newtype;
 use std::fmt;
 
 /// Identifier of a *virtual* core (an SMT hardware thread context).
@@ -37,8 +36,6 @@ pub struct BarrierId(pub u32);
 /// have 4 or 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DomainId(pub u32);
-
-json_newtype!(VCoreId, PCoreId, ThreadId, AppId, BarrierId, DomainId);
 
 impl VCoreId {
     /// The id as a plain index.
@@ -122,8 +119,6 @@ pub const MAX_SPAN_MS: u64 = u64::MAX / 2_000;
 /// Simulated time, kept in integer microseconds for exact quantum arithmetic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
-
-json_newtype!(SimTime);
 
 impl SimTime {
     /// Zero time (simulation start).

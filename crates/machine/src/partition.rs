@@ -16,7 +16,6 @@
 //! pre-partitioning engine.
 
 use crate::ids::ThreadId;
-use dike_util::json_struct;
 
 /// A way-partitioning assignment for the shared LLC.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -30,11 +29,6 @@ pub struct PartitionPlan {
     /// absent here share the leftover ways.
     pub assignments: Vec<(ThreadId, u32)>,
 }
-
-json_struct!(PartitionPlan {
-    cluster_ways,
-    assignments,
-});
 
 impl PartitionPlan {
     /// An empty plan (no clusters, no assignments).
@@ -123,13 +117,5 @@ mod tests {
         // Duplicate / out-of-order thread.
         assert!(plan(&[4], &[(1, 0), (0, 0)]).validate(16).is_err());
         assert!(plan(&[4], &[(1, 0), (1, 0)]).validate(16).is_err());
-    }
-
-    #[test]
-    fn plan_round_trips_through_json() {
-        use dike_util::json::{self, ToJson};
-        let p = plan(&[2, 6], &[(0, 0), (3, 1), (7, 0)]);
-        let s = json::to_string(&p);
-        assert_eq!(json::parse(&s).expect("round-trip"), p.to_json_value());
     }
 }

@@ -9,8 +9,6 @@
 //! scheduler only ever sees the resulting performance-counter time series,
 //! exactly as on real hardware.
 
-use dike_util::{json_enum, json_struct};
-
 /// One execution phase of a thread.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
@@ -45,22 +43,6 @@ impl Phase {
             instructions,
             burstiness: 0.0,
         }
-    }
-
-    /// Builder: set the LLC access intensity (accesses per kilo-instruction).
-    ///
-    /// # Panics
-    /// Panics if `apki < mpki` (a miss is an access).
-    pub fn with_apki(mut self, apki: f64) -> Self {
-        assert!(apki >= self.mpki, "apki {} < mpki {}", apki, self.mpki);
-        self.apki = apki;
-        self
-    }
-
-    /// Builder: set the burstiness amplitude.
-    pub fn with_burstiness(mut self, burstiness: f64) -> Self {
-        self.burstiness = burstiness;
-        self
     }
 
     /// Intrinsic LLC miss *rate* (misses per access), the classification
@@ -144,21 +126,6 @@ pub struct PhaseProgram {
     /// programs it determines how many loop iterations run.
     pub total_instructions: f64,
 }
-
-json_struct!(Phase {
-    cpi_exec,
-    mpki,
-    apki,
-    working_set_mib,
-    instructions,
-    burstiness,
-});
-json_enum!(PhaseRepeat { Once } { LoopFrom(usize) });
-json_struct!(PhaseProgram {
-    phases,
-    repeat,
-    total_instructions,
-});
 
 impl PhaseProgram {
     /// A single steady phase of `total_instructions`.
@@ -402,20 +369,15 @@ mod tests {
 
     #[test]
     fn llc_miss_rate_and_apki_builder() {
-        let p = Phase::steady(1.0, 30.0, 8.0, 1e6).with_apki(250.0);
+        let p = Phase {
+            apki: 250.0,
+            ..Phase::steady(1.0, 30.0, 8.0, 1e6)
+        };
         assert!((p.llc_miss_rate() - 0.12).abs() < 1e-12);
         assert!(p.validate().is_ok());
-        let b = Phase::steady(0.6, 2.0, 1.0, 1e6).with_burstiness(0.3);
-        assert_eq!(b.burstiness, 0.3);
         let mut bad = Phase::steady(1.0, 30.0, 8.0, 1e6);
         bad.apki = 10.0;
         assert!(bad.validate().unwrap_err().contains("apki"));
-    }
-
-    #[test]
-    #[should_panic(expected = "apki")]
-    fn with_apki_rejects_less_than_mpki() {
-        let _ = Phase::steady(1.0, 30.0, 8.0, 1e6).with_apki(5.0);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::ids::{AppId, BarrierId, DomainId, SimTime, VCoreId};
 use crate::phase::PhaseProgram;
-use dike_util::json_struct;
 use std::num::NonZeroU64;
 use std::sync::Arc;
 
@@ -125,26 +124,6 @@ pub struct CoreCounters {
     /// Microseconds during which at least one thread ran on this core.
     pub busy_us: u64,
 }
-
-json_struct!(BarrierSpec {
-    group,
-    interval_instructions,
-});
-json_struct!(ThreadSpec {
-    app,
-    program,
-    barrier,
-});
-json_struct!(ThreadCounters {
-    instructions,
-    llc_misses,
-    llc_accesses,
-    cycles,
-    busy_us,
-    remote_us,
-    migrations,
-});
-json_struct!(CoreCounters { accesses, busy_us });
 
 impl CoreCounters {
     /// Counter deltas `self - earlier`.
@@ -433,37 +412,6 @@ mod tests {
         let mut s = ThreadSlab::default();
         s.push(0, sp, VCoreId(1), DomainId(0));
         assert_eq!(s.next_barrier_at[0], 5000.0);
-    }
-
-    #[test]
-    fn spec_json_is_pinned_and_round_trips() {
-        use dike_util::json::{parse, to_string, ToJson};
-        let program = Arc::new(PhaseProgram::single(
-            Phase::steady(0.8, 8.0, 10.0, 1e9).with_burstiness(0.1),
-            4e10,
-        ));
-        let spec = ThreadSpec {
-            app: AppId(3),
-            program: Arc::clone(&program),
-            barrier: Some(BarrierSpec {
-                group: BarrierId(7),
-                interval_instructions: 2e7,
-            }),
-        };
-        let text = to_string(&spec);
-        assert_eq!(
-            text,
-            "{\"app\":3,\"program\":{\"phases\":[{\"cpi_exec\":0.8,\"mpki\":8.0,\
-             \"apki\":300.0,\"working_set_mib\":10.0,\"instructions\":1000000000.0,\
-             \"burstiness\":0.1}],\"repeat\":{\"LoopFrom\":0},\
-             \"total_instructions\":40000000000.0},\
-             \"barrier\":{\"group\":7,\"interval_instructions\":20000000.0}}"
-        );
-        // Sharing is layout only: the program writes what it writes alone.
-        assert!(text.contains(&to_string(&*program)));
-        let back = parse(&text).unwrap();
-        assert_eq!(back, spec.to_json_value());
-        assert_eq!(back.render(), text);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! contexts (virtual cores).
 
 use crate::ids::{DomainId, PCoreId, VCoreId};
-use dike_util::{json_enum, json_struct};
 
 /// Named frequency class of a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,12 +76,6 @@ pub struct NumaDomain {
     pub smt_ways: u32,
 }
 
-json_struct!(NumaDomain {
-    n_fast,
-    n_slow,
-    smt_ways,
-});
-
 /// The machine's core topology.
 ///
 /// Virtual cores are numbered densely: physical core `p`'s contexts occupy
@@ -104,17 +97,6 @@ pub struct Topology {
     /// Number of NUMA domains (= memory controllers).
     num_domains: u32,
 }
-
-json_enum!(CoreClass { Fast, Slow, Other } {});
-json_struct!(CoreKind { class, freq_hz });
-json_struct!(PhysicalCore { kind, smt_ways });
-json_struct!(Topology {
-    pcores,
-    vcore_to_pcore,
-    pcore_first_vcore,
-    pcore_domain,
-    num_domains,
-});
 
 impl Topology {
     /// Build a single-domain topology from an explicit list of physical cores.
@@ -286,11 +268,6 @@ impl Topology {
         (0..self.num_domains).map(DomainId)
     }
 
-    /// Virtual cores belonging to a domain, in id order.
-    pub fn vcores_in_domain(&self, d: DomainId) -> Vec<VCoreId> {
-        self.vcores().filter(|&v| self.domain_of(v) == d).collect()
-    }
-
     /// Iterator over all virtual core ids.
     pub fn vcores(&self) -> impl Iterator<Item = VCoreId> + '_ {
         (0..self.num_vcores() as u32).map(VCoreId)
@@ -299,18 +276,6 @@ impl Topology {
     /// Iterator over all physical core ids.
     pub fn pcores(&self) -> impl Iterator<Item = PCoreId> + '_ {
         (0..self.num_pcores() as u32).map(PCoreId)
-    }
-
-    /// The SMT sibling virtual cores of `v` (contexts sharing its pipeline),
-    /// excluding `v` itself.
-    pub fn siblings_of(&self, v: VCoreId) -> Vec<VCoreId> {
-        let p = self.physical_of(v);
-        let first = self.pcore_first_vcore[p.index()];
-        let ways = self.pcores[p.index()].smt_ways;
-        (first..first + ways)
-            .map(VCoreId)
-            .filter(|&s| s != v)
-            .collect()
     }
 
     /// Maximum core frequency in the machine.
@@ -327,11 +292,6 @@ impl Topology {
             .iter()
             .map(|c| c.kind.freq_hz)
             .fold(f64::INFINITY, f64::min)
-    }
-
-    /// True if every core has the same frequency.
-    pub fn is_homogeneous(&self) -> bool {
-        (self.max_freq_hz() - self.min_freq_hz()).abs() < f64::EPSILON
     }
 }
 
@@ -355,30 +315,19 @@ mod tests {
     }
 
     #[test]
-    fn siblings_are_symmetric_and_exclude_self() {
-        let t = Topology::two_class(1, 1, 2);
-        let sib0 = t.siblings_of(VCoreId(0));
-        assert_eq!(sib0, vec![VCoreId(1)]);
-        let sib1 = t.siblings_of(VCoreId(1));
-        assert_eq!(sib1, vec![VCoreId(0)]);
-    }
-
-    #[test]
-    fn no_smt_means_no_siblings() {
+    fn no_smt_means_one_vcore_per_pcore() {
         let t = Topology::two_class(2, 2, 1);
         assert_eq!(t.num_vcores(), 4);
-        for v in t.vcores() {
-            assert!(t.siblings_of(v).is_empty());
-        }
+        assert_eq!(t.num_pcores(), 4);
     }
 
     #[test]
     fn homogeneous_machine_reports_homogeneous() {
         let t = Topology::homogeneous(4, CoreKind::FAST, 2);
-        assert!(t.is_homogeneous());
         assert_eq!(t.max_freq_hz(), CoreKind::FAST.freq_hz);
+        assert_eq!(t.min_freq_hz(), CoreKind::FAST.freq_hz);
         let het = Topology::two_class(2, 2, 2);
-        assert!(!het.is_homogeneous());
+        assert_eq!(het.max_freq_hz(), CoreKind::FAST.freq_hz);
         assert_eq!(het.min_freq_hz(), CoreKind::SLOW.freq_hz);
     }
 
@@ -415,7 +364,7 @@ mod tests {
         for v in t.vcores() {
             assert_eq!(t.domain_of(v), DomainId(0));
         }
-        assert_eq!(t.vcores_in_domain(DomainId(0)).len(), 40);
+        assert_eq!(t.vcores().count(), 40);
     }
 
     #[test]
@@ -433,7 +382,7 @@ mod tests {
         assert_eq!(t.kind_of(VCoreId(40)).label(), "fast");
         assert_eq!(t.kind_of(VCoreId(79)).label(), "slow");
         for d in t.domains() {
-            let vs = t.vcores_in_domain(d);
+            let vs: Vec<VCoreId> = t.vcores().filter(|&v| t.domain_of(v) == d).collect();
             assert_eq!(vs.len(), 40);
             let fast = vs
                 .iter()

@@ -11,7 +11,6 @@
 //! thread but the best and worst).
 
 use crate::stats::coefficient_of_variation;
-use dike_util::json_struct;
 
 /// Per-app thread runtimes for one workload run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -19,8 +18,6 @@ pub struct RuntimeMatrix {
     /// `runtimes[i]` = execution times (seconds) of app *i*'s threads.
     pub per_app: Vec<Vec<f64>>,
 }
-
-json_struct!(RuntimeMatrix { per_app });
 
 impl RuntimeMatrix {
     /// Build from per-app runtime vectors.
@@ -72,22 +69,6 @@ impl RuntimeMatrix {
     /// Makespan: the completion time of the slowest thread overall.
     pub fn makespan(&self) -> f64 {
         self.per_app.iter().flatten().copied().fold(0.0, f64::max)
-    }
-
-    /// The prior-work unfairness metric: max thread runtime over min thread
-    /// runtime across the whole workload (1.0 = perfectly fair). The paper
-    /// criticises this for "only considering best and worst cases".
-    pub fn max_min_ratio(&self) -> f64 {
-        let all: Vec<f64> = self.per_app.iter().flatten().copied().collect();
-        if all.is_empty() {
-            return 1.0;
-        }
-        let max = all.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let min = all.iter().copied().fold(f64::INFINITY, f64::min);
-        if min <= 0.0 {
-            return f64::INFINITY;
-        }
-        max / min
     }
 }
 
@@ -143,7 +124,6 @@ mod tests {
     #[test]
     fn empty_matrix_is_fair() {
         assert_eq!(RuntimeMatrix::default().fairness(), 1.0);
-        assert_eq!(RuntimeMatrix::default().max_min_ratio(), 1.0);
     }
 
     #[test]
@@ -180,12 +160,12 @@ mod tests {
     }
 
     #[test]
-    fn max_min_ratio_ignores_middle_threads_the_papers_critique() {
-        // Two runs with identical best/worst threads but very different
-        // dispersion in between: max/min cannot tell them apart, CV can.
+    fn fairness_sees_middle_threads_the_papers_critique() {
+        // Two runs with identical best/worst threads (1.0 and 2.0) but very
+        // different dispersion in between: the prior work's max/min ratio
+        // (2.0 for both) cannot tell them apart, CV can.
         let tight = RuntimeMatrix::new(vec![vec![1.0, 1.9, 2.0, 1.1]]);
         let spread = RuntimeMatrix::new(vec![vec![1.0, 1.5, 2.0, 1.5]]);
-        assert_eq!(tight.max_min_ratio(), spread.max_min_ratio());
         assert_ne!(tight.fairness(), spread.fairness());
     }
 

@@ -1,7 +1,5 @@
 //! Descriptive statistics used throughout the evaluation.
 
-use dike_util::json_struct;
-
 /// Arithmetic mean. Returns 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -76,14 +74,6 @@ pub struct Summary {
     /// Population standard deviation.
     pub std_dev: f64,
 }
-
-json_struct!(Summary {
-    n,
-    min,
-    mean,
-    max,
-    std_dev,
-});
 
 impl Summary {
     /// Summarise a sample. Returns the default (all zeros) for empty input.

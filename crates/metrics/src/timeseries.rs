@@ -2,7 +2,6 @@
 //! trend, access-rate traces, utilisation traces).
 
 use crate::stats::Summary;
-use dike_util::json_struct;
 
 /// A named `(time, value)` series.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -14,12 +13,6 @@ pub struct TimeSeries {
     /// Sample values.
     pub values: Vec<f64>,
 }
-
-json_struct!(TimeSeries {
-    name,
-    times,
-    values,
-});
 
 impl TimeSeries {
     /// An empty series.

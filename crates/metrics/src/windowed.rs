@@ -49,11 +49,6 @@ pub struct WindowPoint {
     pub departures: u64,
 }
 
-json_struct!(ThreadSpan {
-    app,
-    spawned_at,
-    finished_at,
-});
 json_struct!(WindowPoint {
     end_s,
     fairness,

@@ -67,7 +67,6 @@ fn fairness_is_at_most_one_and_one_iff_uniform() {
         assert!((uniform.fairness() - 1.0).abs() < 1e-12);
         // Aggregates relate sensibly.
         assert!(m.makespan() >= m.mean_app_runtime() - 1e-9);
-        assert!(m.max_min_ratio() >= 1.0 - 1e-12);
     });
 }
 

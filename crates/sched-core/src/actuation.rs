@@ -56,13 +56,6 @@ pub struct ActuationReport {
     pub abandoned: u32,
 }
 
-impl ActuationReport {
-    /// True when nothing needed attention.
-    pub fn is_clean(&self) -> bool {
-        self.retried == 0 && self.abandoned == 0
-    }
-}
-
 /// Tracks requested swaps until they are confirmed, retried out, or
 /// abandoned. All bookkeeping is in quantum-counter units, so the planner
 /// is agnostic to quantum-length changes mid-run.
@@ -107,11 +100,6 @@ impl SwapPlanner {
         self.fallback
             .iter()
             .any(|&(t, until)| t == thread && now_q < until)
-    }
-
-    /// Unconfirmed swaps currently tracked.
-    pub fn pending_swaps(&self) -> usize {
-        self.pending.len()
     }
 
     /// Check every tracked swap against the current view, re-issuing
@@ -237,11 +225,6 @@ impl PartitionPlanner {
         now_q < self.fallback_until
     }
 
-    /// True while a request awaits confirmation.
-    pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-
     /// Check the outstanding request against the current view's partition
     /// epoch, re-issuing an unconfirmed one (into `actions`) with
     /// exponential backoff and abandoning it past the retry budget. Call
@@ -317,13 +300,13 @@ mod tests {
     fn landed_swap_is_confirmed_and_dropped() {
         let mut p = SwapPlanner::new(3, 8);
         track_swap(&mut p, 0);
-        assert_eq!(p.pending_swaps(), 1);
+        assert_eq!(p.pending.len(), 1);
         let mut a = Actions::default();
         let r = p.verify(&view(&[(0, 4), (1, 0)], &[], 1), &mut a, 1);
         assert_eq!(r.confirmed, 1);
-        assert!(r.is_clean());
+        assert_eq!((r.retried, r.abandoned), (0, 0));
         assert!(a.is_empty());
-        assert_eq!(p.pending_swaps(), 0);
+        assert_eq!(p.pending.len(), 0);
     }
 
     #[test]
@@ -342,7 +325,7 @@ mod tests {
         // nothing is re-issued even though the swap is still not placed.
         let mut a = Actions::default();
         let r = p.verify(&view(&[(0, 0), (1, 4)], &[], 2), &mut a, 2);
-        assert!(r.is_clean());
+        assert_eq!((r.retried, r.abandoned), (0, 0));
         assert!(a.is_empty());
         // At quanta 3 the window has elapsed: retry #2 fires, and only the
         // member still out of place is re-issued.
@@ -365,7 +348,7 @@ mod tests {
         let r = p.verify(&stuck(3), &mut a, 3);
         assert_eq!((r.retried, r.abandoned), (0, 1));
         assert!(a.is_empty(), "an abandoned swap must not re-issue");
-        assert_eq!(p.pending_swaps(), 0);
+        assert_eq!(p.pending.len(), 0);
         // Both members are in fallback for `fallback_quanta` quanta.
         assert!(p.in_fallback(ThreadId(0), 3));
         assert!(p.in_fallback(ThreadId(1), 10));
@@ -383,9 +366,9 @@ mod tests {
         track_swap(&mut p, 0);
         let mut a = Actions::default();
         let r = p.verify(&view(&[(1, 4)], &[0], 1), &mut a, 1);
-        assert!(r.is_clean());
+        assert_eq!((r.retried, r.abandoned), (0, 0));
         assert_eq!(r.confirmed, 0);
-        assert_eq!(p.pending_swaps(), 0);
+        assert_eq!(p.pending.len(), 0);
         assert!(!p.in_fallback(ThreadId(1), 1));
     }
 
@@ -397,9 +380,9 @@ mod tests {
         // dropout): the swap is held, no retry is issued.
         let mut a = Actions::default();
         let r = p.verify(&view(&[(1, 4)], &[], 1), &mut a, 1);
-        assert!(r.is_clean());
+        assert_eq!((r.retried, r.abandoned), (0, 0));
         assert!(a.is_empty());
-        assert_eq!(p.pending_swaps(), 1);
+        assert_eq!(p.pending.len(), 1);
         // Once observable and landed, it confirms normally.
         let mut a = Actions::default();
         let r = p.verify(&view(&[(0, 4), (1, 0)], &[], 2), &mut a, 2);
@@ -427,13 +410,13 @@ mod tests {
     fn partition_confirmed_on_epoch_advance() {
         let mut p = PartitionPlanner::new(3, 8);
         p.track(small_plan(), 0, 0);
-        assert!(p.has_pending());
+        assert!(p.pending.is_some());
         let mut a = Actions::default();
         let r = p.verify(&epoch_view(1, 1), &mut a, 1);
         assert_eq!(r.confirmed, 1);
-        assert!(r.is_clean());
+        assert_eq!((r.retried, r.abandoned), (0, 0));
         assert!(a.is_empty());
-        assert!(!p.has_pending());
+        assert!(p.pending.is_none());
     }
 
     #[test]
@@ -448,14 +431,14 @@ mod tests {
         // Inside the backoff window nothing happens.
         let mut a = Actions::default();
         let r = p.verify(&epoch_view(0, 2), &mut a, 2);
-        assert!(r.is_clean());
+        assert_eq!((r.retried, r.abandoned), (0, 0));
         assert!(a.is_empty());
         // Past the window with the budget spent: abandoned + fallback.
         let mut a = Actions::default();
         let r = p.verify(&epoch_view(0, 3), &mut a, 3);
         assert_eq!((r.retried, r.abandoned), (0, 1));
         assert!(a.is_empty(), "an abandoned request must not re-issue");
-        assert!(!p.has_pending());
+        assert!(p.pending.is_none());
         assert!(p.in_fallback(3));
         assert!(p.in_fallback(10));
         assert!(!p.in_fallback(11));
@@ -505,6 +488,6 @@ mod tests {
         let r = p.verify(&view(&[(0, 4), (1, 0)], &[], 2), &mut a, 2);
         assert_eq!(r.confirmed, 1);
         assert!(a.is_empty());
-        assert_eq!(p.pending_swaps(), 0);
+        assert_eq!(p.pending.len(), 0);
     }
 }

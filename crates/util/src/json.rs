@@ -5,18 +5,14 @@
 //! produced, so recorded fixtures and figure emitters keep their format:
 //!
 //! * structs → objects with fields in declaration order;
-//! * newtype ids (`VCoreId(u32)`) → the bare inner value;
-//! * unit enum variants → `"VariantName"`;
-//! * newtype enum variants → `{"VariantName": payload}` (externally tagged);
-//! * `Option` → `null` / the bare payload; tuples → fixed-length arrays;
-//! * `Arc<T>` → whatever `T` writes.
+//! * `Vec<T>` → arrays; pairs → two-element arrays;
+//! * floats always show a fraction or exponent (`1.0`), and a non-finite
+//!   float writes `null`.
 //!
-//! Implementations for concrete types are written by hand or through the
-//! `macro_rules!` helpers [`json_struct!`](crate::json_struct),
-//! [`json_enum!`](crate::json_enum) and
-//! [`json_newtype!`](crate::json_newtype) — declarative expansion only, no
-//! proc-macro reflection, and the expansion is readable in this file's
-//! terms.
+//! The result types that binaries, goldens and the benchmark write
+//! implement [`ToJson`] through [`json_struct!`](crate::json_struct) —
+//! declarative expansion only, no proc-macro reflection, and the
+//! expansion is readable in this file's terms.
 //!
 //! Every document this workspace keeps is written and compared as text,
 //! so there is no typed decoding: [`parse`] yields a [`Value`], and a
@@ -24,7 +20,6 @@
 //! [`Num::as_f64`]/[`Num::as_u64`].
 
 use std::fmt;
-use std::sync::Arc;
 
 /// A parsed or buildable JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -582,17 +577,7 @@ macro_rules! impl_json_uint {
     )*};
 }
 
-impl_json_uint!(u32, u64, usize);
-
-impl ToJson for i64 {
-    fn to_json_value(&self) -> Value {
-        if *self < 0 {
-            Value::Num(Num::I(*self))
-        } else {
-            Value::Num(Num::U(*self as u64))
-        }
-    }
-}
+impl_json_uint!(u32, u64);
 
 impl ToJson for f64 {
     fn to_json_value(&self) -> Value {
@@ -606,28 +591,7 @@ impl ToJson for String {
     }
 }
 
-impl ToJson for str {
-    fn to_json_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json_value(&self) -> Value {
-        match self {
-            None => Value::Null,
-            Some(x) => x.to_json_value(),
-        }
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json_value(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json_value).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
     fn to_json_value(&self) -> Value {
         Value::Array(self.iter().map(ToJson::to_json_value).collect())
     }
@@ -636,26 +600,6 @@ impl<T: ToJson> ToJson for [T] {
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json_value(&self) -> Value {
         Value::Array(vec![self.0.to_json_value(), self.1.to_json_value()])
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
-    }
-}
-
-/// A shared value writes exactly what the value writes: sharing is a
-/// memory layout, not part of the document.
-impl<T: ToJson + ?Sized> ToJson for Arc<T> {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
-    }
-}
-
-impl ToJson for Value {
-    fn to_json_value(&self) -> Value {
-        self.clone()
     }
 }
 
@@ -680,45 +624,6 @@ macro_rules! json_struct {
     };
 }
 
-/// Implement [`ToJson`] for a tuple newtype (`VCoreId(u32)`), serializing
-/// as the bare inner value — serde's newtype behaviour.
-#[macro_export]
-macro_rules! json_newtype {
-    ($($ty:ty),+ $(,)?) => {$(
-        impl $crate::json::ToJson for $ty {
-            fn to_json_value(&self) -> $crate::json::Value {
-                $crate::json::ToJson::to_json_value(&self.0)
-            }
-        }
-    )+};
-}
-
-/// Implement [`ToJson`] for an enum of unit and/or newtype variants,
-/// externally tagged like serde: unit variants as `"VariantName"`,
-/// newtype variants as `{"VariantName": payload}`.
-///
-/// ```ignore
-/// json_enum!(Placement { Interleaved, AppContiguous } { Random(u64) });
-/// json_enum!(AppClass { Memory, Compute, Communication } {});
-/// ```
-#[macro_export]
-macro_rules! json_enum {
-    ($ty:ident { $($unit:ident),* $(,)? } { $($nt:ident($ntty:ty)),* $(,)? }) => {
-        impl $crate::json::ToJson for $ty {
-            fn to_json_value(&self) -> $crate::json::Value {
-                match self {
-                    $(Self::$unit =>
-                        $crate::json::Value::Str(stringify!($unit).to_string()),)*
-                    $(Self::$nt(payload) => $crate::json::Value::Object(vec![(
-                        stringify!($nt).to_string(),
-                        $crate::json::ToJson::to_json_value(payload),
-                    )]),)*
-                }
-            }
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -727,7 +632,6 @@ mod tests {
     fn primitives_write_and_parse() {
         assert_eq!(to_string(&true), "true");
         assert_eq!(to_string(&42u64), "42");
-        assert_eq!(to_string(&-7i64), "-7");
         assert_eq!(to_string(&1.5f64), "1.5");
         assert_eq!(to_string(&"hi".to_string()), "\"hi\"");
         assert_eq!(parse("false").unwrap(), Value::Bool(false));
@@ -762,10 +666,6 @@ mod tests {
         let s = to_string(&v);
         assert_eq!(s, "[[1.0,2.0],[3.5]]");
         assert_eq!(parse(&s).unwrap(), v.to_json_value());
-
-        let opt_none: Option<u32> = None;
-        assert_eq!(to_string(&opt_none), "null");
-        assert_eq!(to_string(&Some(3u32)), "3");
 
         let pairs: Vec<(f64, f64)> = vec![(0.5, 1.0), (1.5, 2.0)];
         let s = to_string(&pairs);
@@ -845,14 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_values_write_what_they_share() {
-        let v: Arc<Vec<f64>> = Arc::new(vec![1.0, 2.5]);
-        assert_eq!(to_string(&v), to_string(&*v));
-        let opt: Option<Arc<String>> = Some(Arc::new("x".into()));
-        assert_eq!(to_string(&opt), "\"x\"");
-    }
-
-    #[test]
     fn parser_rejects_malformed_input() {
         assert!(parse("").is_err());
         assert!(parse("{").is_err());
@@ -893,7 +785,7 @@ mod tests {
         assert!(e.msg.contains("found array"), "{e}");
     }
 
-    // Macro smoke tests on local types.
+    // Macro smoke test on a local type.
     struct P {
         x: u32,
         y: f64,
@@ -901,18 +793,8 @@ mod tests {
     }
     json_struct!(P { x, y, name });
 
-    struct Id(pub u32);
-    json_newtype!(Id);
-
-    enum E {
-        A,
-        B,
-        W(u64),
-    }
-    json_enum!(E { A, B } { W(u64) });
-
     #[test]
-    fn macro_impls_match_serde_shapes() {
+    fn json_struct_matches_the_serde_shape() {
         let p = P {
             x: 3,
             y: 1.0,
@@ -921,14 +803,5 @@ mod tests {
         let s = to_string(&p);
         assert_eq!(s, "{\"x\":3,\"y\":1.0,\"name\":\"n\"}");
         assert_eq!(parse(&s).unwrap(), p.to_json_value());
-
-        assert_eq!(to_string(&Id(9)), "9");
-
-        assert_eq!(to_string(&E::A), "\"A\"");
-        assert_eq!(to_string(&E::B), "\"B\"");
-        assert_eq!(to_string(&E::W(5)), "{\"W\":5}");
-        for e in [E::A, E::B, E::W(123)] {
-            assert_eq!(parse(&to_string(&e)).unwrap(), e.to_json_value());
-        }
     }
 }

@@ -9,8 +9,8 @@
 //! * [`rng`] — deterministic SplitMix64 seeder + PCG32 stream with
 //!   `gen_range`/`shuffle`/`choose`/`sample` (replaces `rand`/`rand_pcg`);
 //! * [`json`] — a small writer-based serializer behind the derive-free
-//!   [`json::ToJson`] trait, with `macro_rules!` helpers for structs,
-//!   enums and id newtypes, and a recursive-descent parser into a
+//!   [`json::ToJson`] trait, with a `macro_rules!` helper for structs,
+//!   and a recursive-descent parser into a
 //!   [`json::Value`] tree (replaces `serde`/`serde_json`; nothing decodes
 //!   typed values, because every kept document is compared as text);
 //! * [`check`] — a seeded property-testing harness, shrinking-free but

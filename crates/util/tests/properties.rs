@@ -7,7 +7,7 @@
 
 use dike_util::check::check;
 use dike_util::json::{self, ToJson};
-use dike_util::{json_enum, json_newtype, json_struct, Pcg32, SliceRandom};
+use dike_util::{json_struct, Pcg32, SliceRandom};
 
 /// First eight `next_u32` outputs of `Pcg32::seed_from_u64(42)`.
 ///
@@ -75,29 +75,15 @@ fn gen_range_is_uniform_enough() {
 // ---- json round-trips on fixture-shaped structs -----------------------
 
 #[derive(Debug, Clone, PartialEq)]
-struct FixtureId(u64);
-json_newtype!(FixtureId);
-
-#[derive(Debug, Clone, PartialEq)]
-enum FixtureKind {
-    Fast,
-    Slow,
-    Seeded(u64),
-}
-json_enum!(FixtureKind { Fast, Slow } { Seeded(u64) });
-
-#[derive(Debug, Clone, PartialEq)]
 struct FixtureCell {
-    id: FixtureId,
-    kind: FixtureKind,
+    id: u64,
     label: String,
     fairness: f64,
     trace: Vec<(f64, f64)>,
-    note: Option<String>,
+    note: String,
 }
 json_struct!(FixtureCell {
     id,
-    kind,
     label,
     fairness,
     trace,
@@ -105,24 +91,18 @@ json_struct!(FixtureCell {
 });
 
 fn arb_cell(rng: &mut Pcg32) -> FixtureCell {
-    let kind = match rng.gen_range(0u32..3) {
-        0 => FixtureKind::Fast,
-        1 => FixtureKind::Slow,
-        _ => FixtureKind::Seeded(rng.next_u64()),
-    };
     let trace = (0..rng.gen_range(0usize..6))
         .map(|_| (rng.gen_range(0.0..100.0), rng.gen_range(0.0..2.0)))
         .collect();
     FixtureCell {
-        id: FixtureId(rng.next_u64()),
-        kind,
+        id: rng.next_u64(),
         label: format!("cell-{}", rng.gen_range(0u32..1000)),
         fairness: rng.gen_range(0.0..1.0),
         trace,
         note: if rng.gen_bool() {
-            Some("quote \" backslash \\ newline \n".to_string())
+            "quote \" backslash \\ newline \n".to_string()
         } else {
-            None
+            String::new()
         },
     }
 }
@@ -143,20 +123,18 @@ fn json_round_trip_on_fixture_structs() {
 #[test]
 fn json_output_shape_is_frozen() {
     let cell = FixtureCell {
-        id: FixtureId(18_446_744_073_709_551_615),
-        kind: FixtureKind::Seeded(7),
+        id: 18_446_744_073_709_551_615,
         label: "x".into(),
         fairness: 1.0,
         trace: vec![(0.5, 2.0)],
-        note: None,
+        note: String::new(),
     };
     assert_eq!(
         cell.to_json(),
-        "{\"id\":18446744073709551615,\"kind\":{\"Seeded\":7},\"label\":\"x\",\
-         \"fairness\":1.0,\"trace\":[[0.5,2.0]],\"note\":null}",
+        "{\"id\":18446744073709551615,\"label\":\"x\",\
+         \"fairness\":1.0,\"trace\":[[0.5,2.0]],\"note\":\"\"}",
         "json shape changed — breaking for recorded fixtures"
     );
-    assert_eq!(FixtureKind::Fast.to_json(), "\"Fast\"");
     assert_eq!(
         json::parse(&cell.to_json()).unwrap().field("id"),
         Ok(&json::Value::Num(json::Num::U(u64::MAX)))

@@ -19,7 +19,6 @@
 //! (Section IV-C).
 
 use dike_machine::{AppId, BarrierId, BarrierSpec, Phase, PhaseProgram, PhaseRepeat, ThreadSpec};
-use dike_util::json_enum;
 use std::sync::Arc;
 
 /// Broad behavioural class of an application.
@@ -32,8 +31,6 @@ pub enum AppClass {
     /// Barrier-synchronised, communication-heavy (KMEANS).
     Communication,
 }
-
-json_enum!(AppClass { Memory, Compute, Communication } {});
 
 /// The modelled applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,19 +59,6 @@ pub enum AppKind {
     /// communication (modelled as recurring group barriers).
     Kmeans,
 }
-
-json_enum!(AppKind {
-    Jacobi,
-    Streamcluster,
-    Needle,
-    StreamOmp,
-    Leukocyte,
-    LavaMd,
-    Srad,
-    Hotspot,
-    Heartwall,
-    Kmeans
-} {});
 
 impl AppKind {
     /// All modelled applications.
@@ -107,11 +91,6 @@ impl AppKind {
         }
     }
 
-    /// Parse a canonical name back to the kind.
-    pub fn from_name(name: &str) -> Option<AppKind> {
-        AppKind::ALL.iter().copied().find(|k| k.name() == name)
-    }
-
     /// Ground-truth behavioural class (the schedulers are *not* given this;
     /// they must classify from counters).
     pub fn class(self) -> AppClass {
@@ -126,11 +105,6 @@ impl AppKind {
             | AppKind::Heartwall => AppClass::Compute,
             AppKind::Kmeans => AppClass::Communication,
         }
-    }
-
-    /// True for the paper's bold (memory-intensive) table entries.
-    pub fn is_memory_intensive(self) -> bool {
-        self.class() == AppClass::Memory
     }
 
     /// The per-thread phase program at scale 1.0.
@@ -441,17 +415,17 @@ mod tests {
         let m: Vec<AppKind> = AppKind::ALL
             .iter()
             .copied()
-            .filter(|a| a.is_memory_intensive())
+            .filter(|a| a.class() == AppClass::Memory)
             .collect();
         assert_eq!(m, vec![Jacobi, Streamcluster, Needle, StreamOmp]);
     }
 
     #[test]
-    fn names_round_trip() {
-        for app in AppKind::ALL {
-            assert_eq!(AppKind::from_name(app.name()), Some(app));
-        }
-        assert_eq!(AppKind::from_name("nope"), None);
+    fn names_are_distinct() {
+        let mut names: Vec<&str> = AppKind::ALL.iter().map(|a| a.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), AppKind::ALL.len());
     }
 
     #[test]

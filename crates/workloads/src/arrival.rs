@@ -12,7 +12,7 @@
 
 use crate::apps::{AppKind, ProgramTable};
 use dike_machine::{AppId, BarrierId, SimTime, ThreadSpec};
-use dike_util::{json_struct, Pcg32, SliceRandom};
+use dike_util::{Pcg32, SliceRandom};
 
 /// One arrival: `nthreads` threads of `app` become runnable at `at_ms`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,8 +26,7 @@ pub struct ArrivalEvent {
 }
 
 /// A deterministic schedule of mid-run arrivals, a pure function of its
-/// generator's seed. It writes itself as JSON (`ToJson`) for the record;
-/// no program reads one back.
+/// generator's seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTrace {
     /// Trace name (reported in experiment output).
@@ -36,13 +35,6 @@ pub struct ArrivalTrace {
     /// sorted; consumers sort by time (stably) before injecting.
     pub events: Vec<ArrivalEvent>,
 }
-
-json_struct!(ArrivalEvent {
-    at_ms,
-    app,
-    nthreads,
-});
-json_struct!(ArrivalTrace { name, events });
 
 /// One event of a multi-tenant merged stream: tenant `tenant`'s event
 /// number `event` (an index into that tenant's [`ArrivalTrace::events`])
@@ -200,7 +192,6 @@ impl ArrivalTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dike_util::json::{self, ToJson};
 
     fn pool() -> Vec<AppKind> {
         vec![AppKind::Jacobi, AppKind::LavaMd, AppKind::Kmeans]
@@ -324,13 +315,6 @@ mod tests {
                 m.at_ms
             );
         }
-    }
-
-    #[test]
-    fn trace_round_trips_through_json() {
-        let t = ArrivalTrace::poisson("wl1-open", &pool(), &ArrivalConfig::default(), 42);
-        let s = json::to_string(&t);
-        assert_eq!(json::parse(&s).expect("parse"), t.to_json_value());
     }
 
     #[test]

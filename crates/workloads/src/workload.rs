@@ -2,7 +2,7 @@
 
 use crate::apps::{AppClass, AppKind, ProgramTable};
 use dike_machine::{AppId, BarrierId, Machine, ThreadId, VCoreId};
-use dike_util::{json_enum, json_struct, Pcg32, SliceRandom};
+use dike_util::{Pcg32, SliceRandom};
 
 /// The paper's workload classes (Section III-F / Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,15 +64,6 @@ pub struct Workload {
     /// Threads per application (paper: 8).
     pub threads_per_app: usize,
 }
-
-json_enum!(WorkloadClass { Balanced, UnbalancedCompute, UnbalancedMemory } {});
-json_enum!(Placement { Interleaved, AppContiguous } { Random(u64) });
-json_struct!(Workload {
-    name,
-    apps,
-    background,
-    threads_per_app,
-});
 
 impl Workload {
     /// A workload with the paper's defaults: 8 threads per app and a KMEANS

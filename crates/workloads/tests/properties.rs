@@ -2,7 +2,6 @@
 
 use dike_machine::{presets, Machine};
 use dike_util::check::check;
-use dike_util::ToJson;
 use dike_workloads::{
     paper, random_workload, ArrivalConfig, ArrivalTrace, GeneratorConfig, Placement, WorkloadClass,
 };
@@ -145,15 +144,4 @@ fn merge_order_breaks_timestamp_ties_by_tenant_then_event() {
             assert_eq!(merged, ArrivalTrace::merge_order(&traces.clone()));
         },
     );
-}
-
-#[test]
-fn workload_json_round_trips() {
-    check("workload_json_round_trips", 16, |rng| {
-        let n = rng.gen_range(1usize..17);
-        let w = paper::workload(n);
-        let json = dike_util::json::to_string(&w);
-        let back = dike_util::json::parse(&json).unwrap();
-        assert_eq!(back, w.to_json_value());
-    });
 }

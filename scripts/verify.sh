@@ -53,6 +53,18 @@ cli_errors() {
             return 1
         fi
     done
+    # A reader that closes stdout early ends the output: the binary's own
+    # status (`PIPESTATUS[0]`) must be 0, where a panic on the broken pipe
+    # exits 101.
+    for cmd in "fleet --quick" "fig6 --quick"; do
+        status=0
+        # shellcheck disable=SC2086 # word-split the command line
+        target/release/$cmd 2> /dev/null | head -1 > /dev/null || status=${PIPESTATUS[0]}
+        if [ "$status" -ne 0 ]; then
+            echo "cli-errors: '$cmd | head -1' exited $status, expected 0" >&2
+            return 1
+        fi
+    done
 }
 step "cli-errors" cli_errors
 step "test" cargo test -q --offline --workspace

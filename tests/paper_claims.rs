@@ -1,12 +1,10 @@
 //! The paper's headline claims, checked end to end.
 //!
-//! Two tiers:
+//! Two tiers, both run by plain `cargo test`:
 //!
-//! * always-on tests at small scale (they run under plain
-//!   `cargo test --workspace`) assert the robust shape results;
+//! * small-scale tests assert the robust shape results;
 //! * `full_headline_orderings` reproduces the complete Figure 6 ordering
-//!   at a larger scale and is `#[ignore]`d by default — run it with
-//!   `cargo test --release --test paper_claims -- --ignored`.
+//!   at a larger scale.
 //!
 //! EXPERIMENTS.md records the full-scale numbers next to the paper's.
 
@@ -59,8 +57,8 @@ fn light_headline_shape() {
         );
     }
     // Performance: Dike does not lose to the baseline (at small scale the
-    // settle phase eats part of the gain; the full-scale ordering is the
-    // ignored test below).
+    // settle phase eats part of the gain; the full-scale ordering is
+    // `full_headline_orderings` below).
     let speed = geomeans(&fig.speedups());
     assert!(
         speed[dike] > 0.98,
@@ -136,7 +134,6 @@ fn wl15_is_migration_sensitive() {
 }
 
 #[test]
-#[ignore = "heavy (~2 min in release): cargo test --release --test paper_claims -- --ignored"]
 fn full_headline_orderings() {
     // Eight workloads spanning all classes at a scale where the settle
     // phase is amortised, as in the paper's multi-minute runs.
