@@ -64,7 +64,7 @@ pub struct ErrorSample {
 }
 
 /// The Predictor's persistent state.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Predictor {
     /// Predictions made last quantum, to be scored this quantum. The flag
     /// marks migration-based predictions (destination `CoreBW`) as opposed
@@ -84,6 +84,12 @@ pub struct Predictor {
     /// difference between predicted and actual memory access of the
     /// running threads" (Figures 7 and 8).
     quantum_errors: Vec<(SimTime, f64)>,
+}
+
+impl Default for Predictor {
+    fn default() -> Self {
+        Predictor::new()
+    }
 }
 
 impl Predictor {

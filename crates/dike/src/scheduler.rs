@@ -99,7 +99,7 @@ impl Dike {
     }
 
     /// Dike-H: the fault-hardened pipeline (sanitize → holdover →
-    /// retry/backoff → watchdog demotion) with default knobs.
+    /// retry/backoff → watchdog demotion) at its fixed values.
     pub fn hardened() -> Self {
         Dike::with_config(DikeConfig::hardened(SchedConfig::DEFAULT))
     }

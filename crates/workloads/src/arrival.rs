@@ -1,13 +1,11 @@
 //! Deterministic open-system arrival traces.
 //!
 //! A closed workload spawns every thread at time zero; an *open* system
-//! receives applications mid-run. [`ArrivalTrace`] is the serializable
-//! description of such a run: a list of `(time, app, nthreads)` events,
-//! either hand-written or drawn from the seeded Poisson-like generator
+//! receives applications mid-run. [`ArrivalTrace`] is the description
+//! of such a run: a list of `(time, app, nthreads)` events, either
+//! hand-written or drawn from the seeded Poisson-like generator
 //! ([`ArrivalTrace::poisson`]). Traces are plain data — the driver decides
-//! what to do when a slot is not free — and write themselves as JSON so
-//! an experiment's exact arrival schedule can be archived with its
-//! results. Nothing reads a trace back: a run regenerates its traces
+//! what to do when a slot is not free — and a run regenerates its traces
 //! from their seeds.
 
 use crate::apps::{AppKind, ProgramTable};
