@@ -4,8 +4,7 @@
 //! arguments select workload numbers, each in 1..=16 (default: 1 9 13,
 //! one per class).
 
-use dike_experiments::{ablations, cli};
-use dike_experiments::{out, outln};
+use dike_experiments::{ablations, cli, out, outln};
 
 fn main() {
     let (args, workloads) = cli::from_env(|rest| cli::workload_numbers(rest, &[1, 9, 13]));

@@ -3,8 +3,7 @@
 //! vs the Dike+LFOC hybrid, across two paper mixes and three fault
 //! environments. See the `cachepart` module docs.
 
-use dike_experiments::{cachepart, cli};
-use dike_experiments::{out, outln};
+use dike_experiments::{cachepart, cli, out, outln};
 use dike_util::Pool;
 use std::time::Instant;
 

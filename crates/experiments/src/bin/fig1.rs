@@ -1,8 +1,7 @@
 //! Regenerates Figure 1: standalone vs concurrent slowdown per app on the
 //! heterogeneous and homogeneous machines.
 
-use dike_experiments::{cli, fig1};
-use dike_experiments::{out, outln};
+use dike_experiments::{cli, fig1, out, outln};
 
 fn main() {
     let (args, ()) = cli::from_env(cli::none);

@@ -1,8 +1,7 @@
 //! Regenerates Figure 2: optimal vs default vs worst Dike configuration
 //! (normalised fairness/performance) for WL2, WL7 and WL13.
 
-use dike_experiments::{cli, fig2};
-use dike_experiments::{out, outln};
+use dike_experiments::{cli, fig2, out, outln};
 
 fn main() {
     let (args, ()) = cli::from_env(cli::none);

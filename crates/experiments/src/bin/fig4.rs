@@ -1,8 +1,7 @@
 //! Regenerates Figure 4: normalised fairness/performance heatmaps over the
 //! 8x4 <swapSize, quantaLength> grid for WL3 and WL9.
 
-use dike_experiments::outln;
-use dike_experiments::{cli, fig4};
+use dike_experiments::{cli, fig4, outln};
 
 fn main() {
     let (args, ()) = cli::from_env(cli::none);

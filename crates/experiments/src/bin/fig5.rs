@@ -5,8 +5,7 @@
 
 use dike_experiments::fig4::Heatmap;
 use dike_experiments::fig5::ClassContours;
-use dike_experiments::outln;
-use dike_experiments::{cli, fig5};
+use dike_experiments::{cli, fig5, outln};
 
 fn main() {
     let (args, per_class) = cli::from_env(|rest| cli::per_class(rest, 2));

@@ -5,8 +5,7 @@
 //! Figure 8 (its trend for WL6 and WL11), in that order.
 
 use dike_experiments::table3::{self, Table3};
-use dike_experiments::{cli, fig6, fig7, fig8};
-use dike_experiments::{out, outln};
+use dike_experiments::{cli, fig6, fig7, fig8, out, outln};
 use dike_metrics::TextTable;
 use dike_util::Pool;
 

@@ -2,8 +2,7 @@
 //! WL1-derived Poisson arrivals at three load levels. See `open` module
 //! docs.
 
-use dike_experiments::{cli, open};
-use dike_experiments::{out, outln};
+use dike_experiments::{cli, open, out, outln};
 use dike_util::Pool;
 use std::time::Instant;
 

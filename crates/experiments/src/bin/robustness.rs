@@ -2,8 +2,7 @@
 //! actuation faults, hardened Dike-H vs the trusting paper pipeline vs
 //! the CFS/DIO baselines. See the `robustness` module docs.
 
-use dike_experiments::{cli, robustness};
-use dike_experiments::{out, outln};
+use dike_experiments::{cli, out, outln, robustness};
 use dike_util::Pool;
 use std::time::Instant;
 

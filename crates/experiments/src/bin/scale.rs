@@ -1,8 +1,7 @@
 //! Scale sweep driver: the Figure 6 comparison set on 1-, 4- and
 //! 8-controller machines (40/160/320 vcores). See `scale` module docs.
 
-use dike_experiments::{cli, scale};
-use dike_experiments::{out, outln};
+use dike_experiments::{cli, out, outln, scale};
 use dike_util::Pool;
 use std::time::Instant;
 
