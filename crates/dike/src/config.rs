@@ -28,11 +28,12 @@ pub enum CoreBwEstimate {
     /// Demand-gated capability estimate: a core's bandwidth is only
     /// sampled in quanta when it hosts a memory-classified thread, with a
     /// frequency-class fallback for cores lacking history. An ablation,
-    /// and not a quieter Dike: a memory↔compute pair's profit is then
-    /// about the fast core's bandwidth under memory demand minus a compute
-    /// thread's rate, almost always positive, so the Decider almost never
-    /// rejects on profit and the variant swaps about as often as
-    /// no-prediction, more than [`CoreBwEstimate::PerCoreMean`].
+    /// and not a quieter Dike: every core's estimate is then its
+    /// bandwidth under memory demand, above the rate of nearly every
+    /// thread the Selector pairs, so a pair's predicted profit (Eqn 3) is
+    /// almost always positive, the Decider almost never rejects on profit,
+    /// and the variant swaps about as often as no-prediction, more than
+    /// [`CoreBwEstimate::PerCoreMean`].
     DemandGated,
 }
 

@@ -10,8 +10,8 @@
 //!   Dike-vs-DIO);
 //! * **no-cooldown** — threads may swap in consecutive quanta;
 //! * **demand-gated CoreBW** — the capability-estimating variant of the
-//!   Observer; its profit test almost never rejects a memory↔compute pair,
-//!   so it swaps about as often as no-prediction, more than default Dike;
+//!   Observer; its profit test almost never rejects a pair, so it swaps
+//!   about as often as no-prediction, more than default Dike;
 //! * **observed-bandwidth core ranking** — fully dynamic core
 //!   identification as sketched in Section III-A;
 //! * **θ_f sensitivity** — tighter/looser fairness gates.

@@ -14,14 +14,16 @@
 //!
 //! The binaries print through [`out!`](crate::out) and
 //! [`outln!`](crate::outln), not `print!`: a reader that closes stdout
-//! early (`fig6 --quick | head -1`) ends the output with status 0 rather
-//! than a panic.
+//! early (`fleet --quick --json r.json | head -1`) ends the printed
+//! output rather than panicking, and the run still writes its `--json`
+//! file and exits with status 0.
 
 use crate::runner::RunOptions;
 use dike_util::ToJson;
 use std::fmt;
 use std::io::Write as _;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// What a seed takes.
 pub const SEED: &str = "an unsigned 64-bit integer";
@@ -219,23 +221,34 @@ macro_rules! outln {
     };
 }
 
-/// Write `args` to stdout. A closed stdout ends the output: the process
-/// exits with status 0. Any other write error is printed and the process
-/// exits with status 1.
+/// Set once a reader has closed stdout. It publishes no other data.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write `args` to stdout. A closed stdout ends the output: this write
+/// and every later one are dropped, and the run goes on, so a `--json`
+/// file is still written. Any other write error is printed and the
+/// process exits with status 1.
 pub fn write_stdout(args: fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
     if let Err(e) = std::io::stdout().lock().write_fmt(args) {
-        std::process::exit(stdout_error_status(&e));
+        match stdout_error_exit(&e) {
+            None => STDOUT_CLOSED.store(true, Ordering::Relaxed),
+            Some(status) => std::process::exit(status),
+        }
     }
 }
 
-/// The exit status for a failed stdout write: 0 when the reader closed
-/// the pipe, otherwise 1 after printing the error.
-fn stdout_error_status(e: &std::io::Error) -> i32 {
+/// What a failed stdout write does: nothing when the reader closed the
+/// pipe (`None`, the output ends there), otherwise print the error and
+/// exit with status 1.
+fn stdout_error_exit(e: &std::io::Error) -> Option<i32> {
     if e.kind() == std::io::ErrorKind::BrokenPipe {
-        0
+        None
     } else {
         eprintln!("cannot write to stdout: {e}");
-        1
+        Some(1)
     }
 }
 
@@ -280,11 +293,14 @@ mod tests {
     }
 
     #[test]
-    fn a_closed_stdout_exits_zero_and_other_errors_exit_one() {
+    fn a_closed_stdout_ends_the_output_and_other_errors_exit_one() {
         use std::io::{Error, ErrorKind};
-        assert_eq!(stdout_error_status(&Error::from(ErrorKind::BrokenPipe)), 0);
-        assert_eq!(stdout_error_status(&Error::from(ErrorKind::StorageFull)), 1);
-        assert_eq!(stdout_error_status(&Error::other("device gone")), 1);
+        assert_eq!(stdout_error_exit(&Error::from(ErrorKind::BrokenPipe)), None);
+        assert_eq!(
+            stdout_error_exit(&Error::from(ErrorKind::StorageFull)),
+            Some(1)
+        );
+        assert_eq!(stdout_error_exit(&Error::other("device gone")), Some(1));
     }
 
     #[test]

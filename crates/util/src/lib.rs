@@ -10,9 +10,9 @@
 //!   `gen_range`/`shuffle`/`choose`/`sample` (replaces `rand`/`rand_pcg`);
 //! * [`json`] — a small writer-based serializer behind the derive-free
 //!   [`json::ToJson`] trait, with a `macro_rules!` helper for structs,
-//!   and a recursive-descent parser into a
-//!   [`json::Value`] tree (replaces `serde`/`serde_json`; nothing decodes
-//!   typed values, because every kept document is compared as text);
+//!   and a recursive-descent parser into a [`json::Value`] tree (replaces
+//!   `serde`/`serde_json`; nothing decodes typed values, because every
+//!   kept document is compared as text);
 //! * [`check`] — a seeded property-testing harness, shrinking-free but
 //!   with the failing seed reported for exact reproduction (replaces
 //!   `proptest`);

@@ -53,18 +53,28 @@ cli_errors() {
             return 1
         fi
     done
-    # A reader that closes stdout early ends the output: the binary's own
-    # status (`PIPESTATUS[0]`) must be 0, where a panic on the broken pipe
-    # exits 101.
-    for cmd in "fleet --quick" "fig6 --quick"; do
+    # A reader that closes stdout early ends the printed output, not the
+    # run: the binary's own status (`PIPESTATUS[0]`) must be 0, where a
+    # panic on the broken pipe exits 101, and `fleet` must still write
+    # its `--json` file.
+    local json
+    json=$(mktemp)
+    for cmd in "fleet --quick --json $json" "fig6 --quick"; do
         status=0
         # shellcheck disable=SC2086 # word-split the command line
         target/release/$cmd 2> /dev/null | head -1 > /dev/null || status=${PIPESTATUS[0]}
         if [ "$status" -ne 0 ]; then
             echo "cli-errors: '$cmd | head -1' exited $status, expected 0" >&2
+            rm -f "$json"
             return 1
         fi
     done
+    if [ ! -s "$json" ]; then
+        echo "cli-errors: 'fleet --quick --json | head -1' left its --json file empty" >&2
+        rm -f "$json"
+        return 1
+    fi
+    rm -f "$json"
 }
 step "cli-errors" cli_errors
 step "test" cargo test -q --offline --workspace
